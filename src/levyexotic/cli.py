@@ -7,18 +7,12 @@ the JSON or CSV payload; human-readable messages go to stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
 
-from .contracts import (
-    BarrierDownOutCall,
-    Chooser,
-    Compound,
-    Digital,
-    LookbackFixed,
-    price_contract,
-)
+from .contracts import AsianContinuous, price_contract, to_portfolio
 from .errors import PricingError, SchemaError, UnsupportedModel
 from .gaussian import closed_form_price
 from .mc import mc_price
@@ -85,18 +79,9 @@ def _price_report(spec: RunSpec) -> dict:
 
 def cmd_price(args) -> int:
     spec = _load_spec(args.spec)
-    if args.method:
-        spec = RunSpec(spec.model, spec.contract, spec.spot, args.method,
-                       spec.tol, spec.paths, spec.seed)
-    if args.tol is not None:
-        spec = RunSpec(spec.model, spec.contract, spec.spot, spec.method,
-                       args.tol, spec.paths, spec.seed)
-    if args.paths is not None:
-        spec = RunSpec(spec.model, spec.contract, spec.spot, spec.method,
-                       spec.tol, args.paths, spec.seed)
-    if args.seed is not None:
-        spec = RunSpec(spec.model, spec.contract, spec.spot, spec.method,
-                       spec.tol, spec.paths, args.seed)
+    overrides = {name: getattr(args, name) for name in ("method", "tol", "paths", "seed")
+                 if getattr(args, name) is not None}
+    spec = dataclasses.replace(spec, **overrides)
     _check_pairing(spec)
     report = _price_report(spec)
     print(json.dumps(report, sort_keys=True))
@@ -116,17 +101,13 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _grid_resolutions(contract) -> list[int]:
-    if isinstance(contract, Digital):
-        dims = contract.payoff.n
-    elif isinstance(contract, Chooser):
-        dims = 2
-    elif isinstance(contract, Compound):
-        dims = len(contract.legs)
-    elif isinstance(contract, (BarrierDownOutCall, LookbackFixed)):
-        dims = contract.schedule.m
-    else:
+def _grid_resolutions(spec: RunSpec) -> list[int]:
+    """Node counts per axis for a grid study, by the largest exercise dimension."""
+    if isinstance(spec.contract, AsianContinuous):
         dims = 1
+    else:
+        port = to_portfolio(spec.contract, spec.model, spec.spot)
+        dims = max((p.n for _, _, p in port.terms), default=0)
     if dims <= 1:
         return [64, 128, 256, 512, 1024]
     if dims == 2:
@@ -139,7 +120,7 @@ def cmd_convergence(args) -> int:
     print("resolution,price,error,wall_time_ms")
     if args.axis == "grid":
         prev = None
-        for nodes in _grid_resolutions(spec.contract):
+        for nodes in _grid_resolutions(spec):
             start = time.perf_counter()
             res = price_contract(spec.contract, spec.model, spec.spot, fixed_nodes=nodes)
             elapsed = (time.perf_counter() - start) * 1e3
@@ -147,8 +128,7 @@ def cmd_convergence(args) -> int:
             print(f"{nodes},{res.value:.10f},{err},{elapsed:.3f}")
             prev = res.value
     else:
-        _check_pairing(RunSpec(spec.model, spec.contract, spec.spot, "mc",
-                               spec.tol, spec.paths, spec.seed))
+        _check_pairing(dataclasses.replace(spec, method="mc"))
         n = 10_000
         while n <= 1_000_000:
             start = time.perf_counter()

@@ -16,17 +16,20 @@ from scipy.optimize import brentq
 
 from . import quadrature as cq
 from .digitals import (
+    DEFAULT_TOL_1D,
     ContourOffsets,
     MonitoringSchedule,
     PayoffParameterSet,
     PriceResult,
+    _contour_price,
+    _node_cap,
     default_offsets,
     price_digital,
 )
 from .errors import (
     CapExceeded,
+    NoConvergence,
     NoRoot,
-    PricingError,
     StripViolation,
     UnsupportedContract,
 )
@@ -253,6 +256,9 @@ def _compound_portfolio(c: Compound, thresholds) -> DigitalPortfolio:
     n_legs = len(c.legs)
     dates = tuple(T for T, _, _ in c.legs)
     signs = [w for _, _, w in c.legs]
+    # leg j is exercised on the side where the claim it buys gains value:
+    # S above S_j* when prod_{k>=j} w_k = +1, below it otherwise
+    directions = np.cumprod(signs[::-1])[::-1]
     # zero-strike put legs make the whole claim worthless
     for (T, K, w), s_star in zip(c.legs, thresholds):
         if s_star is None and w == -1:
@@ -268,7 +274,7 @@ def _compound_portfolio(c: Compound, thresholds) -> DigitalPortfolio:
             row[j] = 1.0
             rows.append(tuple(row))
             ks.append(math.log(thresholds[j]))
-            ws.append(signs[j])
+            ws.append(directions[j])
         return tuple(rows), tuple(ks), tuple(ws)
 
     terms = []
@@ -328,20 +334,19 @@ def to_portfolio(c: ContractSpec, model: LevyModel | None = None,
         )
 
     if isinstance(c, LookbackFixed):
-        port = _lookback_portfolio(c)
-        tau = c.schedule.expiry - c.schedule.t
-        r = model.r if model is not None else 0.0
         if model is None:
             raise ValueError("lookback cash leg needs the model's discount rate")
+        port = _lookback_portfolio(c)
+        tau = c.schedule.expiry - c.schedule.t
         return DigitalPortfolio(
-            port.terms, cash=-float(c.w) * c.strike * math.exp(-r * tau)
+            port.terms, cash=-float(c.w) * c.strike * math.exp(-model.r * tau)
         )
 
     if isinstance(c, Chooser):
-        sched = MonitoringSchedule(c.t, (c.t1, c.t_expiry))
-        k_early = math.log(c.strike) - (model.r if model else 0.0) * (c.t_expiry - c.t1)
         if model is None:
             raise ValueError("chooser strikes need the model's discount rate")
+        sched = MonitoringSchedule(c.t, (c.t1, c.t_expiry))
+        k_early = math.log(c.strike) - model.r * (c.t_expiry - c.t1)
         ks = (k_early, math.log(c.strike))
         eye = ((1.0, 0.0), (0.0, 1.0))
         a1 = PayoffParameterSet((0.0, 1.0), ks, (1, 1), eye)
@@ -395,20 +400,40 @@ def _compound_value(legs, thresholds, model, spot, t, tol):
     return total
 
 
+def _bracket_root(objective, x0: float, xtol: float) -> float:
+    """Root of ``objective`` bracketed geometrically around ``x0``, then brentq.
+
+    Evaluates x0, then up to 60 pairs x0 / 2^k, x0 * 2^k (lower first) until
+    the values at the bracket ends differ in sign or one is zero.
+    """
+    lo = hi = x0
+    f_lo = f_hi = objective(x0)
+    doublings = 0
+    while not min(f_lo, f_hi) <= 0.0 <= max(f_lo, f_hi):
+        if doublings == 60:
+            raise NoRoot(f"no sign change between {lo:g} and {hi:g} around {x0:g}")
+        lo /= 2.0
+        hi *= 2.0
+        f_lo, f_hi = objective(lo), objective(hi)
+        doublings += 1
+    return float(brentq(objective, lo, hi, xtol=xtol, rtol=8.9e-16))
+
+
 def solve_compound_thresholds(c: Compound, model: LevyModel,
                               rel_tol: float = 1e-10) -> list:
     """Critical prices S_j* where the remaining compound value equals K_j.
 
     Solved innermost-outward; the innermost threshold is its strike.  A zero
     strike yields ``None`` (the exercise condition degenerates).  Brackets
-    grow geometrically from K_j by factors of 2, at most 60 doublings.
+    grow geometrically from K_j by factors of 2, at most 60 doublings
+    (``_bracket_root``).
     """
     n_legs = len(c.legs)
     thresholds: list = [None] * n_legs
-    T_n, K_n, _ = c.legs[-1]
+    K_n = c.legs[-1][1]
     thresholds[-1] = K_n if K_n > 0 else None
     for j in range(n_legs - 2, -1, -1):
-        T_j, K_j, w_j = c.legs[j]
+        T_j, K_j, _ = c.legs[j]
         if K_j == 0.0:
             thresholds[j] = None
             continue
@@ -420,26 +445,7 @@ def solve_compound_thresholds(c: Compound, model: LevyModel,
         def objective(s):
             return _compound_value(inner_legs, inner_thresholds, model, s, T_j, tol_inner) - K_j
 
-        lo = hi = K_j
-        f_lo = f_hi = objective(K_j)
-        found = False
-        for _ in range(60):
-            if f_lo == 0.0 or f_hi == 0.0:
-                found = True
-                break
-            if f_lo * f_hi < 0:
-                found = True
-                break
-            lo /= 2.0
-            hi *= 2.0
-            f_lo = objective(lo)
-            f_hi = objective(hi)
-        if not found and f_lo * f_hi >= 0:
-            raise NoRoot(
-                f"no critical price for leg {j + 1}: value never crosses {K_j:g}"
-            )
-        root = brentq(objective, lo, hi, xtol=K_j * rel_tol, rtol=8.9e-16)
-        thresholds[j] = float(root)
+        thresholds[j] = _bracket_root(objective, K_j, K_j * rel_tol)
     return thresholds
 
 
@@ -462,23 +468,23 @@ def continuous_asian_psi(model: LevyModel, xi):
 
 
 def _price_asian_continuous(c: AsianContinuous, model: LevyModel, spot: float,
-                            tol: float | None, fixed_nodes: int | None) -> PriceResult:
+                            tol: float | None, fixed_nodes: int | None,
+                            max_nodes: int | None) -> PriceResult:
     tau = c.t_end - c.t_start
-    w = c.w
     lam_minus, lam_plus = model.strip
-    if w == 1:
+    # calls need Im(xi) < -1, puts 0 < Im(xi); the payoff transform
+    # -1/(xi(xi + i)) is the same on either contour
+    if c.w == 1:
         lo, hi = 1.0, -lam_minus
     else:
         lo, hi = 0.0, lam_plus
     if not lo < hi:
         raise StripViolation("strip too narrow for the continuous-Asian contour")
     omega = 0.5 * (lo + hi)
-    b = -w * omega
 
-    k = math.log(c.strike)
-    d = math.log(spot) - k
+    d = math.log(spot) - math.log(c.strike)
     if tol is None:
-        tol = 1e-8
+        tol = DEFAULT_TOL_1D
     raw_tol = tol * 2.0 * math.pi / c.strike
     trunc = cq.truncation_radius(
         model.decay_coefficient, model.order, tau / (1.0 + model.order) * 0.9,
@@ -488,20 +494,10 @@ def _price_asian_continuous(c: AsianContinuous, model: LevyModel, spot: float,
     def integrand(xi):
         return np.exp(1j * xi * d - tau * continuous_asian_psi(model, xi)) / (xi * (xi + 1j))
 
-    if fixed_nodes is not None:
-        start, cap = int(fixed_nodes), int(fixed_nodes)
-    else:
-        start = min(1 << max(5, int(trunc * (abs(d) + 2.0) / math.pi).bit_length()),
-                    cq.LINE_NODE_CAP // 2)
-        cap = cq.LINE_NODE_CAP
-    res = cq.integrate_line(integrand, b, trunc, raw_tol, start_nodes=start,
-                            max_nodes=cap)
-    scale = -w * c.strike * math.exp(-model.r * tau) / (2.0 * math.pi)
-    value_c = scale * res.value
-    err = abs(scale) * res.error_estimate
-    if abs(value_c.imag) > max(1e-8 * (1.0 + abs(value_c.real)), 4.0 * err):
-        raise PricingError("imaginary residue of the continuous-Asian price too large")
-    return PriceResult(float(value_c.real), err, ContourOffsets((omega,)), (1, 0), res.evaluations)
+    # -i K e^{-r tau} / (2 pi i) is the real Fourier scale -K e^{-r tau} / (2 pi)
+    prefactor = -1j * c.strike * math.exp(-model.r * tau)
+    return _contour_price(integrand, (-c.w * omega,), (trunc,), (d,), raw_tol, prefactor,
+                          (1, 0), ContourOffsets((omega,)), fixed_nodes, max_nodes)
 
 
 def price_contract(
@@ -515,42 +511,58 @@ def price_contract(
 ) -> PriceResult:
     """Price a contract as its digital portfolio (plus discounted cash).
 
+    The reported error is sum |coef| * (term error).  A term that stalls does
+    not stop the others (tensor terms after it get half the node cap): once
+    all are priced, NoConvergence is raised with the whole portfolio's result.
     ``offset_position`` picks every term's contour offset at that relative
     point of its feasible interval instead of the tuned default; useful for
     contour-invariance checks.
     """
     if isinstance(c, AsianContinuous):
-        return _price_asian_continuous(c, model, spot, tol, fixed_nodes)
+        return _price_asian_continuous(c, model, spot, tol, fixed_nodes, max_nodes)
     port = to_portfolio(c, model, spot)
     if not port.terms:
         return PriceResult(port.cash, 0.0, None, (0, 0), 0)
 
     value = port.cash
-    err_max = 0.0
+    err = 0.0
     evaluations = 0
     dims = (0, 0)
     offsets_used = None
+    stalled = None
     n_terms = len(port.terms)
     if tol is None:
         tol = 1e-8 if all(p.n <= 1 for _, _, p in port.terms) else 1e-6
-    for coef, sched, p in port.terms:
+    for i, (coef, sched, p) in enumerate(port.terms):
         # per-term budget; certificates overshoot true errors, so an n_terms
         # divisor here would demand unattainable refinement of cash legs
         term_tol = tol / max(1.0, abs(coef))
         offsets = None
         if offset_position is not None and p.n > 0:
             offsets = default_offsets(model, p, position=offset_position)
-        res = price_digital(model, sched, p, spot, offsets=offsets, tol=term_tol,
-                            fixed_nodes=fixed_nodes, max_nodes=max_nodes)
+        # Once a term has stalled the portfolio raises anyway: the remaining
+        # tensor terms stop one level short of the cap, for a best value with an
+        # honest error at about a quarter of the cost of a full ladder.
+        term_cap = max_nodes if stalled is None or p.n < 2 else _node_cap(p.n, max_nodes) // 2
+        try:
+            res = price_digital(model, sched, p, spot, offsets=offsets, tol=term_tol,
+                                fixed_nodes=fixed_nodes, max_nodes=term_cap)
+        except NoConvergence as exc:
+            # keep pricing: the caller gets the whole portfolio's best value
+            res = exc.result
+            stalled = stalled or f"term {i + 1} of {n_terms}: {exc}"
         value += coef * res.value
-        err_max = max(err_max, abs(coef) * res.quadrature_error)
+        err += abs(coef) * res.quadrature_error
         evaluations += res.evaluations
         if res.dimensions > dims:
             dims = res.dimensions
             offsets_used = res.offsets_used
     if n_terms > 1:
         offsets_used = None
-    return PriceResult(value, err_max, offsets_used, dims, evaluations)
+    result = PriceResult(value, err, offsets_used, dims, evaluations)
+    if stalled is not None:
+        raise NoConvergence(stalled, result)
+    return result
 
 
 def compound_parity_check(model: LevyModel, K1: float, T1: float, K2: float,

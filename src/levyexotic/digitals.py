@@ -7,7 +7,9 @@ A payoff parameter set [(gamma_1..gamma_M), K, W, A] describes the claim
 on monitored log prices X_1..X_M.  Its value is an N-fold contour integral
 whose integrand couples the monitoring legs only through suffix sums of A and
 gamma; this module assembles that integrand, picks feasible contour offsets,
-and drives the tensor quadrature.
+and drives the line or tensor quadrature.  The driver ``_contour_price`` is
+shared by every contour price in the package (digitals, the continuous Asian
+and the normal-CDF identity).
 """
 from __future__ import annotations
 
@@ -381,6 +383,11 @@ def _pow2_at_least(n: int) -> int:
     return 1 << max(4, int(n - 1).bit_length())
 
 
+def _node_cap(n: int, max_nodes: int | None) -> int:
+    """Per-axis node cap of an n-fold contour: ``max_nodes`` or the quadrature default."""
+    return max_nodes or (cq.LINE_NODE_CAP if n == 1 else cq.TENSOR_NODE_CAPS[n])
+
+
 def _price_core(model, sched, p, spot, offsets, tol, fixed_nodes, max_nodes, delta_mode):
     n = p.n
     if n > MAX_TENSOR_DIM:
@@ -395,8 +402,8 @@ def _price_core(model, sched, p, spot, offsets, tol, fixed_nodes, max_nodes, del
     if tol is None:
         tol = DEFAULT_TOL_1D if n == 1 else DEFAULT_TOL_ND
 
-    gamma_total_pre = float(np.sum(p.gamma))
-    prefactor_mag = math.exp(-model.r * (sched.expiry - sched.t)) * spot**gamma_total_pre
+    gamma_total = float(np.sum(p.gamma))
+    prefactor_mag = math.exp(-model.r * (sched.expiry - sched.t)) * spot**gamma_total
     if offsets is None:
         if n == 1:
             # A near-certain condition leaves the contour factor exp(w*omega*d)
@@ -418,7 +425,7 @@ def _price_core(model, sched, p, spot, offsets, tol, fixed_nodes, max_nodes, del
                 )
             offsets = default_offsets(model, p, sched, spot)
         else:
-            cap_guess = max_nodes or cq.TENSOR_NODE_CAPS[n]
+            cap_guess = _node_cap(n, max_nodes)
             trunc_guess = tol * (2.0 * math.pi) ** n / prefactor_mag * 0.1
             offsets = _optimized_offsets(model, sched, p, spot, cap_guess, trunc_guess)
     else:
@@ -430,12 +437,10 @@ def _price_core(model, sched, p, spot, offsets, tol, fixed_nodes, max_nodes, del
     signs = np.array(p.w, dtype=float)
     omega = np.array(offsets.omega, dtype=float)
     b = -signs * omega
-    log_spot = math.log(spot)
-    d_vec = p.matrix().sum(axis=1) * log_spot - np.array(p.k_log)
-    tau_disc = sched.expiry - sched.t
-    gamma_total = float(np.sum(p.gamma))
+    row_sums = p.matrix().sum(axis=1)
+    d_vec = row_sums * math.log(spot) - np.array(p.k_log)
 
-    prefactor = math.exp(-model.r * tau_disc) * spot**gamma_total * math.prod(p.w)
+    prefactor = prefactor_mag * math.prod(p.w)
     raw_tol = tol * (2.0 * math.pi) ** n / abs(prefactor)
 
     # Truncation: make the integrand's tail negligible relative to its peak,
@@ -465,37 +470,50 @@ def _price_core(model, sched, p, spot, offsets, tol, fixed_nodes, max_nodes, del
         out = np.exp(phase - psi_sum) / denom
         if delta_mode:
             mult = gamma_total + 0.0j
-            row_sums = p.matrix().sum(axis=1)
             for k in range(n):
                 mult = mult + 1j * row_sums[k] * xs[k]
             out = out * (mult / spot)
         return out
 
+    return _contour_price(integrand, b, truncations, d_vec, raw_tol, prefactor, (n, p.m),
+                          offsets, fixed_nodes, max_nodes)
+
+
+def _contour_price(integrand, b, truncations, d_vec, raw_tol, prefactor, dims,
+                   offsets=None, fixed_nodes=None, max_nodes=None) -> PriceResult:
+    """prefactor / (2 pi i)^N times the N-fold contour integral of ``integrand``.
+
+    The one driver behind every contour price.  Axis k runs along
+    Im(xi_k) = b[k] out to |Re| <= truncations[k]; its ladder starts at a node
+    count that resolves the phase exp(i d_k xi_k) over the window.  N = 1 goes
+    to the line quadrature, N >= 2 to the tensor ladder.  ``raw_tol`` bounds
+    the raw integral.  ``prefactor=None`` stands for a unit prefactor and
+    divides by (2 pi i)^N rather than multiplying by its rounded inverse, so
+    the normal-CDF identity keeps its last digit.  ``fixed_nodes`` evaluates
+    a single level and never raises NoConvergence.
+    """
+    n = len(b)
     if fixed_nodes is not None:
         starts = [int(fixed_nodes)] * n
-        caps = int(fixed_nodes)
+        cap = int(fixed_nodes)
     else:
+        cap = _node_cap(n, max_nodes)
         starts = [
-            min(
-                _pow2_at_least(max(32, int(truncations[k] * (abs(d_vec[k]) + 2.0) / math.pi))),
-                (max_nodes or (cq.LINE_NODE_CAP if n == 1 else cq.TENSOR_NODE_CAPS[n])) // 2,
-            )
+            min(_pow2_at_least(max(32, int(truncations[k] * (abs(d_vec[k]) + 2.0) / math.pi))),
+                cap // 2)
             for k in range(n)
         ]
-        caps = max_nodes
 
     if n == 1:
-        res = cq.integrate_line(
-            integrand, b[0], truncations[0], raw_tol,
-            start_nodes=starts[0],
-            max_nodes=caps or cq.LINE_NODE_CAP,
-        )
+        res = cq.integrate_line(integrand, b[0], truncations[0], raw_tol,
+                                start_nodes=starts[0], max_nodes=cap)
     else:
         spec = cq.ContourSpec(tuple(b), tuple(truncations), tuple(starts))
-        res = cq.integrate_tensor(integrand, spec, raw_tol, max_nodes_per_axis=caps)
+        res = cq.integrate_tensor(integrand, spec, raw_tol, max_nodes_per_axis=cap)
 
-    scale = prefactor / (2.0j * math.pi) ** n
-    value_c = scale * res.value
+    denom = (2.0j * math.pi) ** n
+    scale = 1.0 / denom if prefactor is None else prefactor / denom
+    value_c = res.value / denom if prefactor is None else scale * res.value
     err = abs(scale) * res.error_estimate
     # The assembled value must be real up to quadrature noise; the reported
     # error estimate includes the float-cancellation floor of hot integrands.
@@ -503,10 +521,10 @@ def _price_core(model, sched, p, spot, offsets, tol, fixed_nodes, max_nodes, del
         raise PricingError(
             f"imaginary residue {value_c.imag:g} too large for value {value_c.real:g}"
         )
-    price = PriceResult(float(value_c.real), err, offsets, (n, p.m), res.evaluations)
+    price = PriceResult(float(value_c.real), err, offsets, dims, res.evaluations)
     if fixed_nodes is None and not res.converged:
         raise NoConvergence(
-            f"quadrature stalled at error {err:g} (tolerance {tol:g})", price
+            f"quadrature stalled at error {err:g} (tolerance {abs(scale) * raw_tol:g})", price
         )
     return price
 

@@ -49,10 +49,6 @@ class CapExceeded(PricingError):
     """A contract exceeds a structural cap (lookback dates, compound depth)."""
 
 
-class UnsolvedThresholds(PricingError):
-    """Compound exercise thresholds are required but were not solved."""
-
-
 class NotPSD(PricingError):
     """A correlation matrix is not positive semidefinite."""
 

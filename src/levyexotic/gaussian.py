@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import ndtr
 
 from . import quadrature as cq
@@ -24,8 +23,10 @@ from .contracts import (
     Digital,
     ForwardStart,
     LookbackFixed,
+    _bracket_root,
 )
-from .errors import DimensionTooLarge, NotPSD, PricingError, UnsupportedContract
+from .digitals import _contour_price
+from .errors import DimensionTooLarge, NotPSD, UnsupportedContract
 
 MVN_MAX_DIM = 6
 _CLIP = 38.0  # ndtr saturates in double precision beyond this
@@ -205,8 +206,6 @@ def lemma1_contour_side(d, corr, w, omega, tol: float = 1e-8):
         raise DimensionTooLarge("the contour side is capped at N <= 3")
     if np.any(omega <= 0):
         raise ValueError("offsets must be positive")
-    b = -w * omega
-
     try:
         q_inv_diag = np.diag(np.linalg.inv(corr))
     except np.linalg.LinAlgError:
@@ -230,19 +229,7 @@ def lemma1_contour_side(d, corr, w, omega, tol: float = 1e-8):
             denom = denom * xs[k]
         return np.exp(phase - quad) / denom
 
-    starts = [min(1 << max(5, int(truncs[k] * (abs(d[k]) + 2.0) / math.pi).bit_length()),
-                  (cq.LINE_NODE_CAP if n == 1 else cq.TENSOR_NODE_CAPS[n]) // 2)
-              for k in range(n)]
-    if n == 1:
-        res = cq.integrate_line(integrand, b[0], truncs[0], raw_tol, start_nodes=starts[0])
-    else:
-        spec = cq.ContourSpec(tuple(b), tuple(truncs), tuple(starts))
-        res = cq.integrate_tensor(integrand, spec, raw_tol)
-    value_c = res.value / (2.0j * math.pi) ** n
-    if abs(value_c.imag) > max(1e-8 * (1.0 + abs(value_c.real)),
-                               4.0 * res.error_estimate / (2.0 * math.pi) ** n):
-        raise PricingError("imaginary residue of the contour side too large")
-    return float(value_c.real)
+    return _contour_price(integrand, -w * omega, truncs, d, raw_tol, None, (n, 0)).value
 
 
 # ---------------------------------------------------------------------------
@@ -350,13 +337,15 @@ def _compound_cf(legs, t, sigma, r, spot):
     thresholds = _compound_cf_thresholds(legs, t, sigma, r)
     taus = dates - t
     vol = sigma * np.sqrt(taus)
+    # exercise directions prod_{k>=j} w_k, as in contracts._compound_portfolio
+    ws = np.cumprod(signs[::-1])[::-1].astype(float)
+    # a zero strike: a call leg is always exercised, a put leg never
     ln_ratio = np.array([
-        math.log(spot / s_star) if s_star is not None else _CLIP * v
-        for s_star, v in zip(thresholds, vol)
+        math.log(spot / s_star) if s_star is not None else w * direction * _CLIP * v
+        for s_star, w, direction, v in zip(thresholds, signs, ws, vol)
     ])
     d_plus = (ln_ratio + (r + 0.5 * sigma**2) * taus) / vol
     d_minus = d_plus - vol
-    ws = np.array(signs, dtype=float)
     base = np.sqrt(np.minimum.outer(taus, taus) / np.maximum.outer(taus, taus))
     corr = base * np.outer(ws, ws)
     np.fill_diagonal(corr, 1.0)
@@ -389,16 +378,7 @@ def _compound_cf_thresholds(legs, t, sigma, r):
         def objective(s):
             return _compound_cf(legs[j + 1:], T_j, sigma, r, s) - K_j
 
-        lo = hi = K_j
-        f_lo = f_hi = objective(K_j)
-        for _ in range(60):
-            if f_lo * f_hi <= 0:
-                break
-            lo /= 2.0
-            hi *= 2.0
-            f_lo = objective(lo)
-            f_hi = objective(hi)
-        thresholds[j] = float(brentq(objective, lo, hi, xtol=K_j * 1e-12, rtol=8.9e-16))
+        thresholds[j] = _bracket_root(objective, K_j, K_j * 1e-12)
     return thresholds
 
 

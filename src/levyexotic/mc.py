@@ -197,18 +197,34 @@ def mc_price(c: ContractSpec, model: LevyModel, spot: float,
     else:
         raise UnsupportedModel(f"unsupported contract {type(c).__name__}")
 
-    total = []
-    total_sq = []
+    payoffs = (discount * _pathwise_payoff(c, model, spot, x)
+               for x in _iter_blocks(model, sched, n_paths, seed))
+    return _accumulate(payoffs, seed)
+
+
+def _accumulate(blocks, seed: int) -> MCResult:
+    """Sample mean and standard error over blocks of discounted payoffs.
+
+    The mean is fsum(block sums) / count.  Each block's squared deviations
+    are summed about its own mean (two passes) and the blocks are merged with
+    Chan's pairwise update, so small variances keep their digits.
+    """
+    sums = []
     count = 0
-    for x in _iter_blocks(model, sched, n_paths, seed):
-        pay = discount * _pathwise_payoff(c, model, spot, x)
-        total.append(float(pay.sum()))
-        total_sq.append(float((pay * pay).sum()))
-        count += pay.shape[0]
-    mean = math.fsum(total) / count
-    var = max(math.fsum(total_sq) / count - mean * mean, 0.0)
-    stderr = math.sqrt(var / count) if count > 1 else 0.0
-    return MCResult(mean, stderr, count, seed)
+    mean = m2 = 0.0
+    for pay in blocks:
+        size = pay.shape[0]
+        block_sum = float(pay.sum())
+        block_mean = block_sum / size
+        block_m2 = float(((pay - block_mean) ** 2).sum())
+        gap = block_mean - mean
+        m2 += block_m2 + gap * gap * count * size / (count + size)
+        mean += gap * size / (count + size)
+        sums.append(block_sum)
+        count += size
+    estimate = math.fsum(sums) / count
+    stderr = math.sqrt(m2 / count / count) if count > 1 else 0.0
+    return MCResult(estimate, stderr, count, seed)
 
 
 def _mc_compound(c: Compound, model, spot, n_paths, seed):
@@ -228,17 +244,5 @@ def _mc_compound(c: Compound, model, spot, n_paths, seed):
     x_all = np.concatenate(blocks, axis=0)[:, 0] + log_s
     curve = _vanilla_curve(model, t1, inner, float(x_all.min()), float(x_all.max()))
 
-    total = []
-    total_sq = []
-    count = 0
-    for x in blocks:
-        take = x.shape[0]
-        inner_vals = curve(x[:, 0] + log_s)
-        pay = discount * np.maximum(w1 * (inner_vals - k1), 0.0)
-        total.append(float(pay.sum()))
-        total_sq.append(float((pay * pay).sum()))
-        count += take
-    mean = math.fsum(total) / count
-    var = max(math.fsum(total_sq) / count - mean * mean, 0.0)
-    stderr = math.sqrt(var / count) if count > 1 else 0.0
-    return MCResult(mean, stderr, count, seed)
+    payoffs = (discount * np.maximum(w1 * (curve(x[:, 0] + log_s) - k1), 0.0) for x in blocks)
+    return _accumulate(payoffs, seed)

@@ -20,10 +20,11 @@ from levyexotic import (
     make_gaussian,
     make_nig,
     price_contract,
+    price_digital,
     solve_compound_thresholds,
     to_portfolio,
 )
-from levyexotic.errors import CapExceeded, UnsupportedContract
+from levyexotic.errors import CapExceeded, NoConvergence, UnsupportedContract
 from levyexotic.gaussian import _compound_cf_thresholds
 from levyexotic.quadrature import integrate_line
 
@@ -192,10 +193,43 @@ class TestCompound:
         residual = compound_parity_check(model, 5.0, 0.5, 100.0, 1.0, 1, SPOT)
         assert abs(residual) < tol
 
+    @pytest.mark.parametrize("w1", [1, -1], ids=["call-on-put", "put-on-put"])
+    def test_inner_put_matches_closed_form(self, w1):
+        # leg 1 is exercised below its critical price: the inner put gains as S falls
+        comp = Compound(((0.5, 3.0, w1), (1.0, 100.0, -1)))
+        engine = price_contract(comp, GAUSS, SPOT)
+        reference = closed_form_price(comp, 0.2, 0.05, SPOT)
+        assert reference > 0.0
+        assert engine.value == pytest.approx(reference, abs=1e-6)
+
     def test_parity_zero_strike(self):
         # with K1 = 0 the identity reduces to "put on anything is worthless"
         residual = compound_parity_check(GAUSS, 0.0, 0.5, 100.0, 1.0, 1, SPOT)
         assert abs(residual) < 1e-7
+
+
+class TestPortfolioError:
+    def test_error_is_sum_of_term_errors(self):
+        contract = AsianGeometric(MonitoringSchedule(0.0, (0.25, 0.5, 0.75, 1.0)), 100.0)
+        total = price_contract(contract, NIG, SPOT)
+        expected = sum(
+            abs(coef) * price_digital(NIG, sched, p, SPOT, tol=1e-8 / max(1.0, abs(coef))).quadrature_error
+            for coef, sched, p in to_portfolio(contract).terms
+        )
+        assert total.quadrature_error == expected
+
+    def test_stalled_term_reports_whole_portfolio(self):
+        barrier = BarrierDownOutCall(MonitoringSchedule(0.0, (0.5, 1.0)), 90.0, 100.0)
+        reference = closed_form_price(barrier, 0.2, 0.05, SPOT)
+        assert reference == pytest.approx(10.240017, abs=1e-6)
+        with pytest.raises(NoConvergence) as info:
+            price_contract(barrier, GAUSS, SPOT, max_nodes=64)
+        result = info.value.result
+        assert abs(result.value - reference) <= result.quadrature_error
+
+    def test_continuous_asian_honours_max_nodes(self):
+        with pytest.raises(NoConvergence):
+            price_contract(AsianContinuous(0.0, 1.0, 100.0), NIG, SPOT, max_nodes=32)
 
 
 class TestAsian:
@@ -247,9 +281,12 @@ class TestAsian:
             gaps.append(abs(discrete - continuous))
         assert gaps[1] < gaps[0]
 
-    def test_continuous_matches_closed_form(self):
-        engine = price_contract(AsianContinuous(0.0, 1.0, 100.0), GAUSS, SPOT, tol=1e-9).value
-        reference = closed_form_price(AsianContinuous(0.0, 1.0, 100.0), 0.2, 0.05, SPOT)
+    @pytest.mark.parametrize("strike", [90.0, 100.0, 110.0])
+    @pytest.mark.parametrize("w", [1, -1], ids=["call", "put"])
+    def test_continuous_matches_closed_form(self, w, strike):
+        contract = AsianContinuous(0.0, 1.0, strike, w)
+        engine = price_contract(contract, GAUSS, SPOT, tol=1e-9).value
+        reference = closed_form_price(contract, 0.2, 0.05, SPOT)
         assert engine == pytest.approx(reference, rel=1e-7)
 
 

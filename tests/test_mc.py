@@ -77,6 +77,17 @@ class TestMcPrice:
         assert res.estimate == pytest.approx(math.exp(-0.05), abs=1e-12)
         assert res.stderr == pytest.approx(0.0, abs=1e-9)
 
+    def test_stderr_keeps_digits_of_a_small_variance(self):
+        # payoff S^1e-7: a mean near 1 with a spread near 1e-8, where a one-pass
+        # E[X^2] - E[X]^2 cancels away most digits of the variance
+        sched = MonitoringSchedule(0.0, (1.0,))
+        p = PayoffParameterSet((1e-7,), (), (), ())
+        n = 1 << 16
+        res = mc_price(Digital(sched, p), GAUSS, SPOT, n, 5)
+        x = simulate_monitoring(GAUSS, sched, n, 5)
+        pay = math.exp(-0.05) * np.exp(1e-7 * (x[:, 0] + math.log(SPOT)))
+        assert res.stderr == pytest.approx(pay.std() / math.sqrt(n), rel=1e-6)
+
     def test_vanilla_against_black_scholes(self):
         res = mc_price(Compound(((1.0, 100.0, 1),)), GAUSS, SPOT, 10**6, 17)
         assert abs(res.estimate - 10.450584) <= 3.0 * res.stderr
@@ -99,6 +110,16 @@ class TestMcPrice:
         comp = Compound(((0.5, 5.0, 1), (1.0, 100.0, 1)))
         fourier = price_contract(comp, GAUSS, SPOT).value
         mc = mc_price(comp, GAUSS, SPOT, 400_000, 31)
+        assert abs(fourier - mc.estimate) <= 3.5 * mc.stderr
+
+    @pytest.mark.parametrize("w1", [1, -1], ids=["call-on-put", "put-on-put"])
+    def test_compound_on_put(self, w1):
+        # Compound parity (call-on-X minus put-on-X) holds whichever side each
+        # leg is exercised on, so it cannot tell a wrong exercise direction;
+        # paths priced with the true inner put value can.
+        comp = Compound(((0.5, 3.0, w1), (1.0, 100.0, -1)))
+        fourier = price_contract(comp, GAUSS, SPOT).value
+        mc = mc_price(comp, GAUSS, SPOT, 1 << 18, 7)
         assert abs(fourier - mc.estimate) <= 3.5 * mc.stderr
 
     def test_compound_depth_three_rejected(self):
