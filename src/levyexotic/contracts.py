@@ -22,7 +22,6 @@ from .digitals import (
     PayoffParameterSet,
     PriceResult,
     _contour_price,
-    _node_cap,
     default_offsets,
     price_digital,
 )
@@ -419,34 +418,42 @@ def _bracket_root(objective, x0: float, xtol: float) -> float:
     return float(brentq(objective, lo, hi, xtol=xtol, rtol=8.9e-16))
 
 
+def _solve_thresholds(legs, value, rel_tol: float) -> list:
+    """Critical prices S_j* of compound ``legs``, solved innermost-outward.
+
+    ``value(j, inner_thresholds, s)`` prices ``legs[j + 1:]`` at T_j and spot
+    s, given their own thresholds; S_j* is where it equals K_j, found by
+    ``_bracket_root`` from K_j to relative accuracy ``rel_tol``.  The
+    innermost threshold is its strike, and a zero strike yields ``None``
+    (the exercise condition degenerates).
+    """
+    thresholds: list = [None] * len(legs)
+    K_n = legs[-1][1]
+    thresholds[-1] = K_n if K_n > 0 else None
+    for j in range(len(legs) - 2, -1, -1):
+        K_j = legs[j][1]
+        if K_j == 0.0:
+            continue
+        inner = thresholds[j + 1:]
+        thresholds[j] = _bracket_root(lambda s: value(j, inner, s) - K_j, K_j, K_j * rel_tol)
+    return thresholds
+
+
 def solve_compound_thresholds(c: Compound, model: LevyModel,
                               rel_tol: float = 1e-10) -> list:
     """Critical prices S_j* where the remaining compound value equals K_j.
 
-    Solved innermost-outward; the innermost threshold is its strike.  A zero
-    strike yields ``None`` (the exercise condition degenerates).  Brackets
-    grow geometrically from K_j by factors of 2, at most 60 doublings
-    (``_bracket_root``).
+    Each is solved on the engine's own sub-compound prices
+    (``_solve_thresholds``).  Brackets grow geometrically from K_j by factors
+    of 2, at most 60 doublings (``_bracket_root``).
     """
-    n_legs = len(c.legs)
-    thresholds: list = [None] * n_legs
-    K_n = c.legs[-1][1]
-    thresholds[-1] = K_n if K_n > 0 else None
-    for j in range(n_legs - 2, -1, -1):
+    def value(j, inner_thresholds, s):
         T_j, K_j, _ = c.legs[j]
-        if K_j == 0.0:
-            thresholds[j] = None
-            continue
-        inner_legs = c.legs[j + 1:]
-        inner_thresholds = thresholds[j + 1:]
         # pricing-noise floor well below the root tolerance
         tol_inner = max(K_j * rel_tol * 0.01, 1e-13)
+        return _compound_value(c.legs[j + 1:], inner_thresholds, model, s, T_j, tol_inner)
 
-        def objective(s):
-            return _compound_value(inner_legs, inner_thresholds, model, s, T_j, tol_inner) - K_j
-
-        thresholds[j] = _bracket_root(objective, K_j, K_j * rel_tol)
-    return thresholds
+    return _solve_thresholds(c.legs, value, rel_tol)
 
 
 # nodes for the averaged exponent of the continuous Asian
@@ -543,7 +550,7 @@ def price_contract(
         # Once a term has stalled the portfolio raises anyway: the remaining
         # tensor terms stop one level short of the cap, for a best value with an
         # honest error at about a quarter of the cost of a full ladder.
-        term_cap = max_nodes if stalled is None or p.n < 2 else _node_cap(p.n, max_nodes) // 2
+        term_cap = max_nodes if stalled is None or p.n < 2 else cq._node_cap(p.n, max_nodes) // 2
         try:
             res = price_digital(model, sched, p, spot, offsets=offsets, tol=term_tol,
                                 fixed_nodes=fixed_nodes, max_nodes=term_cap)

@@ -32,7 +32,7 @@ from .models import LevyModel
 DEFAULT_TOL_1D = 1e-8
 DEFAULT_TOL_ND = 1e-6
 IMAG_RESIDUE_TOL = 1e-8
-MAX_TENSOR_DIM = 4
+MAX_TENSOR_DIM = max(cq.TENSOR_NODE_CAPS)
 OFFSET_FLOOR = 0.25
 
 
@@ -189,6 +189,11 @@ def check_offsets(model: LevyModel, p: PayoffParameterSet, offsets: ContourOffse
             )
 
 
+def _log_moneyness(p: PayoffParameterSet, spot: float) -> np.ndarray:
+    """d_n = (sum_k a_nk) ln(spot) - K_n, the phase coefficient of axis n."""
+    return p.matrix().sum(axis=1) * math.log(spot) - np.array(p.k_log)
+
+
 def _log_peak(model, sched, p, omega, d_vec) -> float:
     """Log-magnitude of the integrand at the contour's central point.
 
@@ -255,7 +260,7 @@ def default_offsets(
     else:
         omega = lo + 0.5 * width
         if sched is not None and spot is not None:
-            d_vec = p.matrix().sum(axis=1) * math.log(spot) - np.array(p.k_log)
+            d_vec = _log_moneyness(p, spot)
             floor = max(lo + 1e-3 * width, min(OFFSET_FLOOR, lo + 0.5 * width))
             current = _log_peak(model, sched, p, (omega,) * p.n, d_vec)
             while omega / 2 >= floor:
@@ -284,7 +289,7 @@ def _optimized_offsets(model, sched, p, spot, cap, trunc_tol) -> ContourOffsets:
     lo, hi = _equal_offset_interval(model, p)
     width = hi - lo
     cmat = p.condition_weights()
-    d_vec = p.matrix().sum(axis=1) * math.log(spot) - np.array(p.k_log)
+    d_vec = _log_moneyness(p, spot)
     lo_int, hi_int = -model.strip[1], -model.strip[0]
     deltas = sched.intervals()
     shift = model.decay_shift * float(deltas.sum())
@@ -383,11 +388,6 @@ def _pow2_at_least(n: int) -> int:
     return 1 << max(4, int(n - 1).bit_length())
 
 
-def _node_cap(n: int, max_nodes: int | None) -> int:
-    """Per-axis node cap of an n-fold contour: ``max_nodes`` or the quadrature default."""
-    return max_nodes or (cq.LINE_NODE_CAP if n == 1 else cq.TENSOR_NODE_CAPS[n])
-
-
 def _price_core(model, sched, p, spot, offsets, tol, fixed_nodes, max_nodes, delta_mode):
     n = p.n
     if n > MAX_TENSOR_DIM:
@@ -409,7 +409,7 @@ def _price_core(model, sched, p, spot, offsets, tol, fixed_nodes, max_nodes, del
             # A near-certain condition leaves the contour factor exp(w*omega*d)
             # huge; the complement indicator has the same value content with a
             # decaying factor instead, so price that and subtract.
-            d_scalar = float(p.matrix().sum()) * math.log(spot) - p.k_log[0]
+            d_scalar = _log_moneyness(p, spot)[0]
             if p.w[0] * d_scalar > 12.0:
                 certain_p = PayoffParameterSet(p.gamma, (), (), ())
                 whole = _certain_price(model, sched, certain_p, spot, delta_mode)
@@ -425,7 +425,7 @@ def _price_core(model, sched, p, spot, offsets, tol, fixed_nodes, max_nodes, del
                 )
             offsets = default_offsets(model, p, sched, spot)
         else:
-            cap_guess = _node_cap(n, max_nodes)
+            cap_guess = cq._node_cap(n, max_nodes)
             trunc_guess = tol * (2.0 * math.pi) ** n / prefactor_mag * 0.1
             offsets = _optimized_offsets(model, sched, p, spot, cap_guess, trunc_guess)
     else:
@@ -438,7 +438,7 @@ def _price_core(model, sched, p, spot, offsets, tol, fixed_nodes, max_nodes, del
     omega = np.array(offsets.omega, dtype=float)
     b = -signs * omega
     row_sums = p.matrix().sum(axis=1)
-    d_vec = row_sums * math.log(spot) - np.array(p.k_log)
+    d_vec = _log_moneyness(p, spot)
 
     prefactor = prefactor_mag * math.prod(p.w)
     raw_tol = tol * (2.0 * math.pi) ** n / abs(prefactor)
@@ -497,7 +497,7 @@ def _contour_price(integrand, b, truncations, d_vec, raw_tol, prefactor, dims,
         starts = [int(fixed_nodes)] * n
         cap = int(fixed_nodes)
     else:
-        cap = _node_cap(n, max_nodes)
+        cap = cq._node_cap(n, max_nodes)
         starts = [
             min(_pow2_at_least(max(32, int(truncations[k] * (abs(d_vec[k]) + 2.0) / math.pi))),
                 cap // 2)

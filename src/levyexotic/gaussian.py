@@ -23,7 +23,7 @@ from .contracts import (
     Digital,
     ForwardStart,
     LookbackFixed,
-    _bracket_root,
+    _solve_thresholds,
 )
 from .digitals import _contour_price
 from .errors import DimensionTooLarge, NotPSD, UnsupportedContract
@@ -326,7 +326,8 @@ def _chooser_cf(c: Chooser, sigma, r, spot):
     return call + put
 
 
-def _compound_cf(legs, t, sigma, r, spot):
+def _compound_cf(legs, t, sigma, r, spot, thresholds=None):
+    """Geske-style compound price; ``thresholds`` skips the critical-price solve."""
     n_legs = len(legs)
     dates = np.array([T for T, _, _ in legs])
     signs = [w for _, _, w in legs]
@@ -334,7 +335,8 @@ def _compound_cf(legs, t, sigma, r, spot):
         T, K, w = legs[0]
         return _bs_price(spot, K, T - t, sigma, r, w)
 
-    thresholds = _compound_cf_thresholds(legs, t, sigma, r)
+    if thresholds is None:
+        thresholds = _compound_cf_thresholds(legs, t, sigma, r)
     taus = dates - t
     vol = sigma * np.sqrt(taus)
     # exercise directions prod_{k>=j} w_k, as in contracts._compound_portfolio
@@ -366,20 +368,10 @@ def _compound_cf(legs, t, sigma, r, spot):
 
 
 def _compound_cf_thresholds(legs, t, sigma, r):
-    n_legs = len(legs)
-    thresholds = [None] * n_legs
-    K_n = legs[-1][1]
-    thresholds[-1] = K_n if K_n > 0 else None
-    for j in range(n_legs - 2, -1, -1):
-        T_j, K_j, _ = legs[j]
-        if K_j == 0.0:
-            continue
+    def value(j, inner_thresholds, s):
+        return _compound_cf(legs[j + 1:], legs[j][0], sigma, r, s, inner_thresholds)
 
-        def objective(s):
-            return _compound_cf(legs[j + 1:], T_j, sigma, r, s) - K_j
-
-        thresholds[j] = _bracket_root(objective, K_j, K_j * 1e-12)
-    return thresholds
+    return _solve_thresholds(legs, value, 1e-12)
 
 
 def _lookback_cf(c: LookbackFixed, sigma, r, spot):

@@ -26,7 +26,7 @@ from .contracts import (
     LookbackFixed,
 )
 from .digitals import MonitoringSchedule, price_single_period
-from .errors import NestingTooDeep, UnsupportedModel
+from .errors import NestingTooDeep, UnsupportedContract, UnsupportedModel
 from .models import GaussianModel, LevyModel, NIGModel
 
 BLOCK = 1 << 14
@@ -125,7 +125,7 @@ def _contract_schedule(c: ContractSpec) -> MonitoringSchedule:
         step = (c.t_end - c.t_start) / _CONTINUOUS_STEPS
         dates = tuple(c.t_start + step * k for k in range(1, _CONTINUOUS_STEPS + 1))
         return MonitoringSchedule(c.t_start, dates)
-    raise UnsupportedModel(f"unknown contract type {type(c).__name__}")
+    raise UnsupportedContract(f"unknown contract type {type(c).__name__}")
 
 
 def _vanilla_curve(model, t1, leg, x_lo, x_hi):
@@ -178,7 +178,7 @@ def _pathwise_payoff(c, model, spot, x):
         s = np.exp(log_s + x)
         alive = np.all(s[:, :-1] > c.barrier, axis=1) if s.shape[1] > 1 else True
         return np.maximum(s[:, -1] - c.strike, 0.0) * alive
-    raise UnsupportedModel(f"no pathwise payoff for {type(c).__name__}")
+    raise UnsupportedContract(f"no pathwise payoff for {type(c).__name__}")
 
 
 def mc_price(c: ContractSpec, model: LevyModel, spot: float,
@@ -191,12 +191,7 @@ def mc_price(c: ContractSpec, model: LevyModel, spot: float,
     if isinstance(c, Compound):
         return _mc_compound(c, model, spot, n_paths, seed)
     sched = _contract_schedule(c)
-    if isinstance(c, (Digital, ForwardStart, AsianGeometric, AsianContinuous,
-                      LookbackFixed, Chooser, BarrierDownOutCall)):
-        discount = math.exp(-model.r * (sched.expiry - sched.t))
-    else:
-        raise UnsupportedModel(f"unsupported contract {type(c).__name__}")
-
+    discount = math.exp(-model.r * (sched.expiry - sched.t))
     payoffs = (discount * _pathwise_payoff(c, model, spot, x)
                for x in _iter_blocks(model, sched, n_paths, seed))
     return _accumulate(payoffs, seed)

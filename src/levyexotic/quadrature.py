@@ -2,9 +2,12 @@
 
 All integrands here are analytic in a neighbourhood of the integration lines
 and decay like exp(-c*tau*|x|**order) at the truncation edge, which makes the
-uniform trapezoid rule spectrally accurate; node doubling gives a nested
-refinement ladder and the difference between the two finest levels is the
-reported (not guaranteed) error estimate.
+uniform trapezoid rule spectrally accurate.  One refinement ladder
+(``_refine``) doubles the nodes of every axis up to its cap and serves two
+level rules: the line rule of ``integrate_line`` and the tensor rule of
+``integrate_tensor``.  The reported (not guaranteed) error estimate is the
+difference between the two finest levels plus a truncation-tail estimate and
+a float-roundoff floor.
 """
 from __future__ import annotations
 
@@ -21,6 +24,11 @@ TENSOR_NODE_CAPS = {2: 2**11, 3: 2**9, 4: 2**6}
 TRUNCATION_MIN = 1.0
 TRUNCATION_MAX = 1.0e4
 _SLAB_POINTS = 1 << 21  # grid points held in memory at once
+
+
+def _node_cap(n: int, max_nodes: int | None) -> int:
+    """Per-axis node cap of an n-fold contour: ``max_nodes`` or the default for n axes."""
+    return max_nodes or (LINE_NODE_CAP if n == 1 else TENSOR_NODE_CAPS[n])
 
 
 @dataclass(frozen=True)
@@ -95,6 +103,46 @@ def _tail_estimate(abs_lo: float, abs_next_lo: float, abs_hi: float, abs_next_hi
     return est
 
 
+def _refine(level, starts, cap, tol, tail, truncations) -> QuadratureResult:
+    """The refinement ladder behind both the line and the tensor rule.
+
+    ``level(nodes)`` evaluates one trapezoid level at per-axis node counts
+    ``nodes`` and returns (value, sum of |weighted samples|, evaluations);
+    ``tail(nodes)`` estimates the mass outside the truncation box at the
+    final nodes.  Each axis starts at its even start count (at least 16, at
+    most ``cap``) and doubles until two successive levels agree to ``tol`` or
+    every axis sits at ``cap``, in which case the best value is returned with
+    ``converged=False``.
+    """
+    nodes = [min(max(16, p + p % 2), cap) for p in map(int, starts)]
+    value = None
+    err = math.inf
+    evaluations = 0
+    converged = False
+    while True:
+        level_value, abs_mass, level_evals = level(nodes)
+        evaluations += level_evals
+        prev, value = value, level_value
+        roundoff = _roundoff_estimate(abs_mass, level_evals)
+        if prev is not None:
+            err = abs(value - prev)
+            # Below the float-cancellation floor further refinement is noise.
+            if err <= max(tol, 2.0 * roundoff):
+                converged = True
+                break
+        if all(p >= cap for p in nodes):
+            break
+        nodes = [min(p * 2, cap) for p in nodes]
+
+    return QuadratureResult(
+        value=value,
+        error_estimate=(err if math.isfinite(err) else 0.0) + tail(nodes) + roundoff,
+        evaluations=evaluations,
+        truncation_used=tuple(truncations),
+        converged=converged,
+    )
+
+
 def integrate_line(f, offset: float, truncation: float, tol: float,
                    start_nodes: int = 64, max_nodes: int = LINE_NODE_CAP) -> QuadratureResult:
     """Trapezoid value of the contour integral of f over Im(xi) = offset.
@@ -108,46 +156,21 @@ def integrate_line(f, offset: float, truncation: float, tol: float,
         raise ValueError("contour offset must avoid the pole on the real axis")
     if truncation <= 0 or tol < 0:
         raise NonPositiveInput("truncation must be positive and tol nonnegative")
-    nodes = max(16, int(start_nodes))
-    nodes += nodes % 2
-    nodes = min(nodes, max_nodes)
+    edges = []  # |f| at the last level's two outermost nodes on each side
 
-    value = prev = None
-    err = math.inf
-    evaluations = 0
-    edge_info = (0.0, 1.0, 0.0, 1.0)
-    h = 2.0 * truncation / nodes
-    roundoff = 0.0
-    converged = False
-    while True:
-        x = np.linspace(-truncation, truncation, nodes + 1)
+    def level(nodes):
+        (p,) = nodes
+        x = np.linspace(-truncation, truncation, p + 1)
         vals = f(x + 1j * offset)
         if not np.all(np.isfinite(vals)):
             raise NaNEncountered("integrand returned a non-finite value")
-        evaluations += nodes + 1
-        h = 2.0 * truncation / nodes
+        h = 2.0 * truncation / p
         total = vals.sum() - 0.5 * (vals[0] + vals[-1])
-        prev, value = value, complex(total * h)
-        roundoff = _roundoff_estimate(float(np.abs(vals).sum()) * h, nodes + 1)
-        edge_info = (abs(vals[0]), abs(vals[1]), abs(vals[-1]), abs(vals[-2]))
-        if prev is not None:
-            err = abs(value - prev)
-            # Below the float-cancellation floor further refinement is noise.
-            if err <= max(tol, 2.0 * roundoff):
-                converged = True
-                break
-        if nodes >= max_nodes:
-            break
-        nodes = min(nodes * 2, max_nodes)
+        edges[:] = abs(vals[0]), abs(vals[1]), abs(vals[-1]), abs(vals[-2])
+        return complex(total * h), float(np.abs(vals).sum()) * h, p + 1
 
-    tail = _tail_estimate(*edge_info, h)
-    return QuadratureResult(
-        value=value,
-        error_estimate=(err if math.isfinite(err) else 0.0) + tail + roundoff,
-        evaluations=evaluations,
-        truncation_used=(truncation,),
-        converged=converged,
-    )
+    return _refine(level, (start_nodes,), max_nodes, tol,
+                   lambda nodes: _tail_estimate(*edges, 2.0 * truncation / nodes[0]), (truncation,))
 
 
 def _tensor_level(f, offsets, truncations, nodes):
@@ -177,8 +200,8 @@ def _tensor_level(f, offsets, truncations, nodes):
         return arr.reshape(shape)
 
     inner_args = [reshaped(axes[k], k) for k in range(1, ndim)]
-    inner_weight = reshaped(weights[1], 1)
-    for k in range(2, ndim):
+    inner_weight = 1.0
+    for k in range(1, ndim):
         inner_weight = inner_weight * reshaped(weights[k], k)
 
     total = 0.0 + 0.0j
@@ -230,44 +253,10 @@ def integrate_tensor(f, spec: ContourSpec, tol: float,
     counts saturate at their caps independently.
     """
     ndim = spec.ndim
-    if ndim == 1:
-        return integrate_line(
-            lambda xi: f(xi), spec.offsets[0], spec.truncations[0], tol,
-            start_nodes=spec.start_nodes[0],
-            max_nodes=max_nodes_per_axis or LINE_NODE_CAP,
-        )
-    if ndim > 4:
-        raise DimensionTooLarge(f"tensor quadrature supports N <= 4, got {ndim}")
-
-    cap = max_nodes_per_axis or TENSOR_NODE_CAPS[ndim]
-    nodes = [min(max(16, p), cap) for p in spec.start_nodes]
-
-    value = prev = None
-    err = math.inf
-    evaluations = 0
-    roundoff = 0.0
-    converged = False
-    while True:
-        level_value, abs_mass, level_evals = _tensor_level(
-            f, spec.offsets, spec.truncations, nodes
-        )
-        evaluations += level_evals
-        prev, value = value, level_value
-        roundoff = _roundoff_estimate(abs_mass, math.prod(p + 1 for p in nodes))
-        if prev is not None:
-            err = abs(value - prev)
-            if err <= max(tol, 2.0 * roundoff):
-                converged = True
-                break
-        if all(p >= cap for p in nodes):
-            break
-        nodes = [min(p * 2, cap) for p in nodes]
-
-    tail = _face_tail_estimate(f, spec.offsets, spec.truncations, nodes)
-    return QuadratureResult(
-        value=value,
-        error_estimate=(err if math.isfinite(err) else 0.0) + tail + roundoff,
-        evaluations=evaluations,
-        truncation_used=tuple(spec.truncations),
-        converged=converged,
-    )
+    if ndim > max(TENSOR_NODE_CAPS):
+        raise DimensionTooLarge(
+            f"tensor quadrature supports N <= {max(TENSOR_NODE_CAPS)}, got {ndim}")
+    return _refine(lambda nodes: _tensor_level(f, spec.offsets, spec.truncations, nodes),
+                   spec.start_nodes, _node_cap(ndim, max_nodes_per_axis), tol,
+                   lambda nodes: _face_tail_estimate(f, spec.offsets, spec.truncations, nodes),
+                   spec.truncations)

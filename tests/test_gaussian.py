@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from levyexotic import (
     mvn_cdf,
 )
 from levyexotic.errors import DimensionTooLarge, NotPSD
+from levyexotic import contracts
 from levyexotic.gaussian import _compound_cf_thresholds
 
 # trivariate values frozen from an independent adaptive-quadrature
@@ -175,3 +177,19 @@ class TestClosedForms:
         thr = _compound_cf_thresholds(legs, 0.0, 0.2, 0.05)
         assert thr[-1] == 100.0
         assert 50.0 < thr[0] < 150.0
+
+    def test_depth_three_compound_solves_each_threshold_once(self, monkeypatch):
+        original = contracts._bracket_root
+        solves = []
+
+        def counted(objective, x0, xtol):
+            solves.append(x0)
+            return original(objective, x0, xtol)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("levyexotic") and getattr(module, "_bracket_root", None) is original:
+                monkeypatch.setattr(module, "_bracket_root", counted)
+        comp = Compound(((0.25, 2.0, 1), (0.5, 4.0, 1), (1.0, 100.0, 1)))
+        value = closed_form_price(comp, 0.2, 0.05, 100.0)
+        assert solves == [4.0, 2.0]  # innermost first, the outer objective reuses it
+        assert value == pytest.approx(5.413122969638287, rel=1e-12)

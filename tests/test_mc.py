@@ -21,7 +21,7 @@ from levyexotic import (
     price_contract,
     simulate_monitoring,
 )
-from levyexotic.errors import NestingTooDeep, UnsupportedModel
+from levyexotic.errors import NestingTooDeep, UnsupportedContract, UnsupportedModel
 
 GAUSS = make_gaussian(0.2, 0.05)
 NIG = make_nig(8.0, -2.0, 0.3, 0.05)
@@ -126,6 +126,10 @@ class TestMcPrice:
         comp = Compound(((0.25, 2.0, 1), (0.5, 4.0, 1), (1.0, 100.0, 1)))
         with pytest.raises(NestingTooDeep):
             mc_price(comp, GAUSS, SPOT, 1000, 0)
+
+    def test_unknown_contract_rejected(self):
+        with pytest.raises(UnsupportedContract):
+            mc_price(object(), GAUSS, SPOT, 1000, 0)
 
     def test_continuous_asian_near_closed_form(self):
         contract = AsianContinuous(0.0, 1.0, 100.0)

@@ -171,3 +171,24 @@ class TestTensor:
             ContourSpec((-1.0, -1.0), (8.0, -1.0), (32, 32))
         with pytest.raises(ValueError):
             ContourSpec((-1.0, -1.0), (8.0, 8.0), (31, 32))
+
+
+def ladder(ndim, start, cap):
+    """Run the shared ladder through its line (N = 1) or tensor (N >= 2) entry point."""
+    if ndim == 1:
+        return integrate_line(gaussian_pole_integrand(0.5), -1.0, 8.0, 0.0,
+                              start_nodes=start, max_nodes=cap)
+    spec = ContourSpec((-1.0,) * ndim, (8.0,) * ndim, (start,) * ndim)
+    return integrate_tensor(lemma1_tensor_integrand(np.eye(ndim)), spec, 0.0,
+                            max_nodes_per_axis=cap)
+
+
+class TestLadder:
+    @pytest.mark.parametrize("ndim", [1, 2])
+    def test_single_level_at_the_cap(self, ndim):
+        p = 32
+        res = ladder(ndim, p, p)
+        assert res.converged is False
+        assert res.evaluations == (p + 1) ** ndim  # exactly one level
+        assert math.isfinite(res.error_estimate)
+        assert ladder(ndim, 4 * p, p) == res  # a start above the cap is clamped to it
