@@ -149,7 +149,8 @@ class Compound:
     """Option on an option, nested up to depth 3; legs ordered outermost first.
 
     Each leg is (date, strike, sign).  Inner-leg strikes may be zero, in which
-    case a call leg is always exercised and a put leg never.
+    case a call leg is always exercised and a put leg is worthless: the legs
+    outside it then trade a known amount of cash (``_cash_compound``).
     """
 
     legs: tuple[tuple[float, float, int], ...]
@@ -258,10 +259,6 @@ def _compound_portfolio(c: Compound, thresholds) -> DigitalPortfolio:
     # leg j is exercised on the side where the claim it buys gains value:
     # S above S_j* when prod_{k>=j} w_k = +1, below it otherwise
     directions = np.cumprod(signs[::-1])[::-1]
-    # zero-strike put legs make the whole claim worthless
-    for (T, K, w), s_star in zip(c.legs, thresholds):
-        if s_star is None and w == -1:
-            return DigitalPortfolio((), 0.0)
 
     def condition_block(depth):
         """Rows/strikes/signs for legs 1..depth, skipping always-true ones."""
@@ -297,6 +294,25 @@ def _compound_portfolio(c: Compound, thresholds) -> DigitalPortfolio:
             rows, ks, ws = (), (), ()
         terms.append((coef, sched_j, PayoffParameterSet(gamma_j, ks, ws, rows)))
     return DigitalPortfolio(tuple(terms), cash=0.0)
+
+
+def _cash_compound(legs, t: float, r: float) -> float | None:
+    """Value at t of a compound with a zero-strike put leg; None without one.
+
+    The outermost such leg z sells a nonnegative claim for nothing, so it is
+    worth 0 whatever the spot.  Every leg outside it then trades a known
+    amount of cash, and the legs collapse backward: the claim of leg j is
+    worth X_j = max(w_j (X_{j+1} e^{-r (T_{j+1} - T_j)} - K_j), 0) at T_j,
+    with X_z = 0.
+    """
+    z = next((j for j, (_, K, w) in enumerate(legs) if K == 0.0 and w == -1), None)
+    if z is None:
+        return None
+    value, date = 0.0, legs[z][0]
+    for T, K, w in reversed(legs[:z]):
+        value = max(w * (value * math.exp(-r * (date - T)) - K), 0.0)
+        date = T
+    return value * math.exp(-r * (date - t))
 
 
 def to_portfolio(c: ContractSpec, model: LevyModel | None = None,
@@ -365,6 +381,9 @@ def to_portfolio(c: ContractSpec, model: LevyModel | None = None,
     if isinstance(c, Compound):
         if model is None:
             raise ValueError("compound decomposition needs the model")
+        cash = _cash_compound(c.legs, c.t, model.r)
+        if cash is not None:
+            return DigitalPortfolio((), cash)
         thresholds = solve_compound_thresholds(c, model)
         return _compound_portfolio(c, thresholds)
 
@@ -391,6 +410,9 @@ def to_portfolio(c: ContractSpec, model: LevyModel | None = None,
 
 
 def _compound_value(legs, thresholds, model, spot, t, tol):
+    cash = _cash_compound(legs, t, model.r)
+    if cash is not None:
+        return cash
     sub = Compound(legs, t=t)
     port = _compound_portfolio(sub, thresholds)
     total = port.cash
@@ -519,8 +541,8 @@ def price_contract(
     """Price a contract as its digital portfolio (plus discounted cash).
 
     The reported error is sum |coef| * (term error).  A term that stalls does
-    not stop the others (tensor terms after it get half the node cap): once
-    all are priced, NoConvergence is raised with the whole portfolio's result.
+    not stop the others: once all are priced, NoConvergence is raised with
+    the whole portfolio's result.
     ``offset_position`` picks every term's contour offset at that relative
     point of its feasible interval instead of the tuned default; useful for
     contour-invariance checks.
@@ -547,13 +569,9 @@ def price_contract(
         offsets = None
         if offset_position is not None and p.n > 0:
             offsets = default_offsets(model, p, position=offset_position)
-        # Once a term has stalled the portfolio raises anyway: the remaining
-        # tensor terms stop one level short of the cap, for a best value with an
-        # honest error at about a quarter of the cost of a full ladder.
-        term_cap = max_nodes if stalled is None or p.n < 2 else cq._node_cap(p.n, max_nodes) // 2
         try:
             res = price_digital(model, sched, p, spot, offsets=offsets, tol=term_tol,
-                                fixed_nodes=fixed_nodes, max_nodes=term_cap)
+                                fixed_nodes=fixed_nodes, max_nodes=max_nodes)
         except NoConvergence as exc:
             # keep pricing: the caller gets the whole portfolio's best value
             res = exc.result
@@ -584,9 +602,7 @@ def compound_parity_check(model: LevyModel, K1: float, T1: float, K2: float,
     call2 = Compound(((T1, K1, 1), (T2, K2, w2)))
     put2 = Compound(((T1, K1, -1), (T2, K2, w2)))
     inner = Compound(((T2, K2, w2),))
-    # slow-decay models need a deeper grid to certify this tolerance
-    kwargs = dict(tol=tol, max_nodes=4096)
-    v_call = price_contract(call2, model, spot, **kwargs).value
-    v_put = price_contract(put2, model, spot, **kwargs).value
+    v_call = price_contract(call2, model, spot, tol=tol).value
+    v_put = price_contract(put2, model, spot, tol=tol).value
     v_inner = price_contract(inner, model, spot, tol=tol).value
     return v_call - v_put - v_inner + K1 * math.exp(-model.r * T1)

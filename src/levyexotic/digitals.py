@@ -7,9 +7,9 @@ A payoff parameter set [(gamma_1..gamma_M), K, W, A] describes the claim
 on monitored log prices X_1..X_M.  Its value is an N-fold contour integral
 whose integrand couples the monitoring legs only through suffix sums of A and
 gamma; this module assembles that integrand, picks feasible contour offsets,
-and drives the line or tensor quadrature.  The driver ``_contour_price`` is
-shared by every contour price in the package (digitals, the continuous Asian
-and the normal-CDF identity).
+and drives the line, chain or tensor quadrature.  ``_contour_price`` runs
+every contour price in the package (digitals, the continuous Asian and the
+normal-CDF identity).
 """
 from __future__ import annotations
 
@@ -454,6 +454,18 @@ def _price_core(model, sched, p, spot, offsets, tol, fixed_nodes, max_nodes, del
         for tau_n in taus
     ]
 
+    # Chain form: integrate over eta_k = flips_k * xi_k.  The flipped grid holds
+    # the same points, and 1/prod(xi) = prod(flips) / prod(eta).
+    chain = None
+    plan = None if n == 1 or delta_mode else _chain_plan(cmat)
+    if plan is not None:
+        flips, supports = plan
+        cmat = cmat * flips[:, None]
+        d_vec = d_vec * flips
+        b = b * flips
+        prefactor *= math.prod(flips)
+        chain = _chain_factors(model, deltas, gsuf, cmat, d_vec, supports)
+
     def integrand(*xs):
         phase = 0.0
         denom = 1.0
@@ -476,18 +488,89 @@ def _price_core(model, sched, p, spot, offsets, tol, fixed_nodes, max_nodes, del
         return out
 
     return _contour_price(integrand, b, truncations, d_vec, raw_tol, prefactor, (n, p.m),
-                          offsets, fixed_nodes, max_nodes)
+                          offsets, fixed_nodes, max_nodes, chain)
+
+
+def _chain_plan(cmat: np.ndarray):
+    """Axis flips that put the leg couplings ``cmat`` in chain form, or None.
+
+    After each axis k is flipped (row k times flips[k] = +-1), every leg
+    (column) must couple no axis, one axis, or several axes with equal
+    coefficients, and the supports of the multi-axis legs must nest.  Returns
+    (flips, supports) with the supports innermost first, each as
+    (axes, legs); the first flip pattern that works wins, no flips first.
+    """
+    n, m = cmat.shape
+    for flips in _iter_product((1.0, -1.0), repeat=n):
+        flipped = cmat * np.array(flips)[:, None]
+        supports = {}
+        for j in range(m):
+            axes = tuple(np.flatnonzero(flipped[:, j]).tolist())
+            if len(axes) > 1:
+                if np.ptp(flipped[axes, j]) != 0.0:
+                    break
+                supports.setdefault(axes, []).append(j)
+        else:
+            nested = sorted(supports, key=len)
+            if all(set(a) < set(b) for a, b in zip(nested, nested[1:])):
+                return np.array(flips), [(axes, supports[axes]) for axes in nested]
+    return None
+
+
+def _chain_factors(model, deltas, gsuf, cmat, d_vec, supports):
+    """Axis and leg factors of the digital integrand in chain form (``_chain_plan``).
+
+    Axis k carries exp(i d_k xi_k) / xi_k and the legs that couple it alone;
+    a leg that couples no axis is the constant exp(-Delta_j psi(-i G_j)) on
+    axis 0.  Each nested support adds its new axes and a leg factor of the
+    sum of its axes.  Returns (factors, stages) for ``quadrature._integrate_chain``.
+    """
+    n, m = cmat.shape
+    own = [[] for _ in range(n)]
+    constant = 0.0
+    for j in range(m):
+        axes = np.flatnonzero(cmat[:, j])
+        if axes.size == 0:
+            constant -= deltas[j] * model.psi(-1j * gsuf[j])
+        elif axes.size == 1:
+            own[axes[0]].append(j)
+
+    def leg_exponent(z, legs, k):
+        total = 0.0
+        for j in legs:
+            total = total - deltas[j] * model.psi(cmat[k, j] * z - 1j * gsuf[j])
+        return total
+
+    def axis_factor(k):
+        shift = constant if k == 0 else 0.0
+        return lambda x: np.exp(1j * d_vec[k] * x + shift + leg_exponent(x, own[k], k)) / x
+
+    def leg_factor(axes, legs):
+        return lambda z: np.exp(leg_exponent(z, legs, axes[0]))
+
+    stages = []
+    taken = []
+    for axes, legs in supports:
+        stages.append((tuple(k for k in axes if k not in taken), leg_factor(axes, legs)))
+        taken.extend(axes)
+    free = tuple(k for k in range(n) if k not in taken)
+    if free:
+        stages.append((free, None))
+    return [axis_factor(k) for k in range(n)], stages
 
 
 def _contour_price(integrand, b, truncations, d_vec, raw_tol, prefactor, dims,
-                   offsets=None, fixed_nodes=None, max_nodes=None) -> PriceResult:
+                   offsets=None, fixed_nodes=None, max_nodes=None, chain=None) -> PriceResult:
     """prefactor / (2 pi i)^N times the N-fold contour integral of ``integrand``.
 
     The one driver behind every contour price.  Axis k runs along
     Im(xi_k) = b[k] out to |Re| <= truncations[k]; its ladder starts at a node
     count that resolves the phase exp(i d_k xi_k) over the window.  N = 1 goes
-    to the line quadrature, N >= 2 to the tensor ladder.  ``raw_tol`` bounds
-    the raw integral.  ``prefactor=None`` stands for a unit prefactor and
+    to the line quadrature; N >= 2 goes to the chain rule when ``chain`` holds
+    the integrand's (factors, stages) (``_chain_factors``), else to the
+    tensor ladder.  Start nodes read the tensor caps either way, while chain
+    axes are capped at the line rule's count.  ``raw_tol`` bounds the raw
+    integral.  ``prefactor=None`` stands for a unit prefactor and
     divides by (2 pi i)^N rather than multiplying by its rounded inverse, so
     the normal-CDF identity keeps its last digit.  ``fixed_nodes`` evaluates
     a single level and never raises NoConvergence.
@@ -509,7 +592,11 @@ def _contour_price(integrand, b, truncations, d_vec, raw_tol, prefactor, dims,
                                 start_nodes=starts[0], max_nodes=cap)
     else:
         spec = cq.ContourSpec(tuple(b), tuple(truncations), tuple(starts))
-        res = cq.integrate_tensor(integrand, spec, raw_tol, max_nodes_per_axis=cap)
+        if chain is None:
+            res = cq.integrate_tensor(integrand, spec, raw_tol, max_nodes_per_axis=cap)
+        else:
+            chain_cap = max_nodes if fixed_nodes is None else cap
+            res = cq._integrate_chain(integrand, spec, *chain, raw_tol, max_nodes_per_axis=chain_cap)
 
     denom = (2.0j * math.pi) ** n
     scale = 1.0 / denom if prefactor is None else prefactor / denom

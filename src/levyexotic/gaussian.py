@@ -23,6 +23,7 @@ from .contracts import (
     Digital,
     ForwardStart,
     LookbackFixed,
+    _cash_compound,
     _solve_thresholds,
 )
 from .digitals import _contour_price
@@ -328,6 +329,9 @@ def _chooser_cf(c: Chooser, sigma, r, spot):
 
 def _compound_cf(legs, t, sigma, r, spot, thresholds=None):
     """Geske-style compound price; ``thresholds`` skips the critical-price solve."""
+    cash = _cash_compound(legs, t, r)
+    if cash is not None:
+        return cash
     n_legs = len(legs)
     dates = np.array([T for T, _, _ in legs])
     signs = [w for _, _, w in legs]
@@ -341,10 +345,10 @@ def _compound_cf(legs, t, sigma, r, spot, thresholds=None):
     vol = sigma * np.sqrt(taus)
     # exercise directions prod_{k>=j} w_k, as in contracts._compound_portfolio
     ws = np.cumprod(signs[::-1])[::-1].astype(float)
-    # a zero strike: a call leg is always exercised, a put leg never
+    # a zero-strike leg here is a call, which is always exercised
     ln_ratio = np.array([
-        math.log(spot / s_star) if s_star is not None else w * direction * _CLIP * v
-        for s_star, w, direction, v in zip(thresholds, signs, ws, vol)
+        math.log(spot / s_star) if s_star is not None else direction * _CLIP * v
+        for s_star, direction, v in zip(thresholds, ws, vol)
     ])
     d_plus = (ln_ratio + (r + 0.5 * sigma**2) * taus) / vol
     d_minus = d_plus - vol

@@ -86,9 +86,9 @@ def _mc_contracts():
         ("asian_m4", AsianGeometric(SCHED4, 100.0), {"gaussian": None, "nig": None}),
         ("chooser", Chooser(0.5, 1.0, 100.0), {"gaussian": 1e-5, "nig": 1e-5}),
         ("barrier_m3", BarrierDownOutCall(SCHED3, 80.0, 100.0),
-         {"gaussian": 1e-5, "nig": 5e-3}),
+         {"gaussian": 1e-5, "nig": 1e-5}),
         ("lookback_m3", LookbackFixed(SCHED3, 100.0),
-         {"gaussian": 1e-5, "nig": 2e-2}),
+         {"gaussian": 1e-5, "nig": 1e-5}),
     ]
 
 

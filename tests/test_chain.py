@@ -1,0 +1,204 @@
+"""The chain rule: chain-form multi-date digitals as nested 1-D convolutions.
+
+Its oracle is the tensor rule, reached here by hiding the chain plan.
+"""
+import math
+
+import numpy as np
+import pytest
+
+from levyexotic import (
+    BarrierDownOutCall,
+    Chooser,
+    Compound,
+    LookbackFixed,
+    MonitoringSchedule,
+    PayoffParameterSet,
+    closed_form_price,
+    delta,
+    make_cgmy,
+    make_gaussian,
+    make_nig,
+    price_contract,
+    price_digital,
+)
+from levyexotic import digitals
+from levyexotic import quadrature as cq
+from levyexotic.contracts import _lookback_portfolio, to_portfolio
+
+GAUSS = make_gaussian(0.2, 0.05)
+NIG = make_nig(8.0, -2.0, 0.3, 0.05)
+CGMY15 = make_cgmy(1.0, 5.0, 5.0, 1.5, 0.05)
+CGMY05 = make_cgmy(1.0, 5.0, 5.0, 0.5, 0.05)
+SPOT = 100.0
+SCHED2 = MonitoringSchedule(0.0, (0.5, 1.0))
+SCHED3 = MonitoringSchedule(0.0, (1.0 / 3.0, 2.0 / 3.0, 1.0))
+
+TWO_DATE = {
+    "chooser": Chooser(0.5, 1.0, 100.0),
+    "barrier": BarrierDownOutCall(SCHED2, 90.0, 100.0),
+    "lookback": LookbackFixed(SCHED2, 100.0),
+    "call-on-call": Compound(((0.5, 3.0, 1), (1.0, 100.0, 1))),
+}
+GAUSS_CELLS = dict(TWO_DATE, **{
+    "barrier-3date": BarrierDownOutCall(SCHED3, 90.0, 100.0),
+    "lookback-3date": LookbackFixed(SCHED3, 100.0),
+    "call-on-put": Compound(((0.5, 3.0, 1), (1.0, 100.0, -1))),
+    "depth3": Compound(((0.25, 2.0, 1), (0.5, 4.0, 1), (1.0, 100.0, 1))),
+})
+
+
+def payoff(rows):
+    m = len(rows[0])
+    return PayoffParameterSet((0.0,) * m, (0.0,) * len(rows), (1,) * len(rows), rows)
+
+
+def assert_chain_form(cmat, plan):
+    """Flipped, each leg couples at most one axis or equal coefficients on nested supports."""
+    flips, supports = plan
+    flipped = np.asarray(cmat) * flips[:, None]
+    for axes, legs in supports:
+        for j in legs:
+            assert set(np.flatnonzero(flipped[:, j])) == set(axes)
+            assert np.ptp(flipped[list(axes), j]) == 0.0
+    sets = [set(axes) for axes, _ in supports]
+    assert all(a < b for a, b in zip(sets, sets[1:]))
+    coupled = {j for _, legs in supports for j in legs}
+    for j in set(range(flipped.shape[1])) - coupled:
+        assert np.count_nonzero(flipped[:, j]) <= 1
+
+
+class Calls:
+    """Counts calls of the three level rules, wrapping them in ``quadrature``."""
+
+    def __init__(self, monkeypatch):
+        self.counts = {"integrate_line": 0, "integrate_tensor": 0, "_integrate_chain": 0}
+        for name in self.counts:
+            monkeypatch.setattr(cq, name, self._counted(name, getattr(cq, name)))
+
+    def _counted(self, name, fn):
+        def wrapper(*args, **kwargs):
+            self.counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+
+class TestPlan:
+    def test_identity_needs_no_flip(self):
+        cmat = payoff(((1.0, 0.0), (0.0, 1.0))).condition_weights()
+        flips, supports = digitals._chain_plan(cmat)
+        assert list(flips) == [1.0, 1.0]
+        assert supports == [((0, 1), [0])]
+
+    def test_negative_identity(self):
+        # the lookback cash leg: every leg's coefficients are -1
+        cmat = payoff(tuple(tuple(-1.0 if i == j else 0.0 for j in range(3)) for i in range(3)))
+        plan = digitals._chain_plan(cmat.condition_weights())
+        assert list(plan[0]) == [1.0, 1.0, 1.0]
+        assert [axes for axes, _ in plan[1]] == [(1, 2), (0, 1, 2)]
+        assert_chain_form(cmat.condition_weights(), plan)
+
+    def test_lookback_rows_need_a_flip(self):
+        # extremum at date 2 of 3 and on the strike side: leg 2 couples
+        # xi_1 - xi_2 until axis 1 is flipped
+        cmat = payoff(((-1.0, 1.0, 0.0), (0.0, -1.0, 0.0), (0.0, 1.0, -1.0))).condition_weights()
+        plan = digitals._chain_plan(cmat)
+        assert plan is not None and -1.0 in plan[0]
+        assert_chain_form(cmat, plan)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_every_lookback_term_is_chain(self, m):
+        sched = SCHED2 if m == 2 else SCHED3
+        for _, _, p in _lookback_portfolio(LookbackFixed(sched, 100.0)).terms:
+            if p.n > 1:
+                plan = digitals._chain_plan(p.condition_weights())
+                assert plan is not None, p.a
+                assert_chain_form(p.condition_weights(), plan)
+
+    def test_unequal_coupling_is_not_chain(self):
+        assert digitals._chain_plan(np.array([[1.0, 0.5], [0.5, 1.0]])) is None
+
+    def test_non_chain_digital_uses_the_tensor_rule(self, monkeypatch):
+        calls = Calls(monkeypatch)
+        p = PayoffParameterSet((0.0, 0.0), (4.6, 4.6), (1, 1), ((1.0, -0.5), (0.5, 1.0)))
+        assert digitals._chain_plan(p.condition_weights()) is None
+        price_digital(GAUSS, SCHED2, p, SPOT, tol=1e-5)
+        assert calls.counts == {"integrate_line": 0, "integrate_tensor": 1, "_integrate_chain": 0}
+
+    def test_one_date_stays_on_the_line_rule(self, monkeypatch):
+        calls = Calls(monkeypatch)
+        p = PayoffParameterSet((0.0,), (math.log(100.0),), (1,), ((1.0,),))
+        price_digital(NIG, MonitoringSchedule(0.0, (1.0,)), p, SPOT)
+        assert calls.counts == {"integrate_line": 1, "integrate_tensor": 0, "_integrate_chain": 0}
+
+    def test_chain_contracts_skip_the_tensor_rule_but_delta_keeps_it(self, monkeypatch):
+        calls = Calls(monkeypatch)
+        price_contract(TWO_DATE["barrier"], GAUSS, SPOT)
+        assert calls.counts["_integrate_chain"] == 2
+        assert calls.counts["integrate_tensor"] == 0
+        _, sched, p = to_portfolio(TWO_DATE["barrier"]).terms[0]
+        delta(GAUSS, sched, p, SPOT)
+        assert calls.counts["integrate_tensor"] == 1
+
+
+class TestAgreement:
+    @pytest.mark.parametrize("model", [GAUSS, NIG, CGMY15], ids=["gaussian", "nig", "cgmy15"])
+    @pytest.mark.parametrize("name", list(TWO_DATE))
+    def test_chain_matches_tensor(self, monkeypatch, model, name):
+        chain = price_contract(TWO_DATE[name], model, SPOT)
+        monkeypatch.setattr(digitals, "_chain_plan", lambda cmat: None)
+        tensor = price_contract(TWO_DATE[name], model, SPOT)
+        assert abs(chain.value - tensor.value) <= chain.quadrature_error + tensor.quadrature_error
+
+    @pytest.mark.parametrize("name", list(GAUSS_CELLS))
+    def test_gaussian_claimed_error_covers_true_error(self, name):
+        c = GAUSS_CELLS[name]
+        res = price_contract(c, GAUSS, SPOT)
+        assert abs(res.value - closed_form_price(c, 0.2, 0.05, SPOT)) <= res.quadrature_error
+
+    def test_cgmy_half_chooser_converges(self):
+        res = price_contract(TWO_DATE["chooser"], CGMY05, SPOT)
+        # chooser = C(K, T) + P(K exp(-r (T - t1)), t1), both one-date prices
+        call = price_contract(Compound(((1.0, 100.0, 1),)), CGMY05, SPOT)
+        put = price_contract(Compound(((0.5, 100.0 * math.exp(-0.05 * 0.5), -1),)), CGMY05, SPOT)
+        parity = call.value + put.value
+        assert abs(res.value - parity) <= res.quadrature_error + call.quadrature_error + put.quadrature_error
+        assert res.value == pytest.approx(25.520464, abs=1e-5)
+
+
+class TestRoundoff:
+    @pytest.mark.parametrize("model,contract", [
+        (NIG, BarrierDownOutCall(SCHED3, 90.0, 100.0)),
+        (CGMY05, LookbackFixed(SCHED3, 100.0)),
+        (GAUSS, Chooser(0.5, 1.0, 100.0)),
+    ], ids=["nig-barrier3", "cgmy05-lookback3", "gaussian-chooser"])
+    def test_fft_error_within_charged_roundoff(self, monkeypatch, model, contract):
+        convolve, chain_level = cq._convolve, cq._chain_level
+        stages, levels = [], []
+
+        def checked_convolve(a, b):
+            out, bound = convolve(a, b)
+            if bound > 0.0:
+                stages.append((float(np.abs(out - np.convolve(a, b)).max()), bound))
+            return out, bound
+
+        def checked_level(*args):
+            value, mass, evaluations, fft_error = chain_level(*args)
+            limit, cq._DIRECT_CONVOLVE = cq._DIRECT_CONVOLVE, math.inf
+            try:
+                direct = chain_level(*args)[0]  # np.convolve at every stage
+            finally:
+                cq._DIRECT_CONVOLVE = limit
+            charged = cq._roundoff_estimate(mass, evaluations) + fft_error
+            levels.append((abs(value - direct), fft_error, charged))
+            return value, mass, evaluations, fft_error
+
+        monkeypatch.setattr(cq, "_convolve", checked_convolve)
+        monkeypatch.setattr(cq, "_chain_level", checked_level)
+        price_contract(contract, model, SPOT)
+        assert stages, "no stage went through the FFT"
+        for err, bound in stages:
+            assert err <= bound
+        for gap, fft_error, charged in levels:
+            assert fft_error > 0.0
+            assert gap <= charged

@@ -1,8 +1,12 @@
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import levyexotic
 from levyexotic import (
     ForwardStart,
     MonitoringSchedule,
@@ -193,3 +197,13 @@ class TestRoundTrip:
     def test_unknown_contract_type(self):
         with pytest.raises(SchemaError):
             contract_from_dict({"type": "swing"})
+
+
+def test_import_does_not_load_scipy_signal():
+    # scipy.signal costs about half a second to import; the chain rule's
+    # convolutions use numpy.fft instead
+    src = str(Path(levyexotic.__file__).resolve().parents[1])
+    code = f"import sys; sys.path.insert(0, {src!r}); import levyexotic.cli; print('scipy.signal' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert out.stdout.strip() == "False"

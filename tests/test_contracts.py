@@ -162,6 +162,18 @@ class TestCompound:
         outer = Compound(((0.5, 0.0, -1), (1.0, 100.0, 1)))
         assert price_contract(outer, GAUSS, SPOT).value == 0.0
 
+    @pytest.mark.parametrize("w1,expected", [(-1, 5.0 * math.exp(-0.025)), (1, 0.0)],
+                             ids=["put", "call"])
+    def test_option_on_a_worthless_claim_is_cash(self, w1, expected):
+        # the zero-strike put at 0.75 is worth nothing, so the put at 0.5
+        # always sells it for 5 and the call never buys it
+        comp = Compound(((0.5, 5.0, w1), (0.75, 0.0, -1), (1.0, 100.0, 1)))
+        port = to_portfolio(comp, GAUSS, SPOT)
+        assert port.terms == ()
+        assert port.cash == pytest.approx(expected, abs=1e-12)
+        assert price_contract(comp, GAUSS, SPOT).value == pytest.approx(expected, abs=1e-12)
+        assert closed_form_price(comp, 0.2, 0.05, SPOT) == pytest.approx(expected, abs=1e-12)
+
     def test_critical_price_matches_independent_geske(self):
         comp = Compound(((0.5, 5.0, 1), (1.0, 100.0, 1)))
         engine_thr = solve_compound_thresholds(comp, GAUSS)
