@@ -17,6 +17,7 @@ from scipy.optimize import brentq
 from . import quadrature as cq
 from .digitals import (
     DEFAULT_TOL_1D,
+    DEFAULT_TOL_ND,
     ContourOffsets,
     MonitoringSchedule,
     PayoffParameterSet,
@@ -467,13 +468,20 @@ def solve_compound_thresholds(c: Compound, model: LevyModel,
 
     Each is solved on the engine's own sub-compound prices
     (``_solve_thresholds``).  Brackets grow geometrically from K_j by factors
-    of 2, at most 60 doublings (``_bracket_root``).
+    of 2, at most 60 doublings (``_bracket_root``).  An inner price that
+    stalls raises NoConvergence naming the leg whose critical price failed,
+    with no result: no compound value was formed.
     """
     def value(j, inner_thresholds, s):
         T_j, K_j, _ = c.legs[j]
         # pricing-noise floor well below the root tolerance
         tol_inner = max(K_j * rel_tol * 0.01, 1e-13)
-        return _compound_value(c.legs[j + 1:], inner_thresholds, model, s, T_j, tol_inner)
+        try:
+            return _compound_value(c.legs[j + 1:], inner_thresholds, model, s, T_j, tol_inner)
+        except NoConvergence as exc:
+            raise NoConvergence(
+                f"critical price of leg {j + 1} (T={T_j:g}, K={K_j:g}) at spot {s:g}: {exc}"
+            ) from exc
 
     return _solve_thresholds(c.legs, value, rel_tol)
 
@@ -544,8 +552,8 @@ def price_contract(
     not stop the others: once all are priced, NoConvergence is raised with
     the whole portfolio's result.
     ``offset_position`` picks every term's contour offset at that relative
-    point of its feasible interval instead of the tuned default; useful for
-    contour-invariance checks.
+    point of its feasible interval instead of the default rule
+    (``default_offsets``); useful for contour-invariance checks.
     """
     if isinstance(c, AsianContinuous):
         return _price_asian_continuous(c, model, spot, tol, fixed_nodes, max_nodes)
@@ -561,7 +569,7 @@ def price_contract(
     stalled = None
     n_terms = len(port.terms)
     if tol is None:
-        tol = 1e-8 if all(p.n <= 1 for _, _, p in port.terms) else 1e-6
+        tol = DEFAULT_TOL_1D if all(p.n <= 1 for _, _, p in port.terms) else DEFAULT_TOL_ND
     for i, (coef, sched, p) in enumerate(port.terms):
         # per-term budget; certificates overshoot true errors, so an n_terms
         # divisor here would demand unattainable refinement of cash legs

@@ -273,59 +273,6 @@ def default_offsets(
     return chosen
 
 
-_LOG_PEAK_CAP = 30.0
-
-
-def _optimized_offsets(model, sched, p, spot, cap, trunc_tol) -> ContourOffsets:
-    """Equal offsets for tensor contours, tuned for the finite node budget.
-
-    With per-axis node caps the pole distance omega and the remaining strip
-    slack jointly bound the trapezoid's aliasing error, while a large omega
-    inflates the integrand's peak.  Maximise the certified-accuracy exponent
-    2*pi*a(omega)/h - log_peak(omega) over the feasible interval, where
-    a(omega) is the analyticity half-width around each line and h the node
-    spacing at the level that must already be accurate.
-    """
-    lo, hi = _equal_offset_interval(model, p)
-    width = hi - lo
-    cmat = p.condition_weights()
-    d_vec = _log_moneyness(p, spot)
-    lo_int, hi_int = -model.strip[1], -model.strip[0]
-    deltas = sched.intervals()
-    shift = model.decay_shift * float(deltas.sum())
-    taus = _corner_tau(cmat, deltas, model.order)
-    col_reach = np.abs(cmat).max(axis=0)  # strip slack to xi-width conversion
-    # Peak magnitudes beyond this cost more float digits than the tolerance has.
-    peak_cap = min(_LOG_PEAK_CAP, max(5.0, math.log(max(trunc_tol, 1e-280) * 10.0) + 32.0))
-
-    best = None
-    for frac in np.linspace(0.02, 0.98, 41):
-        omega = lo + frac * width
-        sums = feasibility_sums(p, (omega,) * p.n)
-        slack = np.minimum(sums - lo_int, hi_int - sums)
-        if np.any(slack <= 0):
-            continue
-        peak = _log_peak(model, sched, p, (omega,) * p.n, d_vec)
-        a_strip = float(np.min(slack / np.maximum(col_reach, 1e-300)))
-        score = math.inf
-        for axis in range(p.n):
-            a_axis = min(omega, a_strip)
-            ell = cq.truncation_radius(
-                model.decay_coefficient, model.order, taus[axis],
-                max(trunc_tol * math.exp(-max(peak, 0.0) - shift), 1e-280),
-            )
-            h_check = 2.0 * ell / max(cap // 4, 16)
-            score = min(score, 2.0 * math.pi * a_axis / h_check)
-        score -= max(peak, 0.0) + (1e6 if peak > peak_cap else 0.0)
-        if best is None or score > best[0]:
-            best = (score, omega)
-    if best is None:
-        return default_offsets(model, p, sched, spot)
-    chosen = ContourOffsets((best[1],) * p.n)
-    check_offsets(model, p, chosen)
-    return chosen
-
-
 def _certain_price(model, sched, p, spot, delta_mode=False):
     """N = 0 branch: plain discounted power moment, no quadrature."""
     gsuf = p.gamma_suffix()
@@ -405,29 +352,23 @@ def _price_core(model, sched, p, spot, offsets, tol, fixed_nodes, max_nodes, del
     gamma_total = float(np.sum(p.gamma))
     prefactor_mag = math.exp(-model.r * (sched.expiry - sched.t)) * spot**gamma_total
     if offsets is None:
-        if n == 1:
-            # A near-certain condition leaves the contour factor exp(w*omega*d)
-            # huge; the complement indicator has the same value content with a
-            # decaying factor instead, so price that and subtract.
-            d_scalar = _log_moneyness(p, spot)[0]
-            if p.w[0] * d_scalar > 12.0:
-                certain_p = PayoffParameterSet(p.gamma, (), (), ())
-                whole = _certain_price(model, sched, certain_p, spot, delta_mode)
-                flipped = PayoffParameterSet(p.gamma, p.k_log, (-p.w[0],), p.a)
-                rest = _price_core(model, sched, flipped, spot, None, tol,
-                                   fixed_nodes, max_nodes, delta_mode)
-                return PriceResult(
-                    whole.value - rest.value,
-                    rest.quadrature_error,
-                    rest.offsets_used,
-                    rest.dimensions,
-                    rest.evaluations,
-                )
-            offsets = default_offsets(model, p, sched, spot)
-        else:
-            cap_guess = cq._node_cap(n, max_nodes)
-            trunc_guess = tol * (2.0 * math.pi) ** n / prefactor_mag * 0.1
-            offsets = _optimized_offsets(model, sched, p, spot, cap_guess, trunc_guess)
+        # A near-certain condition leaves the contour factor exp(w*omega*d)
+        # huge; the complement indicator has the same value content with a
+        # decaying factor instead, so price that and subtract.
+        if n == 1 and p.w[0] * _log_moneyness(p, spot)[0] > 12.0:
+            certain_p = PayoffParameterSet(p.gamma, (), (), ())
+            whole = _certain_price(model, sched, certain_p, spot, delta_mode)
+            flipped = PayoffParameterSet(p.gamma, p.k_log, (-p.w[0],), p.a)
+            rest = _price_core(model, sched, flipped, spot, None, tol,
+                               fixed_nodes, max_nodes, delta_mode)
+            return PriceResult(
+                whole.value - rest.value,
+                rest.quadrature_error,
+                rest.offsets_used,
+                rest.dimensions,
+                rest.evaluations,
+            )
+        offsets = default_offsets(model, p, sched, spot)
     else:
         check_offsets(model, p, offsets)
 
@@ -568,8 +509,8 @@ def _contour_price(integrand, b, truncations, d_vec, raw_tol, prefactor, dims,
     count that resolves the phase exp(i d_k xi_k) over the window.  N = 1 goes
     to the line quadrature; N >= 2 goes to the chain rule when ``chain`` holds
     the integrand's (factors, stages) (``_chain_factors``), else to the
-    tensor ladder.  Start nodes read the tensor caps either way, while chain
-    axes are capped at the line rule's count.  ``raw_tol`` bounds the raw
+    tensor ladder.  Line and chain axes share the line rule's node cap; only
+    the tensor ladder reads the tensor caps.  ``raw_tol`` bounds the raw
     integral.  ``prefactor=None`` stands for a unit prefactor and
     divides by (2 pi i)^N rather than multiplying by its rounded inverse, so
     the normal-CDF identity keeps its last digit.  ``fixed_nodes`` evaluates
@@ -580,7 +521,7 @@ def _contour_price(integrand, b, truncations, d_vec, raw_tol, prefactor, dims,
         starts = [int(fixed_nodes)] * n
         cap = int(fixed_nodes)
     else:
-        cap = cq._node_cap(n, max_nodes)
+        cap = cq._node_cap(n if chain is None else 1, max_nodes)
         starts = [
             min(_pow2_at_least(max(32, int(truncations[k] * (abs(d_vec[k]) + 2.0) / math.pi))),
                 cap // 2)
@@ -595,8 +536,7 @@ def _contour_price(integrand, b, truncations, d_vec, raw_tol, prefactor, dims,
         if chain is None:
             res = cq.integrate_tensor(integrand, spec, raw_tol, max_nodes_per_axis=cap)
         else:
-            chain_cap = max_nodes if fixed_nodes is None else cap
-            res = cq._integrate_chain(integrand, spec, *chain, raw_tol, max_nodes_per_axis=chain_cap)
+            res = cq._integrate_chain(integrand, spec, *chain, raw_tol, max_nodes_per_axis=cap)
 
     denom = (2.0j * math.pi) ** n
     scale = 1.0 / denom if prefactor is None else prefactor / denom

@@ -29,7 +29,7 @@ from .contracts import (
 from .digitals import _contour_price
 from .errors import DimensionTooLarge, NotPSD, UnsupportedContract
 
-MVN_MAX_DIM = 6
+MVN_MAX_DIM = 4
 _CLIP = 38.0  # ndtr saturates in double precision beyond this
 
 _GL48_X, _GL48_W = np.polynomial.legendre.leggauss(48)
@@ -182,7 +182,7 @@ def _mvn_batch(d: np.ndarray, corr: np.ndarray) -> np.ndarray:
 
 
 def mvn_cdf(d, corr) -> float:
-    """Multivariate normal CDF P(X_i <= d_i) for a correlation matrix (N <= 6)."""
+    """Multivariate normal CDF P(X_i <= d_i) for a correlation matrix (N <= MVN_MAX_DIM)."""
     corr = check_correlation(corr)
     d = np.asarray(d, dtype=float).reshape(-1)
     if d.shape[0] != corr.shape[0]:

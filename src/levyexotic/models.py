@@ -9,7 +9,7 @@ risk-neutral drift mu is pinned by the martingale condition r + psi(-i) = 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import brentq
@@ -207,23 +207,10 @@ class CGMYModel(LevyModel):
         )
 
 
-def _phi_at_minus_i(kind: str, params: dict) -> float:
-    if kind == "gaussian":
-        return -0.5 * params["sigma"] ** 2
-    if kind == "nig":
-        a, b, d = params["alpha"], params["beta"], params["delta"]
-        return d * (math.sqrt(a**2 - (b + 1) ** 2) - math.sqrt(a**2 - b**2))
-    if kind == "cgmy":
-        c, g, m, y = params["c"], params["g"], params["m"], params["y"]
-        gam = _gamma_fn(-y)
-        return -c * gam * ((m - 1) ** y - m**y + (g + 1) ** y - g**y)
-    raise InvalidModel(f"unknown model kind {kind!r}")
-
-
 def make_gaussian(sigma: float, r: float, strip_proxy: float = GAUSSIAN_STRIP_PROXY) -> GaussianModel:
     """Black-Scholes dynamics with the mean-correcting martingale drift."""
-    mu = r + _phi_at_minus_i("gaussian", {"sigma": sigma})
-    model = GaussianModel(mu=mu, r=r, sigma=sigma, strip_proxy=strip_proxy)
+    probe = GaussianModel(mu=0.0, r=r, sigma=sigma, strip_proxy=strip_proxy)  # validates
+    model = replace(probe, mu=r + float(probe.phi(-1j).real))
     _assert_emm(model)
     return model
 
@@ -231,8 +218,7 @@ def make_gaussian(sigma: float, r: float, strip_proxy: float = GAUSSIAN_STRIP_PR
 def make_nig(alpha: float, beta: float, delta: float, r: float) -> NIGModel:
     """Normal inverse Gaussian model, mean-corrected to the pricing measure."""
     probe = NIGModel(mu=0.0, r=r, alpha=alpha, beta=beta, delta=delta)  # validates
-    mu = r + _phi_at_minus_i("nig", {"alpha": alpha, "beta": beta, "delta": delta})
-    model = NIGModel(mu=mu, r=r, alpha=probe.alpha, beta=probe.beta, delta=probe.delta)
+    model = replace(probe, mu=r + float(probe.phi(-1j).real))
     _assert_emm(model)
     return model
 
@@ -240,8 +226,7 @@ def make_nig(alpha: float, beta: float, delta: float, r: float) -> NIGModel:
 def make_cgmy(c: float, g: float, m: float, y: float, r: float) -> CGMYModel:
     """CGMY model, mean-corrected; activity y in ]0,1[ or ]1,2[ and m > 1."""
     probe = CGMYModel(mu=0.0, r=r, c=c, g=g, m=m, y=y)  # validates
-    mu = r + _phi_at_minus_i("cgmy", {"c": c, "g": g, "m": m, "y": y})
-    model = CGMYModel(mu=mu, r=r, c=probe.c, g=probe.g, m=probe.m, y=probe.y)
+    model = replace(probe, mu=r + float(probe.phi(-1j).real))
     _assert_emm(model)
     return model
 

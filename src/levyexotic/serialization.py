@@ -25,7 +25,7 @@ from .contracts import (
 )
 from .digitals import MonitoringSchedule, PayoffParameterSet
 from .errors import SchemaError
-from .models import CGMYModel, GaussianModel, LevyModel, NIGModel, make_model
+from .models import GAUSSIAN_STRIP_PROXY, LevyModel, make_model
 
 _MODEL_PARAMS = {
     "gaussian": ("sigma",),
@@ -54,14 +54,11 @@ def _need(obj: dict, field: str, context: str):
 
 
 def model_to_dict(model: LevyModel) -> dict:
-    if isinstance(model, GaussianModel):
-        params = {"sigma": model.sigma}
-    elif isinstance(model, NIGModel):
-        params = {"alpha": model.alpha, "beta": model.beta, "delta": model.delta}
-    elif isinstance(model, CGMYModel):
-        params = {"c": model.c, "g": model.g, "m": model.m, "y": model.y}
-    else:
+    if model.kind not in _MODEL_PARAMS:
         raise SchemaError(f"cannot serialize model type {type(model).__name__}")
+    params = {name: getattr(model, name) for name in _MODEL_PARAMS[model.kind]}
+    if model.kind == "gaussian" and model.strip_proxy != GAUSSIAN_STRIP_PROXY:
+        params["strip_proxy"] = model.strip_proxy
     return {"kind": model.kind, "params": params, "r": model.r}
 
 

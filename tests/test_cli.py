@@ -165,10 +165,12 @@ class TestConvergenceCommand:
 class TestRoundTrip:
     def test_model_round_trip(self):
         for payload in (GAUSS_MODEL, NIG_MODEL,
-                        {"kind": "cgmy", "params": {"c": 1.0, "g": 5.0, "m": 5.0, "y": 0.5}, "r": 0.0}):
+                        {"kind": "cgmy", "params": {"c": 1.0, "g": 5.0, "m": 5.0, "y": 0.5}, "r": 0.0},
+                        {"kind": "gaussian", "params": {"sigma": 0.2, "strip_proxy": 10.0}, "r": 0.05}):
             model = model_from_dict(payload)
             again = model_from_dict(model_to_dict(model))
             assert model_to_dict(model) == model_to_dict(again)
+            assert again == model
 
     def test_contract_round_trip(self):
         sched = MonitoringSchedule(0.0, (0.5, 1.0))

@@ -24,6 +24,7 @@ from levyexotic import (
     solve_compound_thresholds,
     to_portfolio,
 )
+from levyexotic import contracts
 from levyexotic.errors import CapExceeded, NoConvergence, UnsupportedContract
 from levyexotic.gaussian import _compound_cf_thresholds
 from levyexotic.quadrature import integrate_line
@@ -173,6 +174,17 @@ class TestCompound:
         assert port.cash == pytest.approx(expected, abs=1e-12)
         assert price_contract(comp, GAUSS, SPOT).value == pytest.approx(expected, abs=1e-12)
         assert closed_form_price(comp, 0.2, 0.05, SPOT) == pytest.approx(expected, abs=1e-12)
+
+    def test_threshold_failure_names_the_leg(self, monkeypatch):
+        # an inner price that stalls during the threshold search is not the
+        # compound's value: the error names the leg and carries no result
+        def stalled(*args, **kwargs):
+            raise NoConvergence("quadrature stalled", object())
+
+        monkeypatch.setattr(contracts, "price_digital", stalled)
+        with pytest.raises(NoConvergence, match=r"critical price of leg 1 \(T=0.5, K=3\)") as info:
+            price_contract(Compound(((0.5, 3.0, 1), (1.0, 100.0, -1))), GAUSS, SPOT)
+        assert info.value.result is None
 
     def test_critical_price_matches_independent_geske(self):
         comp = Compound(((0.5, 5.0, 1), (1.0, 100.0, 1)))

@@ -5,6 +5,7 @@ import pytest
 from scipy.special import ndtr
 
 from levyexotic import (
+    BarrierDownOutCall,
     ContourOffsets,
     MonitoringSchedule,
     PayoffParameterSet,
@@ -13,11 +14,13 @@ from levyexotic import (
     make_gaussian,
     make_nig,
     mc_price,
+    price_contract,
     price_digital,
     price_single_period,
     psi_aggregate,
 )
-from levyexotic.contracts import Digital
+from levyexotic import quadrature as cq
+from levyexotic.contracts import Digital, to_portfolio
 from levyexotic.errors import DimensionTooLarge, NoFeasibleOffsets
 
 GAUSS = make_gaussian(0.2, 0.05)
@@ -79,6 +82,22 @@ class TestDefaultOffsets:
         p = PayoffParameterSet((7.0,), (ATM_LOG,), (1,), ((1.0,),))
         off = default_offsets(NIG, p)
         assert 0.0 < off.omega[0] < 3.0
+
+    def test_multidate_terms_use_the_same_rule(self):
+        sched = MonitoringSchedule(0.0, (0.5, 1.0))
+        p = PayoffParameterSet((0.0, 0.0), (ATM_LOG, ATM_LOG), (1, 1), ((1.0, 0.0), (0.0, 1.0)))
+        res = price_digital(NIG, sched, p, SPOT)
+        assert res.offsets_used == default_offsets(NIG, p, sched, SPOT)
+
+    def test_one_truncation_radius_per_axis(self, monkeypatch):
+        # choosing the offsets solves no radius of its own: a 3-date barrier
+        # (two terms of three axes) solves each axis's radius once
+        radius, calls = cq.truncation_radius, []
+        monkeypatch.setattr(cq, "truncation_radius", lambda *args: calls.append(args) or radius(*args))
+        contract = BarrierDownOutCall(MonitoringSchedule(0.0, (1 / 3, 2 / 3, 1.0)), 90.0, 100.0)
+        price_contract(contract, GAUSS, SPOT)
+        axes = sum(p.n for _, _, p in to_portfolio(contract).terms)
+        assert len(calls) <= axes == 6
 
 
 class TestPriceDigital:

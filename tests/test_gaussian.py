@@ -86,8 +86,10 @@ class TestMvnCdf:
             mvn_cdf([0.0, 0.0], np.array([[1.0, 2.0], [2.0, 1.0]]))
 
     def test_dimension_cap(self):
-        with pytest.raises(DimensionTooLarge):
-            mvn_cdf(np.zeros(7), np.eye(7))
+        # n = 5 must raise before the recursion allocates its node batch
+        for n in (7, 5):
+            with pytest.raises(DimensionTooLarge):
+                mvn_cdf(np.zeros(n), np.eye(n))
 
 
 class TestLemma1:
