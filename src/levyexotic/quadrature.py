@@ -14,8 +14,14 @@ level rules:
 - the tensor rule of ``integrate_tensor``, for any other N-fold integrand and
   as the oracle of the chain rule.
 
-The reported (not guaranteed) error estimate is the difference between the
-two finest levels plus a truncation-tail estimate and a float-roundoff floor.
+Levels nest: doubling the nodes of an axis halves its step, so every node of
+a level is a node of the next.  The line rule keeps its samples and evaluates
+the integrand only at each level's new odd nodes; ``evaluations`` counts those
+new samples.  The reported (not guaranteed) error estimate is the difference
+between the two finest levels plus a truncation-tail estimate and a
+float-roundoff floor.  A ladder that starts at its cap first runs a level at
+half the nodes, so a single capped level is still measured against a coarser
+one.
 """
 from __future__ import annotations
 
@@ -124,24 +130,26 @@ def _refine(level, starts, cap, tol, tail, truncations) -> QuadratureResult:
     """The refinement ladder behind the line, the chain and the tensor rule.
 
     ``level(nodes)`` evaluates one trapezoid level at per-axis node counts
-    ``nodes`` and returns (value, sum of |weighted samples|, evaluations),
-    optionally followed by a roundoff bound of its own beyond the summation
-    floor; ``tail(nodes)`` estimates the mass outside the truncation box at
-    the final nodes.  Each axis starts at its even start count (at least 16, at
-    most ``cap``) and doubles until two successive levels agree to ``tol`` or
-    every axis sits at ``cap``, in which case the best value is returned with
-    ``converged=False``.
+    ``nodes`` and returns (value, roundoff bound of its sum, new integrand
+    evaluations); ``tail(nodes)`` estimates the mass outside the truncation
+    box at the final nodes.  Each axis starts at its even start count (at
+    least 16, at most ``cap``) and doubles until two successive levels agree
+    to ``tol`` or every axis sits at ``cap``, in which case the best value is
+    returned with ``converged=False``.  When every axis starts at ``cap`` the
+    ladder first runs a level at half the nodes, so the capped level's
+    refinement error is measured rather than taken as 0.
     """
     nodes = [min(max(16, p + p % 2), cap) for p in map(int, starts)]
+    if all(p >= cap for p in nodes):
+        nodes = [(p + 1) // 2 for p in nodes]
     value = None
     err = math.inf
     evaluations = 0
     converged = False
     while True:
-        level_value, abs_mass, level_evals, *extra = level(nodes)
+        level_value, roundoff, level_evals = level(nodes)
         evaluations += level_evals
         prev, value = value, level_value
-        roundoff = _roundoff_estimate(abs_mass, level_evals) + sum(extra)
         if prev is not None:
             err = abs(value - prev)
             # Below the float-cancellation floor further refinement is noise.
@@ -165,25 +173,36 @@ def integrate_line(f, offset: float, truncation: float, tol: float,
                    start_nodes: int = 64, max_nodes: int = LINE_NODE_CAP) -> QuadratureResult:
     """Trapezoid value of the contour integral of f over Im(xi) = offset.
 
-    ``f`` must accept a complex ndarray and evaluate elementwise.  Nodes are
-    doubled until two successive refinements agree to ``tol`` (absolute, on
-    the raw integral) or ``max_nodes`` is reached, in which case the best
-    value is returned with ``converged=False``.
+    ``f`` must accept a complex ndarray and evaluate elementwise; it is called
+    once per level.  Nodes are doubled until two successive refinements agree
+    to ``tol`` (absolute, on the raw integral) or ``max_nodes`` is reached, in
+    which case the best value is returned with ``converged=False``.  A level
+    that doubles the previous one keeps its samples and evaluates ``f`` only
+    at the new odd nodes; every sample point is bit-identical to a full
+    ``np.linspace`` grid, so the value is that of the full trapezoid sum.
     """
     if offset == 0.0:
         raise ValueError("contour offset must avoid the pole on the real axis")
     if truncation <= 0 or tol < 0:
         raise NonPositiveInput("truncation must be positive and tol nonnegative")
     edges = []  # |f| at the last level's two outermost nodes on each side
+    samples = None  # f at the last level's nodes
 
     def level(nodes):
+        nonlocal samples
         (p,) = nodes
-        x = np.linspace(-truncation, truncation, p + 1)
-        vals = _finite(f(x + 1j * offset))
         h = 2.0 * truncation / p
+        if samples is not None and 2 * (samples.size - 1) == p:
+            new = _finite(f(-truncation + h * np.arange(1, p, 2) + 1j * offset))
+            vals = np.empty(p + 1, dtype=np.result_type(samples, new))
+            vals[0::2] = samples
+            vals[1::2] = new
+        else:
+            new = vals = _finite(f(np.linspace(-truncation, truncation, p + 1) + 1j * offset))
+        samples = vals
         total = vals.sum() - 0.5 * (vals[0] + vals[-1])
         edges[:] = abs(vals[0]), abs(vals[1]), abs(vals[-1]), abs(vals[-2])
-        return complex(total * h), float(np.abs(vals).sum()) * h, p + 1
+        return complex(total * h), _roundoff_estimate(float(np.abs(vals).sum()) * h, p + 1), new.size
 
     return _refine(level, (start_nodes,), max_nodes, tol,
                    lambda nodes: _tail_estimate(*edges, 2.0 * truncation / nodes[0]), (truncation,))
@@ -270,8 +289,12 @@ def integrate_tensor(f, spec: ContourSpec, tol: float,
     if ndim > max(TENSOR_NODE_CAPS):
         raise DimensionTooLarge(
             f"tensor quadrature supports N <= {max(TENSOR_NODE_CAPS)}, got {ndim}")
-    return _refine(lambda nodes: _tensor_level(f, spec.offsets, spec.truncations, nodes),
-                   spec.start_nodes, _node_cap(ndim, max_nodes_per_axis), tol,
+
+    def level(nodes):
+        total, abs_mass, evaluations = _tensor_level(f, spec.offsets, spec.truncations, nodes)
+        return total, _roundoff_estimate(abs_mass, evaluations), evaluations
+
+    return _refine(level, spec.start_nodes, _node_cap(ndim, max_nodes_per_axis), tol,
                    lambda nodes: _face_tail_estimate(f, spec.offsets, spec.truncations, nodes),
                    spec.truncations)
 
@@ -370,5 +393,10 @@ def _integrate_chain(f, spec: ContourSpec, factors, stages, tol: float,
         h, reach = _chain_grid(spec.truncations, nodes)
         return _face_tail_estimate(f, spec.offsets, [n * h for n in reach], [2 * n for n in reach])
 
-    return _refine(lambda nodes: _chain_level(factors, stages, spec.offsets, spec.truncations, nodes),
-                   spec.start_nodes, _node_cap(1, max_nodes_per_axis), tol, tail, spec.truncations)
+    def level(nodes):
+        value, abs_mass, evaluations, fft_error = _chain_level(
+            factors, stages, spec.offsets, spec.truncations, nodes)
+        return value, _roundoff_estimate(abs_mass, evaluations) + fft_error, evaluations
+
+    return _refine(level, spec.start_nodes, _node_cap(1, max_nodes_per_axis), tol, tail,
+                   spec.truncations)

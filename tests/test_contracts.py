@@ -255,6 +255,18 @@ class TestPortfolioError:
         with pytest.raises(NoConvergence):
             price_contract(AsianContinuous(0.0, 1.0, 100.0), NIG, SPOT, max_nodes=32)
 
+    @pytest.mark.parametrize("nodes", [16, 32, 64, 128])
+    @pytest.mark.parametrize("contract", [
+        Chooser(0.5, 1.0, 100.0),
+        AsianGeometric(MonitoringSchedule(0.0, (0.5, 1.0)), 100.0),
+        BarrierDownOutCall(MonitoringSchedule(0.0, (1 / 3, 2 / 3, 1.0)), 90.0, 100.0),
+        AsianContinuous(0.0, 1.0, 100.0),
+    ], ids=["chooser", "asian2", "barrier3", "asian-continuous"])
+    def test_fixed_nodes_error_covers_true_error(self, contract, nodes):
+        # a single level is measured against its half-node level
+        res = price_contract(contract, GAUSS, SPOT, fixed_nodes=nodes)
+        assert abs(res.value - closed_form_price(contract, 0.2, 0.05, SPOT)) <= res.quadrature_error
+
 
 class TestAsian:
     def test_call_put_parity_portfolio_algebra(self):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
+from levyexotic import quadrature as cq
 from levyexotic.errors import DimensionTooLarge, NaNEncountered, NonPositiveInput
 from levyexotic.quadrature import (
     ContourSpec,
@@ -189,6 +190,56 @@ class TestLadder:
         p = 32
         res = ladder(ndim, p, p)
         assert res.converged is False
-        assert res.evaluations == (p + 1) ** ndim  # exactly one level
+        # A ladder that starts at its cap runs a first level at p / 2 nodes; the
+        # line rule reuses its samples, the tensor rule evaluates both grids.
+        if ndim == 1:
+            assert res.evaluations == p + 1
+        else:
+            assert res.evaluations == (p // 2 + 1) ** 2 + (p + 1) ** 2
         assert math.isfinite(res.error_estimate)
         assert ladder(ndim, 4 * p, p) == res  # a start above the cap is clamped to it
+
+    @staticmethod
+    def full_line_ladder(f, offset, truncation, tol, start_nodes, max_nodes):
+        """``integrate_line`` with every level evaluated at all of its nodes."""
+        edges, sizes = [], []
+
+        def level(nodes):
+            (p,) = nodes
+            vals = f(np.linspace(-truncation, truncation, p + 1) + 1j * offset)
+            h = 2.0 * truncation / p
+            edges[:] = abs(vals[0]), abs(vals[1]), abs(vals[-1]), abs(vals[-2])
+            sizes.append(p + 1)
+            total = complex((vals.sum() - 0.5 * (vals[0] + vals[-1])) * h)
+            return total, cq._roundoff_estimate(float(np.abs(vals).sum()) * h, p + 1), p + 1
+
+        res = cq._refine(level, (start_nodes,), max_nodes, tol,
+                         lambda nodes: cq._tail_estimate(*edges, 2.0 * truncation / nodes[0]), (truncation,))
+        return res, sizes
+
+    @pytest.mark.parametrize("tol,start,cap", [
+        (1e-10, 16, 2**14),  # converges
+        (0.0, 16, 256),  # stalls at the cap
+        (0.0, 64, 64),  # starts at the cap
+        (0.0, 32, 48),  # non-doubling final step
+    ])
+    def test_line_levels_reuse_samples(self, tol, start, cap):
+        f = gaussian_pole_integrand(0.5)
+        calls = []
+
+        def recorded(xi):
+            calls.append(xi.copy())
+            return f(xi)
+
+        res = integrate_line(recorded, -1.0, 8.0, tol, start_nodes=start, max_nodes=cap)
+        ref, sizes = self.full_line_ladder(f, -1.0, 8.0, tol, start, cap)
+        for field in ("value", "error_estimate", "converged"):
+            assert getattr(res, field) == getattr(ref, field)  # bit-equal
+        assert len(calls) == len(sizes)  # one call of f per level
+        points = np.concatenate(calls)
+        if sizes[-1] - 1 == 2 * (sizes[-2] - 1):
+            assert np.unique(points).size == points.size  # no point is evaluated twice
+            assert res.evaluations == sizes[-1]
+        else:
+            assert calls[-1].size == sizes[-1]  # a non-doubling level is evaluated in full
+            assert res.evaluations == sizes[-2] + sizes[-1]
