@@ -14,7 +14,15 @@ from levyexotic import (
     price_contract,
 )
 from levyexotic.cli import main
-from levyexotic.contracts import AsianGeometric, Compound, Digital
+from levyexotic.contracts import (
+    AsianContinuous,
+    AsianGeometric,
+    BarrierDownOutCall,
+    Chooser,
+    Compound,
+    Digital,
+    LookbackFixed,
+)
 from levyexotic.errors import SchemaError
 from levyexotic.serialization import (
     contract_from_dict,
@@ -27,6 +35,38 @@ from levyexotic.serialization import (
 
 NIG_MODEL = {"kind": "nig", "params": {"alpha": 8.0, "beta": -2.0, "delta": 0.3}, "r": 0.05}
 GAUSS_MODEL = {"kind": "gaussian", "params": {"sigma": 0.2}, "r": 0.05}
+
+
+SCHED = MonitoringSchedule(0.25, (0.5, 1.0))
+
+# contract_to_dict of each contract type, written out key by key: the JSON
+# schema of spec files
+SCHEMA = [
+    (Digital(SCHED, PayoffParameterSet((0.0, 1.0), (4.6,), (1,), ((0.5, 0.5),))),
+     {"type": "digital", "t": 0.25, "dates": [0.5, 1.0], "gamma": [0.0, 1.0],
+      "k_log": [4.6], "w": [1], "a": [[0.5, 0.5]]}),
+    (ForwardStart(0.5, 1.0, -1, 0.1),
+     {"type": "forward_start", "t": 0.1, "t1": 0.5, "t2": 1.0, "w": -1}),
+    (AsianGeometric(SCHED, 90.0, 1, (1.0, 3.0)),
+     {"type": "asian_geometric", "t": 0.25, "dates": [0.5, 1.0], "strike": 90.0, "w": 1,
+      "weights": [1.0, 3.0]}),
+    (AsianGeometric(SCHED, 90.0, -1),
+     {"type": "asian_geometric", "t": 0.25, "dates": [0.5, 1.0], "strike": 90.0, "w": -1}),
+    (AsianGeometric(SCHED, 90.0, 1, ()),
+     {"type": "asian_geometric", "t": 0.25, "dates": [0.5, 1.0], "strike": 90.0, "w": 1}),
+    (AsianContinuous(0.5, 1.5, 95.0, -1),
+     {"type": "asian_continuous", "t_start": 0.5, "t_end": 1.5, "strike": 95.0, "w": -1}),
+    (LookbackFixed(SCHED, 105.0),
+     {"type": "lookback_fixed", "t": 0.25, "dates": [0.5, 1.0], "strike": 105.0, "w": 1}),
+    (Chooser(0.5, 1.0, 100.0, 0.2),
+     {"type": "chooser", "t": 0.2, "t1": 0.5, "t_expiry": 1.0, "strike": 100.0}),
+    (Compound(((0.5, 5.0, 1), (1.0, 100.0, -1)), 0.1),
+     {"type": "compound", "t": 0.1,
+      "legs": [{"t": 0.5, "strike": 5.0, "w": 1}, {"t": 1.0, "strike": 100.0, "w": -1}]}),
+    (BarrierDownOutCall(SCHED, 80.0, 100.0),
+     {"type": "barrier_down_out_call", "t": 0.25, "dates": [0.5, 1.0], "barrier": 80.0,
+      "strike": 100.0}),
+]
 
 
 def spec_file(tmp_path, payload, name="spec.json"):
@@ -172,18 +212,26 @@ class TestRoundTrip:
             assert model_to_dict(model) == model_to_dict(again)
             assert again == model
 
+    @pytest.mark.parametrize("contract, expected", SCHEMA,
+                             ids=[f"{d['type']}-{i}" for i, (_, d) in enumerate(SCHEMA)])
+    def test_contract_schema(self, contract, expected):
+        assert contract_to_dict(contract) == expected
+
+    def test_compound_leg_sign_defaults_to_call(self):
+        payload = {"type": "compound", "legs": [{"t": 0.5, "strike": 5.0},
+                                                {"t": 1.0, "strike": 100.0, "w": -1}]}
+        contract = contract_from_dict(payload)
+        assert contract == Compound(((0.5, 5.0, 1), (1.0, 100.0, -1)))
+        assert contract_to_dict(contract)["legs"][0] == {"t": 0.5, "strike": 5.0, "w": 1}
+
     def test_contract_round_trip(self):
-        sched = MonitoringSchedule(0.0, (0.5, 1.0))
-        contracts = [
-            Digital(sched, PayoffParameterSet((0.0, 1.0), (4.6,), (1,), ((0.5, 0.5),))),
-            ForwardStart(0.5, 1.0, -1),
-            AsianGeometric(sched, 90.0, 1, (1.0, 3.0)),
-            Compound(((0.5, 5.0, 1), (1.0, 100.0, -1))),
-        ]
-        for contract in contracts:
+        assert len({d["type"] for _, d in SCHEMA}) == 8
+        for contract, _ in SCHEMA:
             payload = contract_to_dict(contract)
             again = contract_from_dict(payload)
             assert contract_to_dict(again) == payload
+            if getattr(contract, "weights", None) != ():  # empty weights read back as None
+                assert again == contract
 
     def test_runspec_round_trip(self):
         payload = {
