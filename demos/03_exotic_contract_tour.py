@@ -52,7 +52,7 @@ for name, contract in contracts:
           f"{mc.estimate:>9.4f} +-{mc.stderr:.4f}   [{elapsed * 1e3:7.1f} ms]")
 
 # the portfolio view: what a lookback actually decomposes into
-port = to_portfolio(LookbackFixed(sched3, 100.0), gauss, spot)
+port = to_portfolio(LookbackFixed(sched3, 100.0), gauss)
 print(f"\nlookback decomposition: {len(port.terms)} digital terms "
       f"+ cash {port.cash:.4f}")
 for coef, _, payoff in port.terms:

@@ -17,7 +17,13 @@ from .errors import PricingError, SchemaError, UnsupportedModel
 from .gaussian import closed_form_price
 from .mc import mc_price
 from .models import GaussianModel, NIGModel
-from .serialization import RunSpec, contract_to_dict, model_to_dict, runspec_from_dict
+from .serialization import (
+    METHODS,
+    RunSpec,
+    contract_to_dict,
+    model_to_dict,
+    runspec_from_dict,
+)
 from .validation import SUITES, run_suite
 
 EXIT_OK = 0
@@ -106,7 +112,7 @@ def _grid_resolutions(spec: RunSpec) -> list[int]:
     if isinstance(spec.contract, AsianContinuous):
         dims = 1
     else:
-        port = to_portfolio(spec.contract, spec.model, spec.spot)
+        port = to_portfolio(spec.contract, spec.model)
         dims = max((p.n for _, _, p in port.terms), default=0)
     if dims <= 1:
         return [64, 128, 256, 512, 1024]
@@ -148,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_price = sub.add_parser("price", help="price the contract in a JSON spec file")
     p_price.add_argument("--spec", required=True, help="path to the JSON spec file")
-    p_price.add_argument("--method", choices=("fourier", "mc", "closed_form"))
+    p_price.add_argument("--method", choices=METHODS)
     p_price.add_argument("--tol", type=float)
     p_price.add_argument("--paths", type=int)
     p_price.add_argument("--seed", type=int)

@@ -316,12 +316,12 @@ def _cash_compound(legs, t: float, r: float) -> float | None:
     return value * math.exp(-r * (date - t))
 
 
-def to_portfolio(c: ContractSpec, model: LevyModel | None = None,
-                 spot: float | None = None) -> DigitalPortfolio:
+def to_portfolio(c: ContractSpec, model: LevyModel | None = None) -> DigitalPortfolio:
     """Exact static decomposition of a contract into weighted power digitals.
 
-    ``model`` (and ``spot``) are needed only for compound contracts, whose
-    critical prices are solved lazily here.
+    ``model`` is needed for the contracts with a discounted strike or cash
+    leg (lookback, chooser) and for compounds, whose critical prices are
+    solved here.
     """
     if isinstance(c, Digital):
         return DigitalPortfolio(((1.0, c.schedule, c.payoff),), 0.0)
@@ -498,7 +498,6 @@ def continuous_asian_psi(model: LevyModel, xi):
     scalar = arr.ndim == 0
     lam = 1.0 - _ASIAN_Y  # in ]0,1[
     args = arr[..., None] * lam
-    model.check_strip(args)
     vals = model.psi(args)
     out = (vals * _ASIAN_W).sum(axis=-1)
     return complex(out) if scalar else out
@@ -557,7 +556,7 @@ def price_contract(
     """
     if isinstance(c, AsianContinuous):
         return _price_asian_continuous(c, model, spot, tol, fixed_nodes, max_nodes)
-    port = to_portfolio(c, model, spot)
+    port = to_portfolio(c, model)
     if not port.terms:
         return PriceResult(port.cash, 0.0, None, (0, 0), 0)
 

@@ -514,17 +514,22 @@ def _contour_price(integrand, b, truncations, d_vec, raw_tol, prefactor, dims,
     integral.  ``prefactor=None`` stands for a unit prefactor and
     divides by (2 pi i)^N rather than multiplying by its rounded inverse, so
     the normal-CDF identity keeps its last digit.  ``fixed_nodes`` evaluates
-    a single level and never raises NoConvergence.
+    a single level and never raises NoConvergence.  ``fixed_nodes`` and
+    ``max_nodes`` must be even and at least 16 for every N; start counts lie
+    in [16, cap // 2].
     """
     n = len(b)
+    for name, count in (("fixed_nodes", fixed_nodes), ("max_nodes", max_nodes)):
+        if count is not None and (count < 16 or count % 2):
+            raise ValueError(f"{name} must be even and at least 16, got {count}")
     if fixed_nodes is not None:
         starts = [int(fixed_nodes)] * n
         cap = int(fixed_nodes)
     else:
         cap = cq._node_cap(n if chain is None else 1, max_nodes)
         starts = [
-            min(_pow2_at_least(max(32, int(truncations[k] * (abs(d_vec[k]) + 2.0) / math.pi))),
-                cap // 2)
+            max(16, min(_pow2_at_least(max(32, int(truncations[k] * (abs(d_vec[k]) + 2.0) / math.pi))),
+                        cap // 2))
             for k in range(n)
         ]
 

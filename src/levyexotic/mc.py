@@ -84,19 +84,18 @@ def _simulate_block(model: LevyModel, deltas: np.ndarray, seed: int, block: int)
 
 
 def _iter_blocks(model, sched: MonitoringSchedule, n_paths: int, seed: int):
+    """Generator of the path blocks; checks ``n_paths`` before any is drawn."""
+    if n_paths < 1:
+        raise ValueError("need at least one path")
     deltas = sched.intervals()
     n_blocks = (n_paths + BLOCK - 1) // BLOCK
-    for block in range(n_blocks):
-        x = _simulate_block(model, deltas, seed, block)
-        take = min(BLOCK, n_paths - block * BLOCK)
-        yield x[:take]
+    return (_simulate_block(model, deltas, seed, block)[:min(BLOCK, n_paths - block * BLOCK)]
+            for block in range(n_blocks))
 
 
 def simulate_monitoring(model: LevyModel, sched: MonitoringSchedule,
                         n_paths: int, seed: int) -> np.ndarray:
     """Paths of X at the monitoring dates, shape (n_paths, M), relative to X_t = 0."""
-    if n_paths < 1:
-        raise ValueError("need at least one path")
     return np.concatenate(list(_iter_blocks(model, sched, n_paths, seed)), axis=0)
 
 

@@ -76,7 +76,6 @@ class QuadratureResult:
     value: complex
     error_estimate: float
     evaluations: int
-    truncation_used: tuple[float, ...]
     converged: bool = True
 
 
@@ -126,7 +125,7 @@ def _tail_estimate(abs_lo: float, abs_next_lo: float, abs_hi: float, abs_next_hi
     return est
 
 
-def _refine(level, starts, cap, tol, tail, truncations) -> QuadratureResult:
+def _refine(level, starts, cap, tol, tail) -> QuadratureResult:
     """The refinement ladder behind the line, the chain and the tensor rule.
 
     ``level(nodes)`` evaluates one trapezoid level at per-axis node counts
@@ -164,7 +163,6 @@ def _refine(level, starts, cap, tol, tail, truncations) -> QuadratureResult:
         value=value,
         error_estimate=(err if math.isfinite(err) else 0.0) + tail(nodes) + roundoff,
         evaluations=evaluations,
-        truncation_used=tuple(truncations),
         converged=converged,
     )
 
@@ -205,7 +203,7 @@ def integrate_line(f, offset: float, truncation: float, tol: float,
         return complex(total * h), _roundoff_estimate(float(np.abs(vals).sum()) * h, p + 1), new.size
 
     return _refine(level, (start_nodes,), max_nodes, tol,
-                   lambda nodes: _tail_estimate(*edges, 2.0 * truncation / nodes[0]), (truncation,))
+                   lambda nodes: _tail_estimate(*edges, 2.0 * truncation / nodes[0]))
 
 
 def _tensor_level(f, offsets, truncations, nodes):
@@ -295,8 +293,7 @@ def integrate_tensor(f, spec: ContourSpec, tol: float,
         return total, _roundoff_estimate(abs_mass, evaluations), evaluations
 
     return _refine(level, spec.start_nodes, _node_cap(ndim, max_nodes_per_axis), tol,
-                   lambda nodes: _face_tail_estimate(f, spec.offsets, spec.truncations, nodes),
-                   spec.truncations)
+                   lambda nodes: _face_tail_estimate(f, spec.offsets, spec.truncations, nodes))
 
 
 def _convolve(a, b):
@@ -398,5 +395,4 @@ def _integrate_chain(f, spec: ContourSpec, factors, stages, tol: float,
             factors, stages, spec.offsets, spec.truncations, nodes)
         return value, _roundoff_estimate(abs_mass, evaluations) + fft_error, evaluations
 
-    return _refine(level, spec.start_nodes, _node_cap(1, max_nodes_per_axis), tol, tail,
-                   spec.truncations)
+    return _refine(level, spec.start_nodes, _node_cap(1, max_nodes_per_axis), tol, tail)

@@ -7,10 +7,15 @@ The spec-file schema, with all times in year fractions:
      "contract": {"type": "...", ...variant fields...},
      "pricing":  {"method": "fourier"|"mc"|"closed_form",
                   "tol": x, "paths": n, "seed": n}}
+
+A contract's fields are its dataclass's fields, with their names and
+defaults: a schedule is written as "t" and "dates", a payoff as "gamma",
+"k_log", "w" and "a", compound legs as a list of {"t", "strike", "w"}
+objects, and empty Asian weights are left out.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 
 from .contracts import (
     AsianContinuous,
@@ -33,6 +38,19 @@ _MODEL_PARAMS = {
     "cgmy": ("c", "g", "m", "y"),
 }
 
+_CONTRACTS = {
+    "digital": Digital,
+    "forward_start": ForwardStart,
+    "asian_geometric": AsianGeometric,
+    "asian_continuous": AsianContinuous,
+    "lookback_fixed": LookbackFixed,
+    "chooser": Chooser,
+    "compound": Compound,
+    "barrier_down_out_call": BarrierDownOutCall,
+}
+_TYPE_NAMES = {cls: name for name, cls in _CONTRACTS.items()}
+_CASTS = {"float": float, "int": int}
+
 METHODS = ("fourier", "mc", "closed_form")
 
 
@@ -46,11 +64,41 @@ class RunSpec:
     paths: int = 100_000
     seed: int = 0
 
+    def __post_init__(self):
+        if self.spot <= 0:
+            raise SchemaError("field 'spot' must be positive")
+        if self.method not in METHODS:
+            raise SchemaError(f"unknown method '{self.method}' in pricing.method")
+        if self.paths < 1:
+            raise SchemaError("field 'paths' in pricing must be at least 1")
+
 
 def _need(obj: dict, field: str, context: str):
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{context} must be a JSON object")
     if field not in obj:
         raise SchemaError(f"missing field '{field}' in {context}")
     return obj[field]
+
+
+def _cast(cast, value, field: str, context: str):
+    """``cast(value)``, or a SchemaError naming the field."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"bad field '{field}' in {context}: {exc}") from exc
+
+
+def _nonempty_list(obj: dict, field: str, context: str) -> list:
+    value = _need(obj, field, context)
+    if not isinstance(value, (list, tuple)) or not value:
+        raise SchemaError(f"field '{field}' in {context} must be a nonempty list")
+    return value
+
+
+def _plain(value):
+    """Tuples, nested or not, as JSON lists."""
+    return [_plain(v) for v in value] if isinstance(value, tuple) else value
 
 
 def model_to_dict(model: LevyModel) -> dict:
@@ -67,184 +115,76 @@ def model_from_dict(obj: dict) -> LevyModel:
     if kind not in _MODEL_PARAMS:
         raise SchemaError(f"unknown model kind '{kind}' in model.kind")
     params = _need(obj, "params", "model")
-    r = float(_need(obj, "r", "model"))
-    clean = {}
-    for name in _MODEL_PARAMS[kind]:
-        clean[name] = float(_need(params, name, f"model.params ({kind})"))
+    r = _cast(float, _need(obj, "r", "model"), "r", "model")
+    context = f"model.params ({kind})"
+    clean = {name: _cast(float, _need(params, name, context), name, context)
+             for name in _MODEL_PARAMS[kind]}
     if kind == "gaussian" and "strip_proxy" in params:
-        clean["strip_proxy"] = float(params["strip_proxy"])
+        clean["strip_proxy"] = _cast(float, params["strip_proxy"], "strip_proxy", context)
     return make_model(kind, clean, r)
 
 
-def _schedule_from(obj: dict, context: str) -> MonitoringSchedule:
-    dates = _need(obj, "dates", context)
-    if not isinstance(dates, (list, tuple)) or not dates:
-        raise SchemaError(f"field 'dates' in {context} must be a nonempty list")
-    return MonitoringSchedule(float(obj.get("t", 0.0)), tuple(float(d) for d in dates))
-
-
-def _schedule_to(sched: MonitoringSchedule) -> dict:
-    return {"t": sched.t, "dates": list(sched.dates)}
-
-
 def contract_to_dict(c: ContractSpec) -> dict:
-    if isinstance(c, Digital):
-        p = c.payoff
-        return {
-            "type": "digital",
-            **_schedule_to(c.schedule),
-            "gamma": list(p.gamma),
-            "k_log": list(p.k_log),
-            "w": list(p.w),
-            "a": [list(row) for row in p.a],
-        }
-    if isinstance(c, ForwardStart):
-        return {"type": "forward_start", "t": c.t, "t1": c.t1, "t2": c.t2, "w": c.w}
-    if isinstance(c, AsianGeometric):
-        out = {
-            "type": "asian_geometric",
-            **_schedule_to(c.schedule),
-            "strike": c.strike,
-            "w": c.w,
-        }
-        if c.weights is not None and len(c.weights) > 0:
-            out["weights"] = list(c.weights)
-        return out
-    if isinstance(c, AsianContinuous):
-        return {
-            "type": "asian_continuous",
-            "t_start": c.t_start,
-            "t_end": c.t_end,
-            "strike": c.strike,
-            "w": c.w,
-        }
-    if isinstance(c, LookbackFixed):
-        return {
-            "type": "lookback_fixed",
-            **_schedule_to(c.schedule),
-            "strike": c.strike,
-            "w": c.w,
-        }
-    if isinstance(c, Chooser):
-        return {
-            "type": "chooser",
-            "t": c.t,
-            "t1": c.t1,
-            "t_expiry": c.t_expiry,
-            "strike": c.strike,
-        }
-    if isinstance(c, Compound):
-        return {
-            "type": "compound",
-            "t": c.t,
-            "legs": [{"t": T, "strike": K, "w": w} for T, K, w in c.legs],
-        }
-    if isinstance(c, BarrierDownOutCall):
-        return {
-            "type": "barrier_down_out_call",
-            **_schedule_to(c.schedule),
-            "barrier": c.barrier,
-            "strike": c.strike,
-        }
-    raise SchemaError(f"cannot serialize contract type {type(c).__name__}")
+    kind = _TYPE_NAMES.get(type(c))
+    if kind is None:
+        raise SchemaError(f"cannot serialize contract type {type(c).__name__}")
+    out = {"type": kind}
+    for f in fields(c):
+        value = getattr(c, f.name)
+        if is_dataclass(value):  # a schedule or payoff: its fields sit in the contract object
+            out.update((g.name, _plain(getattr(value, g.name))) for g in fields(value))
+        elif f.name == "legs":
+            out["legs"] = [dict(zip(("t", "strike", "w"), leg)) for leg in value]
+        elif f.name != "weights" or value:
+            out[f.name] = _plain(value)
+    return out
+
+
+def _field_from(f, obj: dict, context: str):
+    """Value of contract field ``f`` read from the contract object ``obj``."""
+    if f.type == "MonitoringSchedule":
+        t = _cast(float, obj.get("t", 0.0), "t", context)
+        return MonitoringSchedule(t, _nonempty_list(obj, "dates", context))
+    if f.type == "PayoffParameterSet":
+        return PayoffParameterSet(*(_need(obj, g.name, context)
+                                    for g in fields(PayoffParameterSet)))
+    if f.name == "legs":
+        return tuple((_need(leg, "t", "contract.legs[]"), _need(leg, "strike", "contract.legs[]"),
+                      leg.get("w", 1)) for leg in _nonempty_list(obj, "legs", context))
+    value = _need(obj, f.name, context) if f.default is MISSING else obj.get(f.name, f.default)
+    if f.name == "weights":
+        return tuple(float(x) for x in value) if value else None
+    return _cast(_CASTS[f.type], value, f.name, context)
 
 
 def contract_from_dict(obj: dict) -> ContractSpec:
     kind = str(_need(obj, "type", "contract")).lower()
+    if kind not in _CONTRACTS:
+        raise SchemaError(f"unknown contract type '{kind}' in contract.type")
+    cls = _CONTRACTS[kind]
+    context = f"contract ({kind})"
     try:
-        if kind == "digital":
-            sched = _schedule_from(obj, "contract (digital)")
-            payoff = PayoffParameterSet(
-                tuple(float(g) for g in _need(obj, "gamma", "contract (digital)")),
-                tuple(float(k) for k in _need(obj, "k_log", "contract (digital)")),
-                tuple(int(w) for w in _need(obj, "w", "contract (digital)")),
-                tuple(tuple(float(v) for v in row)
-                      for row in _need(obj, "a", "contract (digital)")),
-            )
-            return Digital(sched, payoff)
-        if kind == "forward_start":
-            return ForwardStart(
-                float(_need(obj, "t1", "contract")),
-                float(_need(obj, "t2", "contract")),
-                int(obj.get("w", 1)),
-                float(obj.get("t", 0.0)),
-            )
-        if kind == "asian_geometric":
-            weights = obj.get("weights")
-            return AsianGeometric(
-                _schedule_from(obj, "contract (asian_geometric)"),
-                float(_need(obj, "strike", "contract")),
-                int(obj.get("w", 1)),
-                tuple(float(x) for x in weights) if weights else None,
-            )
-        if kind == "asian_continuous":
-            return AsianContinuous(
-                float(_need(obj, "t_start", "contract")),
-                float(_need(obj, "t_end", "contract")),
-                float(_need(obj, "strike", "contract")),
-                int(obj.get("w", 1)),
-            )
-        if kind == "lookback_fixed":
-            return LookbackFixed(
-                _schedule_from(obj, "contract (lookback_fixed)"),
-                float(_need(obj, "strike", "contract")),
-                int(obj.get("w", 1)),
-            )
-        if kind == "chooser":
-            return Chooser(
-                float(_need(obj, "t1", "contract")),
-                float(_need(obj, "t_expiry", "contract")),
-                float(_need(obj, "strike", "contract")),
-                float(obj.get("t", 0.0)),
-            )
-        if kind == "compound":
-            legs = _need(obj, "legs", "contract (compound)")
-            if not isinstance(legs, (list, tuple)) or not legs:
-                raise SchemaError("field 'legs' in contract must be a nonempty list")
-            parsed = tuple(
-                (
-                    float(_need(leg, "t", "contract.legs[]")),
-                    float(_need(leg, "strike", "contract.legs[]")),
-                    int(leg.get("w", 1)),
-                )
-                for leg in legs
-            )
-            return Compound(parsed, float(obj.get("t", 0.0)))
-        if kind == "barrier_down_out_call":
-            return BarrierDownOutCall(
-                _schedule_from(obj, "contract (barrier_down_out_call)"),
-                float(_need(obj, "barrier", "contract")),
-                float(_need(obj, "strike", "contract")),
-            )
+        return cls(*(_field_from(f, obj, context) for f in fields(cls)))
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"bad contract field: {exc}") from exc
-    raise SchemaError(f"unknown contract type '{kind}' in contract.type")
 
 
 def runspec_from_dict(obj: dict) -> RunSpec:
-    if not isinstance(obj, dict):
-        raise SchemaError("specification must be a JSON object")
     model = model_from_dict(_need(obj, "model", "specification"))
     contract = contract_from_dict(_need(obj, "contract", "specification"))
-    try:
-        spot = float(_need(obj, "spot", "specification"))
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"bad field 'spot': {exc}") from exc
-    if spot <= 0:
-        raise SchemaError("field 'spot' must be positive")
+    spot = _cast(float, _need(obj, "spot", "specification"), "spot", "specification")
     pricing = obj.get("pricing", {})
-    method = str(pricing.get("method", "fourier")).lower()
-    if method not in METHODS:
-        raise SchemaError(f"unknown method '{method}' in pricing.method")
+    if not isinstance(pricing, dict):
+        raise SchemaError("pricing must be a JSON object")
     tol = pricing.get("tol")
     return RunSpec(
         model=model,
         contract=contract,
         spot=spot,
-        method=method,
-        tol=float(tol) if tol is not None else None,
-        paths=int(pricing.get("paths", 100_000)),
-        seed=int(pricing.get("seed", 0)),
+        method=str(pricing.get("method", "fourier")).lower(),
+        tol=None if tol is None else _cast(float, tol, "tol", "pricing"),
+        paths=_cast(int, pricing.get("paths", 100_000), "paths", "pricing"),
+        seed=_cast(int, pricing.get("seed", 0), "seed", "pricing"),
     )
 
 

@@ -165,7 +165,7 @@ def test_criterion_6_degenerate_limits():
     # degenerate second leg needs wide offsets and a deeper grid
     straddle = vanilla + bs_price(SPOT, 100.0, 1.0, 0.2, 0.05, -1)
     chooser = Chooser(1.0 - 1e-4, 1.0, 100.0)
-    port = to_portfolio(chooser, GAUSS, SPOT)
+    port = to_portfolio(chooser, GAUSS)
     value = port.cash
     for coef, sched, payoff in port.terms:
         res = price_digital(GAUSS, sched, payoff, SPOT,

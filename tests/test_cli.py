@@ -133,6 +133,40 @@ class TestPriceCommand:
         assert rc == 2
         assert "spot" in err
 
+    @pytest.mark.parametrize("field, patch", [
+        ("r", {"model": {**GAUSS_MODEL, "r": "five"}}),
+        ("sigma", {"model": {**GAUSS_MODEL, "params": {"sigma": "wide"}}}),
+        ("tol", {"pricing": {"tol": "tight"}}),
+        ("paths", {"pricing": {"paths": "many"}}),
+        ("paths", {"pricing": {"method": "mc", "paths": 0}}),
+        ("seed", {"pricing": {"seed": "lucky"}}),
+    ], ids=["r", "sigma", "tol", "paths", "paths-zero", "seed"])
+    def test_malformed_value_names_field(self, tmp_path, capsys, field, patch):
+        payload = {"model": GAUSS_MODEL, "spot": 100.0, "contract": digital_contract(), **patch}
+        rc = main(["price", "--spec", spec_file(tmp_path, payload)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: SchemaError:")
+        assert f"'{field}'" in err
+
+    @pytest.mark.parametrize("context, patch", [
+        ("model.params (nig)", {"model": {**NIG_MODEL, "params": 8.0}}),
+        ("pricing", {"pricing": "fast"}),
+        ("contract.legs[]", {"contract": {"type": "compound", "legs": [5.0]}}),
+    ], ids=["params", "pricing", "leg"])
+    def test_non_object_rejected(self, tmp_path, capsys, context, patch):
+        payload = {"model": GAUSS_MODEL, "spot": 100.0, "contract": digital_contract(), **patch}
+        rc = main(["price", "--spec", spec_file(tmp_path, payload)])
+        assert rc == 2
+        assert f"{context} must be a JSON object" in capsys.readouterr().err
+
+    def test_negative_paths_override_rejected(self, tmp_path, capsys):
+        payload = {"model": GAUSS_MODEL, "spot": 100.0, "contract": digital_contract()}
+        rc = main(["price", "--spec", spec_file(tmp_path, payload),
+                   "--method", "mc", "--paths", "-5"])
+        assert rc == 2
+        assert "'paths'" in capsys.readouterr().err
+
     def test_pricing_error_exit_code(self, tmp_path, capsys):
         bad = digital_contract()
         bad["gamma"] = [11.0]  # outside the NIG strip for every offset

@@ -169,7 +169,7 @@ class TestCompound:
         # the zero-strike put at 0.75 is worth nothing, so the put at 0.5
         # always sells it for 5 and the call never buys it
         comp = Compound(((0.5, 5.0, w1), (0.75, 0.0, -1), (1.0, 100.0, 1)))
-        port = to_portfolio(comp, GAUSS, SPOT)
+        port = to_portfolio(comp, GAUSS)
         assert port.terms == ()
         assert port.cash == pytest.approx(expected, abs=1e-12)
         assert price_contract(comp, GAUSS, SPOT).value == pytest.approx(expected, abs=1e-12)
@@ -254,6 +254,28 @@ class TestPortfolioError:
     def test_continuous_asian_honours_max_nodes(self):
         with pytest.raises(NoConvergence):
             price_contract(AsianContinuous(0.0, 1.0, 100.0), NIG, SPOT, max_nodes=32)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"fixed_nodes": 31}, {"fixed_nodes": 8}, {"max_nodes": 31}, {"max_nodes": 8},
+    ], ids=["fixed-odd", "fixed-small", "cap-odd", "cap-small"])
+    @pytest.mark.parametrize("contract", [
+        AsianGeometric(MonitoringSchedule(0.0, (1.0,)), 100.0),
+        Chooser(0.5, 1.0, 100.0),
+    ], ids=["call", "chooser"])
+    def test_bad_node_counts_rejected_for_every_n(self, contract, kwargs):
+        with pytest.raises(ValueError, match="must be even and at least 16"):
+            price_contract(contract, GAUSS, SPOT, **kwargs)
+
+    @pytest.mark.parametrize("contract", [
+        AsianGeometric(MonitoringSchedule(0.0, (1.0,)), 100.0),
+        Chooser(0.5, 1.0, 100.0),
+    ], ids=["call", "chooser"])
+    def test_small_node_cap_starts_at_floor(self, contract):
+        # a cap of 24 is below the default start counts: the ladder runs 16 then 24 nodes
+        with pytest.raises(NoConvergence) as info:
+            price_contract(contract, GAUSS, SPOT, max_nodes=24)
+        result = info.value.result
+        assert abs(result.value - closed_form_price(contract, 0.2, 0.05, SPOT)) <= result.quadrature_error
 
     @pytest.mark.parametrize("nodes", [16, 32, 64, 128])
     @pytest.mark.parametrize("contract", [

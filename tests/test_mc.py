@@ -131,6 +131,17 @@ class TestMcPrice:
         with pytest.raises(UnsupportedContract):
             mc_price(object(), GAUSS, SPOT, 1000, 0)
 
+    @pytest.mark.parametrize("n_paths", [0, -5])
+    @pytest.mark.parametrize("contract", [
+        ForwardStart(0.5, 1.0),
+        Compound(((0.5, 5.0, 1), (1.0, 100.0, 1))),
+    ], ids=["forward_start", "compound"])
+    def test_no_paths_rejected(self, contract, n_paths):
+        with pytest.raises(ValueError, match="at least one path"):
+            mc_price(contract, GAUSS, SPOT, n_paths, 0)
+        with pytest.raises(ValueError, match="at least one path"):
+            simulate_monitoring(GAUSS, SCHED2, n_paths, 0)
+
     def test_continuous_asian_near_closed_form(self):
         contract = AsianContinuous(0.0, 1.0, 100.0)
         fourier = price_contract(contract, GAUSS, SPOT).value

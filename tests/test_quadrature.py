@@ -214,7 +214,7 @@ class TestLadder:
             return total, cq._roundoff_estimate(float(np.abs(vals).sum()) * h, p + 1), p + 1
 
         res = cq._refine(level, (start_nodes,), max_nodes, tol,
-                         lambda nodes: cq._tail_estimate(*edges, 2.0 * truncation / nodes[0]), (truncation,))
+                         lambda nodes: cq._tail_estimate(*edges, 2.0 * truncation / nodes[0]))
         return res, sizes
 
     @pytest.mark.parametrize("tol,start,cap", [
