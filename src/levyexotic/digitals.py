@@ -515,8 +515,8 @@ def _contour_price(integrand, b, truncations, d_vec, raw_tol, prefactor, dims,
     divides by (2 pi i)^N rather than multiplying by its rounded inverse, so
     the normal-CDF identity keeps its last digit.  ``fixed_nodes`` evaluates
     a single level and never raises NoConvergence.  ``fixed_nodes`` and
-    ``max_nodes`` must be even and at least 16 for every N; start counts lie
-    in [16, cap // 2].
+    ``max_nodes`` must be even and at least 16 for every N; a start count is
+    at most half the cap, but never below 16.
     """
     n = len(b)
     for name, count in (("fixed_nodes", fixed_nodes), ("max_nodes", max_nodes)):
@@ -528,8 +528,8 @@ def _contour_price(integrand, b, truncations, d_vec, raw_tol, prefactor, dims,
     else:
         cap = cq._node_cap(n if chain is None else 1, max_nodes)
         starts = [
-            max(16, min(_pow2_at_least(max(32, int(truncations[k] * (abs(d_vec[k]) + 2.0) / math.pi))),
-                        cap // 2))
+            min(_pow2_at_least(max(32, int(truncations[k] * (abs(d_vec[k]) + 2.0) / math.pi))),
+                max(16, cap // 2))
             for k in range(n)
         ]
 

@@ -84,7 +84,7 @@ def _simulate_block(model: LevyModel, deltas: np.ndarray, seed: int, block: int)
 
 
 def _iter_blocks(model, sched: MonitoringSchedule, n_paths: int, seed: int):
-    """Generator of the path blocks; checks ``n_paths`` before any is drawn."""
+    """Path blocks of at most BLOCK rows, drawn lazily; ``n_paths`` < 1 raises at the call."""
     if n_paths < 1:
         raise ValueError("need at least one path")
     deltas = sched.intervals()
