@@ -23,6 +23,7 @@ from .digitals import (
     PayoffParameterSet,
     PriceResult,
     _contour_price,
+    _whole,
     default_offsets,
     price_digital,
 )
@@ -158,7 +159,7 @@ class Compound:
     t: float = 0.0
 
     def __post_init__(self):
-        legs = tuple((float(T), float(K), int(w)) for T, K, w in self.legs)
+        legs = tuple((float(T), float(K), _whole(w, "leg sign w")) for T, K, w in self.legs)
         object.__setattr__(self, "legs", legs)
         if len(legs) < 1:
             raise ValueError("need at least one leg")
@@ -316,12 +317,15 @@ def _cash_compound(legs, t: float, r: float) -> float | None:
     return value * math.exp(-r * (date - t))
 
 
-def to_portfolio(c: ContractSpec, model: LevyModel | None = None) -> DigitalPortfolio:
+def to_portfolio(c: ContractSpec, model: LevyModel | None = None,
+                 tol: float | None = None) -> DigitalPortfolio:
     """Exact static decomposition of a contract into weighted power digitals.
 
     ``model`` is needed for the contracts with a discounted strike or cash
     leg (lookback, chooser) and for compounds, whose critical prices are
-    solved here.
+    solved here.  ``tol`` is the tolerance the portfolio is to be priced to:
+    the critical prices are then solved to relative accuracy 0.01 * sqrt(tol),
+    and to the ``solve_compound_thresholds`` default without it.
     """
     if isinstance(c, Digital):
         return DigitalPortfolio(((1.0, c.schedule, c.payoff),), 0.0)
@@ -385,7 +389,12 @@ def to_portfolio(c: ContractSpec, model: LevyModel | None = None) -> DigitalPort
         cash = _cash_compound(c.legs, c.t, model.r)
         if cash is not None:
             return DigitalPortfolio((), cash)
-        thresholds = solve_compound_thresholds(c, model)
+        if tol is None:
+            thresholds = solve_compound_thresholds(c, model)
+        else:
+            # the value is stationary in each critical price, so a relative
+            # root error e moves it by O(e^2), far below tol at this e
+            thresholds = solve_compound_thresholds(c, model, rel_tol=0.01 * math.sqrt(tol))
         return _compound_portfolio(c, thresholds)
 
     if isinstance(c, BarrierDownOutCall):
@@ -425,30 +434,43 @@ def _compound_value(legs, thresholds, model, spot, t, tol):
 def _bracket_root(objective, x0: float, xtol: float) -> float:
     """Root of ``objective`` bracketed geometrically around ``x0``, then brentq.
 
-    Evaluates x0, then up to 60 pairs x0 / 2^k, x0 * 2^k (lower first) until
-    the values at the bracket ends differ in sign or one is zero.
+    Each step moves the lower end down and the upper end up by a ratio that
+    starts at 1.25 and grows by that factor every step; the side whose value
+    is nearer zero moves first (the lower side on the first step).  The
+    first new end whose value differs in sign from the previous end on its
+    side (or is zero) closes a bracket holding just that step, which goes to
+    brentq.  After 60 steps without one, NoRoot.  No spot is evaluated
+    twice: brentq reuses the values at the bracket ends.
     """
-    lo = hi = x0
-    f_lo = f_hi = objective(x0)
-    doublings = 0
-    while not min(f_lo, f_hi) <= 0.0 <= max(f_lo, f_hi):
-        if doublings == 60:
-            raise NoRoot(f"no sign change between {lo:g} and {hi:g} around {x0:g}")
-        lo /= 2.0
-        hi *= 2.0
-        f_lo, f_hi = objective(lo), objective(hi)
-        doublings += 1
-    return float(brentq(objective, lo, hi, xtol=xtol, rtol=8.9e-16))
+    values = {}
+
+    def f(x):
+        if x not in values:
+            values[x] = objective(x)
+        return values[x]
+
+    ends = {-1: x0, 1: x0}  # the last end on each side
+    ratio = 1.25
+    for _ in range(60):
+        for side in sorted(ends, key=lambda k: abs(f(ends[k]))):
+            a = ends[side]
+            b = a * ratio**side
+            if min(f(a), f(b)) <= 0.0 <= max(f(a), f(b)):
+                return float(brentq(f, min(a, b), max(a, b), xtol=xtol, rtol=8.9e-16))
+            ends[side] = b
+        ratio *= 1.25
+    raise NoRoot(f"no sign change between {ends[-1]:g} and {ends[1]:g} around {x0:g}")
 
 
 def _solve_thresholds(legs, value, rel_tol: float) -> list:
     """Critical prices S_j* of compound ``legs``, solved innermost-outward.
 
     ``value(j, inner_thresholds, s)`` prices ``legs[j + 1:]`` at T_j and spot
-    s, given their own thresholds; S_j* is where it equals K_j, found by
-    ``_bracket_root`` from K_j to relative accuracy ``rel_tol``.  The
-    innermost threshold is its strike, and a zero strike yields ``None``
-    (the exercise condition degenerates).
+    s, given their own thresholds; S_j* is where it equals K_j.  The root is
+    a spot, so ``_bracket_root`` starts at the nearest solved inner critical
+    price (the innermost strike for depth 2) and stops at ``rel_tol`` times
+    that start.  The innermost threshold is its strike, and a zero strike
+    yields ``None`` (the exercise condition degenerates).
     """
     thresholds: list = [None] * len(legs)
     K_n = legs[-1][1]
@@ -458,7 +480,8 @@ def _solve_thresholds(legs, value, rel_tol: float) -> list:
         if K_j == 0.0:
             continue
         inner = thresholds[j + 1:]
-        thresholds[j] = _bracket_root(lambda s: value(j, inner, s) - K_j, K_j, K_j * rel_tol)
+        x0 = next(s for s in inner if s is not None)
+        thresholds[j] = _bracket_root(lambda s: value(j, inner, s) - K_j, x0, x0 * rel_tol)
     return thresholds
 
 
@@ -467,10 +490,11 @@ def solve_compound_thresholds(c: Compound, model: LevyModel,
     """Critical prices S_j* where the remaining compound value equals K_j.
 
     Each is solved on the engine's own sub-compound prices
-    (``_solve_thresholds``).  Brackets grow geometrically from K_j by factors
-    of 2, at most 60 doublings (``_bracket_root``).  An inner price that
-    stalls raises NoConvergence naming the leg whose critical price failed,
-    with no result: no compound value was formed.
+    (``_solve_thresholds``), to relative accuracy ``rel_tol``, with each
+    inner price asked for max(K_j * rel_tol / 100, 1e-13).  Brackets grow
+    outward from the nearest solved inner critical price (``_bracket_root``).
+    An inner price that stalls raises NoConvergence naming the leg whose
+    critical price failed, with no result: no compound value was formed.
     """
     def value(j, inner_thresholds, s):
         T_j, K_j, _ = c.legs[j]
@@ -556,7 +580,9 @@ def price_contract(
     """
     if isinstance(c, AsianContinuous):
         return _price_asian_continuous(c, model, spot, tol, fixed_nodes, max_nodes)
-    port = to_portfolio(c, model)
+    # a compound that solves a critical price has a term with two or more
+    # conditions, so its default tolerance is the N-D one
+    port = to_portfolio(c, model, tol=DEFAULT_TOL_ND if tol is None else tol)
     if not port.terms:
         return PriceResult(port.cash, 0.0, None, (0, 0), 0)
 

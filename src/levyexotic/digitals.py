@@ -36,6 +36,13 @@ MAX_TENSOR_DIM = max(cq.TENSOR_NODE_CAPS)
 OFFSET_FLOOR = 0.25
 
 
+def _whole(value, name: str = "value") -> int:
+    """``value`` as an int; a number with a fractional part raises ValueError naming ``name``."""
+    if not float(value).is_integer():
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class MonitoringSchedule:
     """Current time t and strictly increasing monitoring dates, in years."""
@@ -81,7 +88,7 @@ class PayoffParameterSet:
     def __post_init__(self):
         gamma = tuple(float(g) for g in self.gamma)
         k_log = tuple(float(k) for k in self.k_log)
-        w = tuple(int(s) for s in self.w)
+        w = tuple(_whole(s, "sign w") for s in self.w)
         a = tuple(tuple(float(v) for v in row) for row in self.a)
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "k_log", k_log)

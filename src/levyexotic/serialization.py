@@ -28,7 +28,7 @@ from .contracts import (
     ForwardStart,
     LookbackFixed,
 )
-from .digitals import MonitoringSchedule, PayoffParameterSet
+from .digitals import MonitoringSchedule, PayoffParameterSet, _whole
 from .errors import SchemaError
 from .models import GAUSSIAN_STRIP_PROXY, LevyModel, make_model
 
@@ -49,7 +49,7 @@ _CONTRACTS = {
     "barrier_down_out_call": BarrierDownOutCall,
 }
 _TYPE_NAMES = {cls: name for name, cls in _CONTRACTS.items()}
-_CASTS = {"float": float, "int": int}
+_CASTS = {"float": float, "int": _whole}
 
 METHODS = ("fourier", "mc", "closed_form")
 
@@ -183,8 +183,8 @@ def runspec_from_dict(obj: dict) -> RunSpec:
         spot=spot,
         method=str(pricing.get("method", "fourier")).lower(),
         tol=None if tol is None else _cast(float, tol, "tol", "pricing"),
-        paths=_cast(int, pricing.get("paths", 100_000), "paths", "pricing"),
-        seed=_cast(int, pricing.get("seed", 0), "seed", "pricing"),
+        paths=_cast(_whole, pricing.get("paths", 100_000), "paths", "pricing"),
+        seed=_cast(_whole, pricing.get("seed", 0), "seed", "pricing"),
     )
 
 

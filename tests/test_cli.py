@@ -282,6 +282,29 @@ class TestRoundTrip:
         with pytest.raises(SchemaError):
             contract_from_dict({"type": "swing"})
 
+    @pytest.mark.parametrize("field, contract, pricing", [
+        ("'w'", lambda v: {"type": "forward_start", "t1": 0.5, "t2": 1.0, "w": -v}, lambda v: {}),
+        ("leg sign w", lambda v: {"type": "compound", "legs": [{"t": 0.5, "strike": 5.0, "w": v},
+                                                               {"t": 1.0, "strike": 100.0}]},
+         lambda v: {}),
+        ("sign w", lambda v: {**digital_contract(), "w": [v]}, lambda v: {}),
+        ("'paths'", lambda v: digital_contract(), lambda v: {"paths": 2 * v}),
+        ("'seed'", lambda v: digital_contract(), lambda v: {"seed": v}),
+    ], ids=["contract-w", "leg-w", "payoff-w", "paths", "seed"])
+    def test_non_integral_integer_names_field(self, field, contract, pricing):
+        def payload(v):
+            return {"model": GAUSS_MODEL, "spot": 100.0, "contract": contract(v), "pricing": pricing(v)}
+
+        with pytest.raises(SchemaError, match=f"{field}.*whole number"):
+            runspec_from_dict(payload(1.35))
+        runspec_from_dict(payload(1.0))  # a whole number written as a float is that integer
+
+    def test_non_integral_signs_rejected_by_the_contracts(self):
+        with pytest.raises(ValueError, match="leg sign w must be a whole number"):
+            Compound(((0.5, 5.0, 1.9), (1.0, 100.0, 1)))
+        with pytest.raises(ValueError, match="sign w must be a whole number"):
+            PayoffParameterSet((0.0,), (4.6,), (0.5,), ((1.0,),))
+
 
 def test_import_does_not_load_scipy_signal():
     # scipy.signal costs about half a second to import; the chain rule's

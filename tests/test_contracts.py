@@ -25,12 +25,14 @@ from levyexotic import (
     to_portfolio,
 )
 from levyexotic import contracts
-from levyexotic.errors import CapExceeded, NoConvergence, UnsupportedContract
+from levyexotic.errors import CapExceeded, NoConvergence, NoRoot, UnsupportedContract
 from levyexotic.gaussian import _compound_cf_thresholds
 from levyexotic.quadrature import integrate_line
 
 GAUSS = make_gaussian(0.2, 0.05)
 NIG = make_nig(8.0, -2.0, 0.3, 0.05)
+CGMY05 = make_cgmy(1.0, 5.0, 5.0, 0.5, 0.05)
+CGMY15 = make_cgmy(1.0, 5.0, 5.0, 1.5, 0.05)
 SPOT = 100.0
 
 
@@ -231,6 +233,90 @@ class TestCompound:
         residual = compound_parity_check(GAUSS, 0.0, 0.5, 100.0, 1.0, 1, SPOT)
         assert abs(residual) < 1e-7
 
+    def test_cgmy_half_call_on_put_converges(self):
+        # its inner prices were once asked for 3e-12 and stalled at spot 3
+        comp = Compound(((0.5, 3.0, 1), (1.0, 100.0, -1)))
+        res = price_contract(comp, CGMY05, SPOT)
+        assert res.value == pytest.approx(9.9695896, abs=1e-6)
+        assert res.quadrature_error < 1e-8
+
+    def test_cgmy_half_call_on_put_parity(self):
+        residual = compound_parity_check(CGMY05, 3.0, 0.5, 100.0, 1.0, -1, SPOT)
+        assert abs(residual) < 1e-10
+
+
+def _counting(monkeypatch, name):
+    """Replace ``contracts.<name>`` by a wrapper that records each call's keyword arguments."""
+    original = getattr(contracts, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(contracts, name, counted)
+    return calls
+
+
+# the depth-2 compounds of the compound-roots benchmark workload
+DEPTH_TWO = [Compound(((0.5, K1, w1), (1.0, 100.0, w2)))
+             for K1 in (3.0, 8.0) for w1 in (1, -1) for w2 in (1, -1)]
+
+
+class TestThresholdSearch:
+    @pytest.mark.parametrize("root", [0.37, 97.3, 104.0, 3e4])
+    @pytest.mark.parametrize("slope", [1.0, -1.0])
+    def test_bracket_root_evaluates_no_spot_twice(self, root, slope):
+        spots = []
+
+        def objective(x):
+            spots.append(x)
+            return slope * math.log(x / root)
+
+        found = contracts._bracket_root(objective, 100.0, 1e-9)
+        assert found == pytest.approx(root, rel=1e-10)
+        assert len(spots) == len(set(spots))
+
+    def test_bracket_root_without_sign_change_raises(self):
+        spots = []
+
+        def objective(x):
+            spots.append(x)
+            return 1.0
+
+        with pytest.raises(NoRoot, match="no sign change"):
+            contracts._bracket_root(objective, 100.0, 1e-9)
+        assert len(spots) == 1 + 2 * 60
+
+    @pytest.mark.parametrize("comp, most", [
+        (Compound(((0.5, 3.0, 1), (1.0, 100.0, 1))), 12),
+        (Compound(((0.5, 8.0, -1), (1.0, 100.0, -1))), 12),
+        (Compound(((0.25, 2.0, 1), (0.5, 4.0, 1), (1.0, 100.0, 1))), 20),
+        (Compound(((0.25, 2.0, -1), (0.5, 4.0, 1), (1.0, 100.0, 1))), 20),
+    ], ids=["depth2-call-on-call", "depth2-put-on-put", "depth3-call", "depth3-put"])
+    def test_objective_calls(self, monkeypatch, comp, most):
+        calls = _counting(monkeypatch, "_compound_value")
+        price_contract(comp, GAUSS, SPOT)
+        assert 0 < len(calls) <= most
+
+    def test_root_tolerance_follows_price_tolerance(self, monkeypatch):
+        calls = _counting(monkeypatch, "solve_compound_thresholds")
+        price_contract(DEPTH_TWO[0], GAUSS, SPOT)
+        price_contract(DEPTH_TWO[0], GAUSS, SPOT, tol=1e-8)
+        to_portfolio(DEPTH_TWO[0], GAUSS)
+        assert calls == [{"rel_tol": pytest.approx(1e-5)}, {"rel_tol": pytest.approx(1e-6)}, {}]
+
+    @pytest.mark.parametrize("model", [GAUSS, CGMY15], ids=["gaussian", "cgmy15"])
+    def test_default_price_matches_tight_thresholds(self, monkeypatch, model):
+        # the value is stationary in each critical price: solving them to
+        # 0.01*sqrt(tol) instead of 1e-10 moves no price by 5% of its claimed error
+        default = [price_contract(c, model, SPOT) for c in DEPTH_TWO]
+        solve = contracts.solve_compound_thresholds
+        monkeypatch.setattr(contracts, "solve_compound_thresholds", lambda c, m, rel_tol=None: solve(c, m))
+        for c, res in zip(DEPTH_TWO, default):
+            tight = price_contract(c, model, SPOT)
+            assert abs(res.value - tight.value) <= 0.05 * res.quadrature_error, c.legs
+
 
 class TestPortfolioError:
     def test_error_is_sum_of_term_errors(self):
@@ -349,6 +435,5 @@ class TestAsian:
 
 
 def test_cgmy_parity():
-    model = make_cgmy(1.0, 5.0, 5.0, 0.5, 0.05)
-    residual = compound_parity_check(model, 5.0, 0.5, 100.0, 1.0, 1, SPOT)
+    residual = compound_parity_check(CGMY05, 5.0, 0.5, 100.0, 1.0, 1, SPOT)
     assert abs(residual) < 1e-5

@@ -193,5 +193,9 @@ class TestClosedForms:
                 monkeypatch.setattr(module, "_bracket_root", counted)
         comp = Compound(((0.25, 2.0, 1), (0.5, 4.0, 1), (1.0, 100.0, 1)))
         value = closed_form_price(comp, 0.2, 0.05, 100.0)
-        assert solves == [4.0, 2.0]  # innermost first, the outer objective reuses it
+        starts = list(solves)
+        s_2 = _compound_cf_thresholds(comp.legs, 0.0, 0.2, 0.05)[1]
+        # innermost first, each started at the critical price inside it;
+        # the outer objective reuses S_2*
+        assert starts == [100.0, s_2]
         assert value == pytest.approx(5.413122969638287, rel=1e-12)
