@@ -13,6 +13,7 @@ import sys
 import time
 
 from .contracts import AsianContinuous, price_contract, to_portfolio
+from .digitals import DEFAULT_TOL_ND
 from .errors import PricingError, SchemaError, UnsupportedModel
 from .gaussian import closed_form_price
 from .mc import mc_price
@@ -112,7 +113,9 @@ def _grid_resolutions(spec: RunSpec) -> list[int]:
     if isinstance(spec.contract, AsianContinuous):
         dims = 1
     else:
-        port = to_portfolio(spec.contract, spec.model)
+        # price_contract's own tolerance: a compound's critical prices are
+        # solved here only to count its conditions
+        port = to_portfolio(spec.contract, spec.model, tol=DEFAULT_TOL_ND)
         dims = max((p.n for _, _, p in port.terms), default=0)
     if dims <= 1:
         return [64, 128, 256, 512, 1024]

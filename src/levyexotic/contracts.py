@@ -510,21 +510,21 @@ def solve_compound_thresholds(c: Compound, model: LevyModel,
     return _solve_thresholds(c.legs, value, rel_tol)
 
 
-# nodes for the averaged exponent of the continuous Asian
-_GL_Y, _GL_WY = np.polynomial.legendre.leggauss(64)
-_ASIAN_Y = 0.5 * (_GL_Y + 1.0)
-_ASIAN_W = 0.5 * _GL_WY
-
-
 def continuous_asian_psi(model: LevyModel, xi):
-    """Averaged exponent int_0^1 psi(xi*(1-y)) dy by 64-node Gauss-Legendre."""
+    """Averaged exponent int_0^1 psi(xi*(1-y)) dy = -i mu xi / 2 + (1/xi) int_0^xi phi.
+
+    The second part is each family's closed form, ``model.phi_average``: a
+    polynomial for the Gaussian, powers (m - iu)**(y+1) and (g + iu)**(y+1)
+    for CGMY, a square-root and logarithm (asinh) antiderivative for NIG,
+    with a Taylor series near xi = 0 where those forms cancel.  The strip
+    check runs at xi; the strip holds 0 and is convex, so it then holds the
+    whole segment [0, xi].  The tests keep 64-node Gauss-Legendre in y as
+    the oracle.
+    """
     arr = np.asarray(xi, dtype=complex)
-    scalar = arr.ndim == 0
-    lam = 1.0 - _ASIAN_Y  # in ]0,1[
-    args = arr[..., None] * lam
-    vals = model.psi(args)
-    out = (vals * _ASIAN_W).sum(axis=-1)
-    return complex(out) if scalar else out
+    model.check_strip(arr)
+    out = -0.5j * model.mu * arr + model.phi_average(arr)
+    return complex(out) if arr.ndim == 0 else out
 
 
 def _price_asian_continuous(c: AsianContinuous, model: LevyModel, spot: float,

@@ -23,10 +23,57 @@ GAUSSIAN_STRIP_PROXY = 50.0
 
 EMM_TOL = 1e-12
 
+# The closed-form averages (1/xi) int_0^xi phi cancel as xi -> 0: they
+# subtract O(1) terms to leave an O(xi) or O(xi**2) result, so their relative
+# error grows like eps * (radius/|xi|)**2.  Below SERIES_RATIO times the
+# Taylor radius (the distance to the nearest branch point) a series replaces
+# them.  The series coefficients do not grow, so SERIES_TERMS terms leave a
+# tail near SERIES_RATIO**SERIES_TERMS = 1.4e-17 relative to the first term.
+SERIES_RATIO = 0.5
+SERIES_TERMS = 56
+
 
 def _as_complex(xi):
     arr = np.asarray(xi, dtype=complex)
     return arr, arr.ndim == 0
+
+
+def _power_series(coefs, t):
+    """sum_k coefs[k-1] * t**k for k = 1..len(coefs), by Horner's rule."""
+    acc = np.zeros_like(t)
+    for a in reversed(coefs):
+        acc = (acc + a) * t
+    return acc
+
+
+def _series_near_zero(x, radius, coefs, direct):
+    """direct(x), with the series sum_k c[k-1] (x/radius)**k, c = coefs(),
+    wherever |x| < SERIES_RATIO * radius."""
+    near = np.abs(x) < SERIES_RATIO * radius
+    if not near.any():
+        return direct(x)
+    out = np.empty_like(x)
+    out[near] = _power_series(coefs(), x[near] / radius)
+    out[~near] = direct(x[~near])
+    return out
+
+
+def _binomial_means(y: float) -> tuple:
+    """binom(y, k) / (k + 1) for k = 1..SERIES_TERMS."""
+    out, b = [], 1.0
+    for k in range(1, SERIES_TERMS + 1):
+        b *= (y - k + 1) / k
+        out.append(b / (k + 1))
+    return tuple(out)
+
+
+def _power_mean(y: float, z):
+    """(1/z) int_0^z ((1 + t)**y - 1) dt for Re(1 + z) > 0, accurate near z = 0."""
+    def direct(z):
+        # (1+z)**y * (1+z): the rounding of a complex power grows with its exponent
+        return (np.power(1.0 + z, y) * (1.0 + z) - 1.0) / ((y + 1.0) * z) - 1.0
+
+    return _series_near_zero(z, 1.0, lambda: _binomial_means(y), direct)
 
 
 @dataclass(frozen=True)
@@ -58,6 +105,14 @@ class LevyModel:
 
     def phi(self, xi):
         """Drift-free part of the exponent."""
+        raise NotImplementedError
+
+    def phi_average(self, xi):
+        """(1/xi) int_0^xi phi(u) du in closed form; 0 at xi = 0.
+
+        The segment [0, xi] lies in the strip whenever xi does, so the same
+        guards as ``phi`` apply at xi alone.
+        """
         raise NotImplementedError
 
     def check_strip(self, xi) -> None:
@@ -111,6 +166,9 @@ class GaussianModel(LevyModel):
     def phi(self, xi):
         return 0.5 * self.sigma**2 * xi * xi
 
+    def phi_average(self, xi):
+        return self.sigma**2 * xi * xi / 6.0
+
 
 @dataclass(frozen=True)
 class NIGModel(LevyModel):
@@ -154,6 +212,30 @@ class NIGModel(LevyModel):
         if np.min(np.real(root)) <= 0:
             raise StripViolation("NIG radicand left the right half plane")
         return self.delta * (np.sqrt(root) - math.sqrt(self.alpha**2 - self.beta**2))
+
+    def phi_average(self, xi):
+        # phi(u) = delta*(S(u) - gamma) with S(u) = sqrt(v**2 + alpha**2),
+        # v = u - i*beta, whose antiderivative is
+        # (v*S + alpha**2*asinh(v/alpha))/2; asinh(v/alpha) = log(v + S) - log(alpha).
+        xi = np.asarray(xi, dtype=complex)
+        a, b = self.alpha, self.beta
+        gam = math.sqrt(a * a - b * b)
+        v = xi - 1j * b
+        root = v * v + a * a
+        if np.min(root.real) <= 0:
+            raise StripViolation("NIG radicand left the right half plane")
+        # Taylor radius: the branch points i*(beta -+ alpha) are the strip edges
+        radius = a - abs(b)
+
+        def direct(x):
+            v = x - 1j * b
+            s = np.sqrt(v * v + a * a)
+            # (v S - v0 S0) / x with v0 = -i beta, S0 = gamma, free of cancellation;
+            # Re(v + S) > 0, so log((v + S) / (v0 + S0)) is the difference of logs
+            vs = s - 1j * b * (v - 1j * b) / (s + gam)
+            return 0.5 * (vs + a * a * np.log((v + s) / (gam - 1j * b)) / x) - gam
+
+        return self.delta * _series_near_zero(xi, radius, lambda: _nig_means(a, b, radius), direct)
 
 
 @dataclass(frozen=True)
@@ -205,6 +287,46 @@ class CGMYModel(LevyModel):
             np.power(base_m, self.y) - self.m**self.y
             + np.power(base_g, self.y) - self.g**self.y
         )
+
+    def phi_average(self, xi):
+        # phi(u) = -c Gamma(-y) (m**y ((1 - iu/m)**y - 1) + g**y ((1 + iu/g)**y - 1))
+        xi = np.asarray(xi, dtype=complex)
+        c, g, m, y = self.c, self.g, self.m, self.y
+        if min(np.min(m + xi.imag), np.min(g - xi.imag)) <= 0:
+            raise StripViolation("CGMY power base left the right half plane")
+        scale = -c * _gamma_fn(-y)
+        # Taylor radius: the branch points -i*m and i*g
+        radius = min(m, g)
+
+        def direct(x):
+            return scale * (m**y * _power_mean(y, -1j * x / m) + g**y * _power_mean(y, 1j * x / g))
+
+        # one series for both parts, so that their linear terms cancel
+        # exactly when m == g
+        return _series_near_zero(xi, radius, lambda: _cgmy_means(c, g, m, y, radius), direct)
+
+
+def _nig_means(alpha: float, beta: float, radius: float) -> tuple:
+    """Coefficients of t**k in the NIG average / delta, t = xi / radius.
+
+    S**2 = gamma**2 - 2i beta R t + R**2 t**2 with R = radius, and the
+    Taylor coefficients s_k of S follow from squaring the series.
+    """
+    gam = math.sqrt(alpha * alpha - beta * beta)
+    sq = [gam * gam, -2j * beta * radius, radius * radius]
+    s = [complex(gam)]
+    for n in range(1, SERIES_TERMS + 1):
+        conv = sum(s[k] * s[n - k] for k in range(1, n))
+        s.append(((sq[n] if n < 3 else 0.0) - conv) / (2.0 * gam))
+    return tuple(s[k] / (k + 1) for k in range(1, SERIES_TERMS + 1))
+
+
+def _cgmy_means(c: float, g: float, m: float, y: float, radius: float) -> tuple:
+    """Coefficients of t**k in the CGMY average, t = xi / radius."""
+    scale = -c * _gamma_fn(-y)
+    zm, zg = -1j * radius / m, 1j * radius / g
+    return tuple(scale * bk * (m**y * zm**k + g**y * zg**k)
+                 for k, bk in enumerate(_binomial_means(y), start=1))
 
 
 def make_gaussian(sigma: float, r: float, strip_proxy: float = GAUSSIAN_STRIP_PROXY) -> GaussianModel:

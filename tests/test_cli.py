@@ -218,6 +218,27 @@ class TestConvergenceCommand:
         # decreasing until the refinement bottoms out at machine noise
         assert all(b <= a * 1.01 or b < 1e-12 for a, b in zip(errors, errors[1:]))
 
+    def test_grid_axis_solves_thresholds_at_the_price_tolerance(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        from levyexotic import contracts
+        from levyexotic.digitals import DEFAULT_TOL_ND
+
+        seen = []
+        solve = contracts.solve_compound_thresholds
+
+        def recording(c, model, rel_tol=1e-10):
+            seen.append(rel_tol)
+            return solve(c, model, rel_tol=rel_tol)
+
+        monkeypatch.setattr(contracts, "solve_compound_thresholds", recording)
+        payload = {"model": GAUSS_MODEL, "spot": 100.0,
+                   "contract": contract_to_dict(Compound(((0.5, 5.0, 1), (1.0, 100.0, 1))))}
+        rc = main(["convergence", "--spec", spec_file(tmp_path, payload), "--axis", "grid"])
+        assert rc == 0
+        # one solve to size the grid, then one per resolution
+        assert len(seen) == 1 + len(capsys.readouterr().out.strip().splitlines()[1:])
+        assert seen == [pytest.approx(0.01 * math.sqrt(DEFAULT_TOL_ND))] * len(seen)
+
     def test_paths_axis_stderr_shrinks(self, tmp_path, capsys):
         payload = {
             "model": GAUSS_MODEL,

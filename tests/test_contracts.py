@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.special import ndtr
 
 from levyexotic import (
@@ -25,7 +26,13 @@ from levyexotic import (
     to_portfolio,
 )
 from levyexotic import contracts
-from levyexotic.errors import CapExceeded, NoConvergence, NoRoot, UnsupportedContract
+from levyexotic.errors import (
+    CapExceeded,
+    NoConvergence,
+    NoRoot,
+    StripViolation,
+    UnsupportedContract,
+)
 from levyexotic.gaussian import _compound_cf_thresholds
 from levyexotic.quadrature import integrate_line
 
@@ -34,6 +41,35 @@ NIG = make_nig(8.0, -2.0, 0.3, 0.05)
 CGMY05 = make_cgmy(1.0, 5.0, 5.0, 0.5, 0.05)
 CGMY15 = make_cgmy(1.0, 5.0, 5.0, 1.5, 0.05)
 SPOT = 100.0
+ASIAN_MODELS = {"gaussian": GAUSS, "nig": NIG, "cgmy05": CGMY05, "cgmy15": CGMY15}
+
+# the oracle for the closed-form averaged exponent: 64-node Gauss-Legendre in
+# the averaging variable
+_GL64_Y, _GL64_W = np.polynomial.legendre.leggauss(64)
+
+
+def gauss_legendre_asian_psi(psi, xi):
+    """Oracle for continuous_asian_psi: int_0^1 psi(xi*(1-y)) dy by 64-node Gauss-Legendre."""
+    lam = 0.5 * (1.0 - _GL64_Y)
+    return (psi(np.asarray(xi, dtype=complex)[..., None] * lam) * (0.5 * _GL64_W)).sum(axis=-1)
+
+
+def mp_psi(model, mpmath):
+    """psi of a model in mpmath arithmetic: free of the cancellation of phi near 0."""
+    mu = mpmath.mpf(model.mu)
+    if model.kind == "gaussian":
+        phi = lambda u: mpmath.mpf(model.sigma) ** 2 * u * u / 2
+    elif model.kind == "nig":
+        a, b, d = (mpmath.mpf(v) for v in (model.alpha, model.beta, model.delta))
+        phi = lambda u: d * (mpmath.sqrt(a * a - (b + 1j * u) ** 2) - mpmath.sqrt(a * a - b * b))
+    else:
+        c, g, m, y = (mpmath.mpf(v) for v in (model.c, model.g, model.m, model.y))
+        phi = lambda u: -c * mpmath.gamma(-y) * ((m - 1j * u) ** y - m**y + (g + 1j * u) ** y - g**y)
+
+    def psi(xi):
+        return np.array([complex(-1j * mu * mpmath.mpc(u) + phi(mpmath.mpc(u))) for u in xi.ravel()]
+                        ).reshape(xi.shape)
+    return psi
 
 
 def black_scholes(spot, strike, tau, sigma, r, w=1):
@@ -400,6 +436,39 @@ class TestAsian:
     def test_continuous_psi_at_zero(self):
         assert continuous_asian_psi(GAUSS, 0.0) == 0.0
 
+    @pytest.mark.parametrize("w", [1, -1], ids=["call", "put"])
+    @pytest.mark.parametrize("model", ASIAN_MODELS.values(), ids=ASIAN_MODELS.keys())
+    def test_continuous_psi_matches_oracle_on_contours(self, model, w):
+        # the pricing contours: Im(xi) = -w * omega, out to |Re xi| = 300
+        lo, hi = model.strip
+        omega = 0.5 * (1.0 - lo) if w == 1 else 0.5 * hi
+        xi = np.linspace(-300.0, 300.0, 1201) - 1j * w * omega
+        got = continuous_asian_psi(model, xi)
+        ref = gauss_legendre_asian_psi(model.psi, xi)
+        assert np.all(np.abs(got - ref) <= 1e-13 * (1.0 + np.abs(ref)))
+
+    @pytest.mark.parametrize("size", [1e-8, 1e-4, 1e-2])
+    @pytest.mark.parametrize("model", ASIAN_MODELS.values(), ids=ASIAN_MODELS.keys())
+    def test_continuous_psi_matches_oracle_near_zero(self, model, size):
+        mpmath = pytest.importorskip("mpmath")
+        assert continuous_asian_psi(model, 0.0) == 0.0
+        xi = size * np.array([1.0, -1.0, 1j, -1j, 0.6 + 0.8j, -0.6 - 0.8j, 0.8 - 0.6j])
+        got = continuous_asian_psi(model, xi)
+        assert np.all(np.abs(got - gauss_legendre_asian_psi(model.psi, xi))
+                      <= 1e-13 * (1.0 + np.abs(got)))
+        # relative accuracy, against the oracle on exact psi values: the
+        # double-precision psi itself cancels at these arguments
+        with mpmath.workdps(30):
+            ref = gauss_legendre_asian_psi(mp_psi(model, mpmath), xi)
+        assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref))
+
+    @pytest.mark.parametrize("model", ASIAN_MODELS.values(), ids=ASIAN_MODELS.keys())
+    def test_continuous_psi_off_strip_raises(self, model):
+        lo, hi = model.strip
+        for im in (lo - 0.5, hi + 0.5):
+            with pytest.raises(StripViolation):
+                continuous_asian_psi(model, 1.0 + 1j * im)
+
     def test_continuous_psi_gaussian_closed_form(self):
         # int_0^1 psi(xi(1-y)) dy = i(sigma^2/2 - r) xi / 2 + sigma^2 xi^2 / 6
         for xi in (0.7, 2.0 - 0.4j):
@@ -414,7 +483,7 @@ class TestAsian:
         nodes, weights = leggauss(256)
         y = 0.5 * (nodes + 1.0)
         ref = sum(wq * NIG.psi(xi * (1.0 - yq)) for yq, wq in zip(y, 0.5 * weights))
-        assert got == pytest.approx(ref, abs=1e-10)
+        assert got == pytest.approx(ref, abs=1e-13)
 
     def test_discrete_converges_to_continuous(self):
         continuous = price_contract(AsianContinuous(0.0, 1.0, 100.0), GAUSS, SPOT).value
@@ -432,6 +501,19 @@ class TestAsian:
         engine = price_contract(contract, GAUSS, SPOT, tol=1e-9).value
         reference = closed_form_price(contract, 0.2, 0.05, SPOT)
         assert engine == pytest.approx(reference, rel=1e-7)
+
+    @pytest.mark.parametrize("strike", [90.0, 100.0, 110.0])
+    @pytest.mark.parametrize("model", [NIG, CGMY05, CGMY15], ids=["nig", "cgmy05", "cgmy15"])
+    def test_continuous_parity_levy(self, model, strike):
+        # call - put = e^{-r tau} (S E[exp(mean of X)] - K)
+        tau = 1.0
+        call = price_contract(AsianContinuous(0.0, tau, strike, 1), model, SPOT)
+        put = price_contract(AsianContinuous(0.0, tau, strike, -1), model, SPOT)
+        integral, _ = quad(lambda y: model.psi(-1j * (1.0 - y)).real, 0.0, 1.0,
+                           epsabs=1e-13, epsrel=1e-13)
+        forward = SPOT * math.exp(-tau * integral)
+        residual = call.value - put.value - math.exp(-model.r * tau) * (forward - strike)
+        assert abs(residual) <= call.quadrature_error + put.quadrature_error + 1e-12
 
 
 def test_cgmy_parity():
