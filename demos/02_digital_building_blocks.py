@@ -11,6 +11,7 @@ import math
 from scipy.special import ndtr
 
 from levyexotic import (
+    BarrierDownOutCall,
     MonitoringSchedule,
     PayoffParameterSet,
     default_offsets,
@@ -18,6 +19,7 @@ from levyexotic import (
     make_gaussian,
     make_nig,
     price_digital,
+    to_portfolio,
 )
 
 spot = 100.0
@@ -67,3 +69,18 @@ bump = 1e-4 * spot
 fd = (price_digital(gauss, sched, cash_call, spot + bump).value
       - price_digital(gauss, sched, cash_call, spot - bump).value) / (2 * bump)
 print(f"\ndigital delta: analytic {slope:.8f}  finite difference {fd:.8f}")
+
+# the same weight on a 3-date NIG down-and-out barrier's first term: the
+# delta runs on the price's own chain-rule grid
+sched3 = MonitoringSchedule(0.0, (1.0 / 3.0, 2.0 / 3.0, 1.0))
+_, _, barrier = to_portfolio(BarrierDownOutCall(sched3, 90.0, 100.0)).terms[0]
+slope = delta(nig, sched3, barrier, spot)
+
+
+def central(h):
+    return (price_digital(nig, sched3, barrier, spot + h).value
+            - price_digital(nig, sched3, barrier, spot - h).value) / (2 * h)
+
+
+fd = (4 * central(0.05) - central(0.1)) / 3  # Richardson: the h**2 terms cancel
+print(f"3-date nig barrier term delta: analytic {slope:.8f}  finite difference {fd:.8f}")

@@ -8,11 +8,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 import time
 
-from .contracts import AsianContinuous, price_contract, to_portfolio
+from .contracts import AsianContinuous, _price_portfolio, price_contract, to_portfolio
 from .digitals import DEFAULT_TOL_ND
 from .errors import PricingError, SchemaError, UnsupportedModel
 from .gaussian import closed_form_price
@@ -108,15 +109,8 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _grid_resolutions(spec: RunSpec) -> list[int]:
-    """Node counts per axis for a grid study, by the largest exercise dimension."""
-    if isinstance(spec.contract, AsianContinuous):
-        dims = 1
-    else:
-        # price_contract's own tolerance: a compound's critical prices are
-        # solved here only to count its conditions
-        port = to_portfolio(spec.contract, spec.model, tol=DEFAULT_TOL_ND)
-        dims = max((p.n for _, _, p in port.terms), default=0)
+def _grid_resolutions(dims: int) -> list[int]:
+    """Node counts per axis for a grid study of a contract with ``dims`` exercise dimensions."""
     if dims <= 1:
         return [64, 128, 256, 512, 1024]
     if dims == 2:
@@ -128,10 +122,18 @@ def cmd_convergence(args) -> int:
     spec = _load_spec(args.spec)
     print("resolution,price,error,wall_time_ms")
     if args.axis == "grid":
+        if isinstance(spec.contract, AsianContinuous):
+            dims, price = 1, functools.partial(price_contract, spec.contract)
+        else:
+            # solved once, at price_contract's own tolerance: a compound's
+            # critical prices do not depend on the grid
+            port = to_portfolio(spec.contract, spec.model, tol=DEFAULT_TOL_ND)
+            dims = max((p.n for _, _, p in port.terms), default=0)
+            price = functools.partial(_price_portfolio, port)
         prev = None
-        for nodes in _grid_resolutions(spec):
+        for nodes in _grid_resolutions(dims):
             start = time.perf_counter()
-            res = price_contract(spec.contract, spec.model, spec.spot, fixed_nodes=nodes)
+            res = price(spec.model, spec.spot, fixed_nodes=nodes)
             elapsed = (time.perf_counter() - start) * 1e3
             err = "" if prev is None else f"{abs(res.value - prev):.6e}"
             print(f"{nodes},{res.value:.10f},{err},{elapsed:.3f}")

@@ -292,8 +292,6 @@ def _compound_portfolio(c: Compound, thresholds) -> DigitalPortfolio:
         sched_j = MonitoringSchedule(c.t, dates[: j + 1])
         coef = -float(math.prod(signs[: j + 1])) * K_j
         gamma_j = (0.0,) * (j + 1)
-        if len(rows) == 0:
-            rows, ks, ws = (), (), ()
         terms.append((coef, sched_j, PayoffParameterSet(gamma_j, ks, ws, rows)))
     return DigitalPortfolio(tuple(terms), cash=0.0)
 
@@ -583,6 +581,12 @@ def price_contract(
     # a compound that solves a critical price has a term with two or more
     # conditions, so its default tolerance is the N-D one
     port = to_portfolio(c, model, tol=DEFAULT_TOL_ND if tol is None else tol)
+    return _price_portfolio(port, model, spot, tol, offset_position, fixed_nodes, max_nodes)
+
+
+def _price_portfolio(port, model, spot, tol=None, offset_position=None, fixed_nodes=None,
+                     max_nodes=None) -> PriceResult:
+    """``price_contract`` of the contract whose portfolio is ``port``."""
     if not port.terms:
         return PriceResult(port.cash, 0.0, None, (0, 0), 0)
 

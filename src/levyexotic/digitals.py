@@ -385,7 +385,6 @@ def _price_core(model, sched, p, spot, offsets, tol, fixed_nodes, max_nodes, del
     signs = np.array(p.w, dtype=float)
     omega = np.array(offsets.omega, dtype=float)
     b = -signs * omega
-    row_sums = p.matrix().sum(axis=1)
     d_vec = _log_moneyness(p, spot)
 
     prefactor = prefactor_mag * math.prod(p.w)
@@ -402,17 +401,19 @@ def _price_core(model, sched, p, spot, offsets, tol, fixed_nodes, max_nodes, del
         for tau_n in taus
     ]
 
+    weight = (lambda zeta: 1j * zeta / spot) if delta_mode else None  # see ``delta``
+
     # Chain form: integrate over eta_k = flips_k * xi_k.  The flipped grid holds
     # the same points, and 1/prod(xi) = prod(flips) / prod(eta).
     chain = None
-    plan = None if n == 1 or delta_mode else _chain_plan(cmat)
+    plan = None if n == 1 else _chain_plan(cmat)
     if plan is not None:
         flips, supports = plan
         cmat = cmat * flips[:, None]
         d_vec = d_vec * flips
         b = b * flips
         prefactor *= math.prod(flips)
-        chain = _chain_factors(model, deltas, gsuf, cmat, d_vec, supports)
+        chain = _chain_factors(model, deltas, gsuf, cmat, d_vec, supports, weight)
 
     def integrand(*xs):
         phase = 0.0
@@ -427,12 +428,11 @@ def _price_core(model, sched, p, spot, offsets, tol, fixed_nodes, max_nodes, del
                 if cmat[k, j] != 0.0:
                     zeta = zeta + cmat[k, j] * xs[k]
             psi_sum = psi_sum + deltas[j] * model.psi(zeta)
+            if j == 0:
+                zeta_1 = zeta
         out = np.exp(phase - psi_sum) / denom
-        if delta_mode:
-            mult = gamma_total + 0.0j
-            for k in range(n):
-                mult = mult + 1j * row_sums[k] * xs[k]
-            out = out * (mult / spot)
+        if weight is not None:
+            out = out * weight(zeta_1)
         return out
 
     return _contour_price(integrand, b, truncations, d_vec, raw_tol, prefactor, (n, p.m),
@@ -465,16 +465,19 @@ def _chain_plan(cmat: np.ndarray):
     return None
 
 
-def _chain_factors(model, deltas, gsuf, cmat, d_vec, supports):
+def _chain_factors(model, deltas, gsuf, cmat, d_vec, supports, weight):
     """Axis and leg factors of the digital integrand in chain form (``_chain_plan``).
 
     Axis k carries exp(i d_k xi_k) / xi_k and the legs that couple it alone;
     a leg that couples no axis is the constant exp(-Delta_j psi(-i G_j)) on
     axis 0.  Each nested support adds its new axes and a leg factor of the
-    sum of its axes.  Returns (factors, stages) for ``quadrature._integrate_chain``.
+    sum of its axes.  A ``weight`` other than None multiplies the factor that
+    holds leg 1, at leg 1's argument (axis 0's as a constant if leg 1 couples
+    no axis).  Returns (factors, stages) for ``quadrature._integrate_chain``.
     """
     n, m = cmat.shape
     own = [[] for _ in range(n)]
+    loose = [j for j in range(m) if not cmat[:, j].any()]
     constant = 0.0
     for j in range(m):
         axes = np.flatnonzero(cmat[:, j])
@@ -496,15 +499,22 @@ def _chain_factors(model, deltas, gsuf, cmat, d_vec, supports):
     def leg_factor(axes, legs):
         return lambda z: np.exp(leg_exponent(z, legs, axes[0]))
 
+    def holding(factor, legs, k):
+        if weight is None or 0 not in legs:
+            return factor
+        return lambda z: factor(z) * weight(cmat[k, 0] * z - 1j * gsuf[0])
+
     stages = []
     taken = []
     for axes, legs in supports:
-        stages.append((tuple(k for k in axes if k not in taken), leg_factor(axes, legs)))
+        stages.append((tuple(k for k in axes if k not in taken),
+                       holding(leg_factor(axes, legs), legs, axes[0])))
         taken.extend(axes)
     free = tuple(k for k in range(n) if k not in taken)
     if free:
         stages.append((free, None))
-    return [axis_factor(k) for k in range(n)], stages
+    factors = [holding(axis_factor(k), own[k] + loose if k == 0 else own[k], k) for k in range(n)]
+    return factors, stages
 
 
 def _contour_price(integrand, b, truncations, d_vec, raw_tol, prefactor, dims,
@@ -608,6 +618,10 @@ def delta(
     spot: float,
     tol: float | None = None,
 ) -> float:
-    """dPrice/dSpot by differentiating under the integral sign."""
+    """dPrice/dSpot: the price's own integral, on its own grid, weighted by i zeta_1 / spot.
+
+    The spot enters only through spot**G_0 * exp(i d.xi) = exp(i ln(spot) zeta_1),
+    where zeta_1 = sum_k C[k, 0] xi_k - i G_0 is leg 1's argument.
+    """
     res = _price_core(model, sched, p, spot, None, tol, None, None, True)
     return res.value

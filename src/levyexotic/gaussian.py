@@ -67,6 +67,7 @@ def _bvn_mid(a, b, rho):
 
 
 _GL8_X, _GL8_W = np.polynomial.legendre.leggauss(8)
+_GL12_X, _GL12_W = np.polynomial.legendre.leggauss(12)
 
 
 def _bvn_high(a, b, rho):
@@ -149,14 +150,10 @@ def _mvn_batch(d: np.ndarray, corr: np.ndarray) -> np.ndarray:
     if n == 2:
         return bvn_cdf(d[:, 0], d[:, 1], corr[:, 0, 1])
 
-    n_panels, gl_x, gl_w = (20, np.polynomial.legendre.leggauss(12)[0],
-                            np.polynomial.legendre.leggauss(12)[1]) if n <= 4 else \
-                           (10, _GL8_X, _GL8_W)
-
     d0 = np.clip(d[:, 0], -_CLIP, _CLIP)
     lo = np.full(d0.shape, -8.5)
     hi = np.maximum(np.minimum(d0, 8.5), lo)  # empty interval collapses to zero span
-    x, wgt = _panel_nodes(lo, hi, n_panels, gl_x, gl_w)
+    x, wgt = _panel_nodes(lo, hi, 20, _GL12_X, _GL12_W)
     # append one node carrying the upper tail mass beyond 8.5
     tail_mass = np.clip(ndtr(d0) - ndtr(np.full(d0.shape, 8.5)), 0.0, None)
     x = np.concatenate([x, np.full(d0.shape + (1,), 8.5)], axis=-1)

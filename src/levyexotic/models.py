@@ -329,28 +329,26 @@ def _cgmy_means(c: float, g: float, m: float, y: float, radius: float) -> tuple:
                  for k, bk in enumerate(_binomial_means(y), start=1))
 
 
-def make_gaussian(sigma: float, r: float, strip_proxy: float = GAUSSIAN_STRIP_PROXY) -> GaussianModel:
-    """Black-Scholes dynamics with the mean-correcting martingale drift."""
-    probe = GaussianModel(mu=0.0, r=r, sigma=sigma, strip_proxy=strip_proxy)  # validates
-    model = replace(probe, mu=r + float(probe.phi(-1j).real))
+def _mean_corrected(probe: LevyModel) -> LevyModel:
+    """``probe``, built with mu = 0 (which validates it), given the martingale drift r + phi(-i)."""
+    model = replace(probe, mu=probe.r + float(probe.phi(-1j).real))
     _assert_emm(model)
     return model
+
+
+def make_gaussian(sigma: float, r: float, strip_proxy: float = GAUSSIAN_STRIP_PROXY) -> GaussianModel:
+    """Black-Scholes dynamics with the mean-correcting martingale drift."""
+    return _mean_corrected(GaussianModel(mu=0.0, r=r, sigma=sigma, strip_proxy=strip_proxy))
 
 
 def make_nig(alpha: float, beta: float, delta: float, r: float) -> NIGModel:
     """Normal inverse Gaussian model, mean-corrected to the pricing measure."""
-    probe = NIGModel(mu=0.0, r=r, alpha=alpha, beta=beta, delta=delta)  # validates
-    model = replace(probe, mu=r + float(probe.phi(-1j).real))
-    _assert_emm(model)
-    return model
+    return _mean_corrected(NIGModel(mu=0.0, r=r, alpha=alpha, beta=beta, delta=delta))
 
 
 def make_cgmy(c: float, g: float, m: float, y: float, r: float) -> CGMYModel:
     """CGMY model, mean-corrected; activity y in ]0,1[ or ]1,2[ and m > 1."""
-    probe = CGMYModel(mu=0.0, r=r, c=c, g=g, m=m, y=y)  # validates
-    model = replace(probe, mu=r + float(probe.phi(-1j).real))
-    _assert_emm(model)
-    return model
+    return _mean_corrected(CGMYModel(mu=0.0, r=r, c=c, g=g, m=m, y=y))
 
 
 def make_model(kind: str, params: dict, r: float) -> LevyModel:

@@ -48,6 +48,13 @@ class SuiteResult:
         }
 
 
+def _tally(suite: str, outcomes: list) -> SuiteResult:
+    """SuiteResult of one (violation, passed, failure record) triple per case, in case order."""
+    failures = [record for _, ok, record in outcomes if not ok]
+    return SuiteResult(suite, len(outcomes), len(outcomes) - len(failures),
+                       max([0.0] + [violation for violation, _, _ in outcomes]), failures)
+
+
 def _random_correlation(rng: np.random.Generator, n: int) -> np.ndarray:
     """Random correlation matrix, blended toward identity for conditioning."""
     raw = rng.standard_normal((n, n + 2))
@@ -64,13 +71,10 @@ def run_lemma1(seed: int = 20240811, cases_per_dim: int = 20,
     """Contour integral versus multivariate normal CDF on randomized cases."""
     rng = np.random.default_rng(seed)
     tolerances = {1: 1e-6, 2: 1e-6, 3: 1e-4}
-    cases = 0
-    passed = 0
-    max_violation = 0.0
-    failures = []
+    outcomes = []
     for n in dims:
         for _ in range(cases_per_dim):
-            if limit is not None and cases >= limit:
+            if limit is not None and len(outcomes) >= limit:
                 break
             corr = _random_correlation(rng, n)
             d = rng.uniform(-2.0, 2.0, size=n)
@@ -80,17 +84,12 @@ def run_lemma1(seed: int = 20240811, cases_per_dim: int = 20,
             wmat = np.diag(w.astype(float))
             reference = float(np.prod(w)) * mvn_cdf(w * d, wmat @ corr @ wmat)
             violation = abs(contour - reference)
-            cases += 1
-            max_violation = max(max_violation, violation)
-            if violation <= tolerances[n]:
-                passed += 1
-            else:
-                failures.append({
-                    "n": n, "d": d.tolist(), "corr": corr.tolist(),
-                    "w": w.tolist(), "omega": omega.tolist(),
-                    "violation": violation,
-                })
-    return SuiteResult("lemma1", cases, passed, max_violation, failures)
+            outcomes.append((violation, violation <= tolerances[n], {
+                "n": n, "d": d.tolist(), "corr": corr.tolist(),
+                "w": w.tolist(), "omega": omega.tolist(),
+                "violation": violation,
+            }))
+    return _tally("lemma1", outcomes)
 
 
 def _gaussian_case_contracts(strike: float):
@@ -116,34 +115,26 @@ def _gaussian_case_contracts(strike: float):
 def run_gaussian(limit: int | None = None) -> SuiteResult:
     """Fourier engine versus the closed-form stack over a parameter grid."""
     spot = 100.0
-    cases = 0
-    passed = 0
-    max_violation = 0.0
-    failures = []
+    outcomes = []
     for sigma in (0.1, 0.2, 0.4):
         for r in (0.0, 0.05):
             model = make_gaussian(sigma, r)
             for ratio in (0.8, 1.0, 1.25):
                 strike = spot / ratio
                 for name, contract, kind in _gaussian_case_contracts(strike):
-                    if limit is not None and cases >= limit:
+                    if limit is not None and len(outcomes) >= limit:
                         break
                     tol = 1e-8 if kind == "1d" else 1e-5
                     rel_tol = 1e-6 if kind == "1d" else 1e-4
                     engine = price_contract(contract, model, spot, tol=tol).value
                     reference = closed_form_price(contract, sigma, r, spot)
                     violation = abs(engine - reference) / max(abs(reference), 1e-8)
-                    cases += 1
-                    max_violation = max(max_violation, violation)
-                    if violation <= rel_tol:
-                        passed += 1
-                    else:
-                        failures.append({
-                            "contract": name, "sigma": sigma, "r": r,
-                            "strike": strike, "engine": engine,
-                            "reference": reference, "violation": violation,
-                        })
-    return SuiteResult("gaussian", cases, passed, max_violation, failures)
+                    outcomes.append((violation, violation <= rel_tol, {
+                        "contract": name, "sigma": sigma, "r": r,
+                        "strike": strike, "engine": engine,
+                        "reference": reference, "violation": violation,
+                    }))
+    return _tally("gaussian", outcomes)
 
 
 _PARITY_SETS = (
@@ -166,34 +157,23 @@ def _parity_model(kind: str):
 
 def run_parity(limit: int | None = None) -> SuiteResult:
     """Compound put-call parity residuals across model families."""
-    cases = 0
-    passed = 0
-    max_violation = 0.0
-    failures = []
+    outcomes = []
     for kind, params, tol in _PARITY_SETS:
-        if limit is not None and cases >= limit:
+        if limit is not None and len(outcomes) >= limit:
             break
         model = _parity_model(kind)
         residual = abs(compound_parity_check(model, spot=100.0, **params))
-        cases += 1
-        max_violation = max(max_violation, residual)
-        if residual <= tol:
-            passed += 1
-        else:
-            failures.append({"model": kind, **params, "violation": residual})
-    return SuiteResult("parity", cases, passed, max_violation, failures)
+        outcomes.append((residual, residual <= tol, {"model": kind, **params, "violation": residual}))
+    return _tally("parity", outcomes)
 
 
 def run_asian_limit(limit: int | None = None) -> SuiteResult:
     """Discrete geometric Asians approach the continuous average as M grows."""
     spot, strike, tau = 100.0, 100.0, 1.0
     models = [("gaussian", make_gaussian(0.2, 0.05)), ("nig", make_nig(8.0, -2.0, 0.3, 0.05))]
-    cases = 0
-    passed = 0
-    max_violation = 0.0
-    failures = []
+    outcomes = []
     for kind, model in models:
-        if limit is not None and cases >= limit:
+        if limit is not None and len(outcomes) >= limit:
             break
         continuous = price_contract(AsianContinuous(0.0, tau, strike), model, spot).value
         gaps = []
@@ -202,16 +182,11 @@ def run_asian_limit(limit: int | None = None) -> SuiteResult:
             discrete = price_contract(AsianGeometric(sched, strike), model, spot).value
             gaps.append(abs(discrete - continuous))
         decreasing = all(b < a for a, b in zip(gaps, gaps[1:]))
-        cases += 1
         violation = 0.0 if decreasing else max(
             (b - a) for a, b in zip(gaps, gaps[1:])
         )
-        max_violation = max(max_violation, violation)
-        if decreasing:
-            passed += 1
-        else:
-            failures.append({"model": kind, "gaps": gaps, "violation": violation})
-    return SuiteResult("asian-limit", cases, passed, max_violation, failures)
+        outcomes.append((violation, decreasing, {"model": kind, "gaps": gaps, "violation": violation}))
+    return _tally("asian-limit", outcomes)
 
 
 _RUNNERS = {

@@ -11,6 +11,7 @@ from levyexotic import (
     BarrierDownOutCall,
     Chooser,
     Compound,
+    Digital,
     LookbackFixed,
     MonitoringSchedule,
     PayoffParameterSet,
@@ -131,14 +132,22 @@ class TestPlan:
         price_digital(NIG, MonitoringSchedule(0.0, (1.0,)), p, SPOT)
         assert calls.counts == {"integrate_line": 1, "integrate_tensor": 0, "_integrate_chain": 0}
 
-    def test_chain_contracts_skip_the_tensor_rule_but_delta_keeps_it(self, monkeypatch):
+    def test_chain_contracts_and_their_deltas_skip_the_tensor_rule(self, monkeypatch):
         calls = Calls(monkeypatch)
         price_contract(TWO_DATE["barrier"], GAUSS, SPOT)
         assert calls.counts["_integrate_chain"] == 2
         assert calls.counts["integrate_tensor"] == 0
         _, sched, p = to_portfolio(TWO_DATE["barrier"]).terms[0]
         delta(GAUSS, sched, p, SPOT)
-        assert calls.counts["integrate_tensor"] == 1
+        assert (calls.counts["_integrate_chain"], calls.counts["integrate_tensor"]) == (3, 0)
+
+    def test_non_chain_delta_keeps_the_tensor_rule(self, monkeypatch):
+        calls = Calls(monkeypatch)
+        k = 1.5 * math.log(SPOT)
+        p = PayoffParameterSet((0.0, 1.0), (k, k), (1, 1), ((1.0, 0.5), (0.5, 1.0)))
+        assert digitals._chain_plan(p.condition_weights()) is None
+        assert delta(GAUSS, SCHED2, p, SPOT) == pytest.approx(3.0666748, abs=1e-7)
+        assert calls.counts == {"integrate_line": 0, "integrate_tensor": 1, "_integrate_chain": 0}
 
 
 class TestAgreement:
@@ -164,6 +173,52 @@ class TestAgreement:
         parity = call.value + put.value
         assert abs(res.value - parity) <= res.quadrature_error + call.quadrature_error + put.quadrature_error
         assert res.value == pytest.approx(25.520464, abs=1e-5)
+
+
+DELTA_MODELS = {"gaussian": GAUSS, "nig": NIG, "cgmy05": CGMY05, "cgmy15": CGMY15}
+DELTA_CONTRACTS = {
+    "chooser": Chooser(0.5, 1.0, 100.0),
+    "barrier-3date": BarrierDownOutCall(SCHED3, 90.0, 100.0),
+    "lookback-3date": LookbackFixed(SCHED3, 100.0),
+    "call-on-call": Compound(((0.5, 5.0, 1), (1.0, 100.0, 1))),
+}
+
+
+class TestChainDelta:
+    """delta() on the chain rule against a Richardson central difference of prices."""
+
+    @staticmethod
+    def central_difference(model, sched, p, h):
+        """(V(S + h) - V(S - h)) / 2h and its bound from the prices' claimed errors.
+
+        A Gaussian closed form claims only its rounding, 1e-14 of its value.
+        """
+        if model is GAUSS:
+            up, dn = (closed_form_price(Digital(sched, p), 0.2, 0.05, SPOT + s * h)
+                      for s in (1, -1))
+            return (up - dn) / (2 * h), 1e-14 * (abs(up) + abs(dn)) / h
+        up, dn = (price_digital(model, sched, p, SPOT + s * h) for s in (1, -1))
+        return (up.value - dn.value) / (2 * h), (up.quadrature_error + dn.quadrature_error) / h
+
+    @pytest.mark.parametrize("name", list(DELTA_MODELS))
+    def test_every_multi_date_term_matches_the_difference(self, monkeypatch, name):
+        model = DELTA_MODELS[name]
+        calls = Calls(monkeypatch)
+        checked = 0
+        for contract in DELTA_CONTRACTS.values():
+            for _, sched, p in to_portfolio(contract, model, tol=digitals.DEFAULT_TOL_ND).terms:
+                if p.n < 2:
+                    continue
+                before = dict(calls.counts)
+                slope = delta(model, sched, p, SPOT)
+                assert calls.counts["_integrate_chain"] == before["_integrate_chain"] + 1
+                assert calls.counts["integrate_tensor"] == 0
+                d1, e1 = self.central_difference(model, sched, p, 0.1)
+                d2, e2 = self.central_difference(model, sched, p, 0.05)
+                richardson = (4.0 * d2 - d1) / 3.0
+                assert abs(slope - richardson) <= e1 + e2 + abs(d2 - d1), (contract, p)
+                checked += 1
+        assert checked == 15
 
 
 class TestRoundoff:

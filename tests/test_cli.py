@@ -235,9 +235,9 @@ class TestConvergenceCommand:
                    "contract": contract_to_dict(Compound(((0.5, 5.0, 1), (1.0, 100.0, 1))))}
         rc = main(["convergence", "--spec", spec_file(tmp_path, payload), "--axis", "grid"])
         assert rc == 0
-        # one solve to size the grid, then one per resolution
-        assert len(seen) == 1 + len(capsys.readouterr().out.strip().splitlines()[1:])
-        assert seen == [pytest.approx(0.01 * math.sqrt(DEFAULT_TOL_ND))] * len(seen)
+        # one solve sizes the grid and serves every resolution
+        assert len(capsys.readouterr().out.strip().splitlines()[1:]) == 5
+        assert seen == [pytest.approx(0.01 * math.sqrt(DEFAULT_TOL_ND))]
 
     def test_paths_axis_stderr_shrinks(self, tmp_path, capsys):
         payload = {
