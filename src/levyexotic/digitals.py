@@ -14,7 +14,7 @@ normal-CDF identity).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product as _iter_product
 
 import numpy as np
@@ -201,16 +201,38 @@ def _log_moneyness(p: PayoffParameterSet, spot: float) -> np.ndarray:
     return p.matrix().sum(axis=1) * math.log(spot) - np.array(p.k_log)
 
 
-def _log_peak(model, sched, p, omega, d_vec) -> float:
+def _log_peak(model, sched, p, omega, d_vec):
     """Log-magnitude of the integrand at the contour's central point.
 
     Used to condition the offset choice: a huge central value means the
-    quadrature must cancel that many digits away.
+    quadrature must cancel that many digits away.  ``omega`` of shape
+    (K, 1, N) and ``d_vec`` of shape (S, N) give a (K, S) table from one psi
+    evaluation per offset row.
     """
     signs = np.array(p.w, dtype=float)
     xi0 = -1j * signs * np.asarray(omega, dtype=float)
     psi_val = psi_aggregate(model, sched, p, xi0)
-    return float(np.sum(signs * omega * d_vec) - psi_val.real - np.sum(np.log(omega)))
+    return np.sum(signs * omega * d_vec, axis=-1) - psi_val.real - np.sum(np.log(omega), axis=-1)
+
+
+def _halved_offsets(model, sched, p, lo, hi, d_rows) -> np.ndarray:
+    """Per row of ``d_rows`` (log moneyness, shape (S, N)), the equal offset of ``default_offsets``.
+
+    The candidates are the midpoint of ]lo, hi[ and its halvings down to a
+    floor.  The psi part of ``_log_peak`` does not depend on the row, so
+    each candidate is evaluated once for all rows; a row keeps halving while
+    that lowers its ``_log_peak``.
+    """
+    width = hi - lo
+    floor = max(lo + 1e-3 * width, min(OFFSET_FLOOR, lo + 0.5 * width))
+    candidates = [lo + 0.5 * width]
+    while candidates[-1] / 2 >= floor:
+        candidates.append(candidates[-1] / 2)
+    candidates = np.array(candidates)
+    peaks = _log_peak(model, sched, p, np.repeat(candidates[:, None, None], p.n, axis=2), d_rows)
+    # Row k: the halving from candidate k does not lower the peak, or there is none.
+    stops = np.vstack((peaks[1:] >= peaks[:-1], np.ones_like(peaks[:1], dtype=bool)))
+    return candidates[stops.argmax(axis=0)]
 
 
 def _equal_offset_interval(model: LevyModel, p: PayoffParameterSet) -> tuple[float, float]:
@@ -264,17 +286,10 @@ def default_offsets(
         if not 0.0 < position < 1.0:
             raise ValueError("position must lie strictly between 0 and 1")
         omega = lo + position * width
+    elif sched is not None and spot is not None:
+        omega = float(_halved_offsets(model, sched, p, lo, hi, _log_moneyness(p, spot)[None])[0])
     else:
         omega = lo + 0.5 * width
-        if sched is not None and spot is not None:
-            d_vec = _log_moneyness(p, spot)
-            floor = max(lo + 1e-3 * width, min(OFFSET_FLOOR, lo + 0.5 * width))
-            current = _log_peak(model, sched, p, (omega,) * p.n, d_vec)
-            while omega / 2 >= floor:
-                trial = _log_peak(model, sched, p, (omega / 2,) * p.n, d_vec)
-                if trial >= current:
-                    break
-                omega, current = omega / 2, trial
     chosen = ContourOffsets((omega,) * p.n)
     check_offsets(model, p, chosen)
     return chosen
@@ -338,8 +353,32 @@ def _corner_tau(cmat: np.ndarray, deltas: np.ndarray, order: float) -> list[floa
     return taus
 
 
-def _pow2_at_least(n: int) -> int:
-    return 1 << max(4, int(n - 1).bit_length())
+def _start_count(truncation: float, d: float, cap: int) -> int:
+    """Power-of-two start nodes resolving exp(i d xi) on [-truncation, truncation]; at most half ``cap``, at least 16."""
+    wanted = max(32, int(truncation * (abs(d) + 2.0) / math.pi))
+    return min(1 << (wanted - 1).bit_length(), max(16, cap // 2))
+
+
+def _prefactor(model, sched, p, spot) -> float:
+    """Discounted spot power times the product of the signs: the digital's scale before (2 pi i)^-N."""
+    gamma_total = float(np.sum(p.gamma))
+    return math.exp(-model.r * (sched.expiry - sched.t)) * spot**gamma_total * math.prod(p.w)
+
+
+def _truncations(model, cmat, deltas, raw_tol, log_peak) -> list[float]:
+    """Per-axis radii that make the tail negligible next to the peak, allowing for the decay shift."""
+    shift = model.decay_shift * float(deltas.sum())
+    trunc_tol = max(raw_tol * math.exp(-max(log_peak, 0.0) - shift) * 0.1, 1e-280)
+    return [
+        cq.truncation_radius(model.decay_coefficient, model.order, tau_n, trunc_tol)
+        for tau_n in _corner_tau(cmat, deltas, model.order)
+    ]
+
+
+def _complement(model, sched, p, spot, rest: PriceResult, delta_mode=False) -> PriceResult:
+    """S^gamma for certain minus ``rest``, p's price with its near-certain condition flipped."""
+    whole = _certain_price(model, sched, PayoffParameterSet(p.gamma, (), (), ()), spot, delta_mode)
+    return replace(rest, value=whole.value - rest.value)
 
 
 def _price_core(model, sched, p, spot, offsets, tol, fixed_nodes, max_nodes, delta_mode):
@@ -356,25 +395,12 @@ def _price_core(model, sched, p, spot, offsets, tol, fixed_nodes, max_nodes, del
     if tol is None:
         tol = DEFAULT_TOL_1D if n == 1 else DEFAULT_TOL_ND
 
-    gamma_total = float(np.sum(p.gamma))
-    prefactor_mag = math.exp(-model.r * (sched.expiry - sched.t)) * spot**gamma_total
     if offsets is None:
-        # A near-certain condition leaves the contour factor exp(w*omega*d)
-        # huge; the complement indicator has the same value content with a
-        # decaying factor instead, so price that and subtract.
+        # A near-certain condition leaves exp(w*omega*d) huge; its complement decays.
         if n == 1 and p.w[0] * _log_moneyness(p, spot)[0] > 12.0:
-            certain_p = PayoffParameterSet(p.gamma, (), (), ())
-            whole = _certain_price(model, sched, certain_p, spot, delta_mode)
             flipped = PayoffParameterSet(p.gamma, p.k_log, (-p.w[0],), p.a)
-            rest = _price_core(model, sched, flipped, spot, None, tol,
-                               fixed_nodes, max_nodes, delta_mode)
-            return PriceResult(
-                whole.value - rest.value,
-                rest.quadrature_error,
-                rest.offsets_used,
-                rest.dimensions,
-                rest.evaluations,
-            )
+            rest = _price_core(model, sched, flipped, spot, None, tol, fixed_nodes, max_nodes, delta_mode)
+            return _complement(model, sched, p, spot, rest, delta_mode)
         offsets = default_offsets(model, p, sched, spot)
     else:
         check_offsets(model, p, offsets)
@@ -387,19 +413,10 @@ def _price_core(model, sched, p, spot, offsets, tol, fixed_nodes, max_nodes, del
     b = -signs * omega
     d_vec = _log_moneyness(p, spot)
 
-    prefactor = prefactor_mag * math.prod(p.w)
+    prefactor = _prefactor(model, sched, p, spot)
     raw_tol = tol * (2.0 * math.pi) ** n / abs(prefactor)
-
-    # Truncation: make the integrand's tail negligible relative to its peak,
-    # accounting for the constant offset that delays the asymptotic decay.
     log_peak = _log_peak(model, sched, p, tuple(omega), d_vec)
-    shift = model.decay_shift * float(deltas.sum())
-    trunc_tol = max(raw_tol * math.exp(-max(log_peak, 0.0) - shift) * 0.1, 1e-280)
-    taus = _corner_tau(cmat, deltas, model.order)
-    truncations = [
-        cq.truncation_radius(model.decay_coefficient, model.order, tau_n, trunc_tol)
-        for tau_n in taus
-    ]
+    truncations = _truncations(model, cmat, deltas, raw_tol, log_peak)
 
     weight = (lambda zeta: 1j * zeta / spot) if delta_mode else None  # see ``delta``
 
@@ -437,6 +454,48 @@ def _price_core(model, sched, p, spot, offsets, tol, fixed_nodes, max_nodes, del
 
     return _contour_price(integrand, b, truncations, d_vec, raw_tol, prefactor, (n, p.m),
                           offsets, fixed_nodes, max_nodes, chain)
+
+
+def _price_strip(model, sched, p, spots, tol=None) -> list[PriceResult]:
+    """N = 1 prices of ``p`` at each of ``spots``: one PriceResult per spot, from one ladder per offset group.
+
+    The spot enters only through the phase exp(i d xi), so samples of the
+    spot-free rest exp(-psi_aggregate) / xi serve a whole strip
+    (``quadrature._integrate_strip``).  Spots that ``default_offsets`` gives
+    the same offset form a group, whose ladder takes the truncation of its
+    largest ``_log_peak`` and smallest raw tolerance and its largest start
+    count.  Spots with w*d > 12 take ``_complement``, as in ``_price_core``.
+    """
+    if p.n != 1:
+        raise ValueError("a spot strip prices one exercise condition")
+    tol = DEFAULT_TOL_1D if tol is None else tol
+    d = p.matrix().sum(axis=1)[0] * np.array([math.log(s) for s in spots]) - p.k_log[0]
+    flip = p.w[0] * d > 12.0
+    flipped = PayoffParameterSet(p.gamma, p.k_log, (-p.w[0],), p.a)
+    out = [None] * len(spots)
+    for part, q in ((np.flatnonzero(~flip), p), (np.flatnonzero(flip), flipped)):
+        if not part.size:
+            continue
+        omegas = _halved_offsets(model, sched, q, *_equal_offset_interval(model, q), d[part, None])
+        for omega in np.unique(omegas):
+            group = part[omegas == omega]
+            offsets = ContourOffsets((omega,))
+            check_offsets(model, q, offsets)
+            prefactors = [_prefactor(model, sched, q, spots[i]) for i in group]
+            raw_tols = np.array([tol * (2.0 * math.pi) / abs(pf) for pf in prefactors])
+            log_peak = _log_peak(model, sched, q, (omega,), d[group, None])
+            (truncation,) = _truncations(model, q.condition_weights(), sched.intervals(),
+                                         raw_tols.min(), log_peak.max())
+            res = cq._integrate_strip(
+                lambda xi: np.exp(-psi_aggregate(model, sched, q, xi[:, None])) / xi,
+                d[group], -q.w[0] * omega, truncation, raw_tols,
+                _start_count(truncation, np.abs(d[group]).max(), cq.LINE_NODE_CAP))
+            for s, i in enumerate(group):
+                spot_res = cq.QuadratureResult(res.value[s], res.error_estimate[s], res.evaluations, res.converged)
+                out[i] = _scaled_price(spot_res, prefactors[s], raw_tols[s], offsets, (1, q.m))
+    for i in np.flatnonzero(flip):
+        out[i] = _complement(model, sched, p, spots[i], out[i])
+    return out
 
 
 def _chain_plan(cmat: np.ndarray):
@@ -544,11 +603,7 @@ def _contour_price(integrand, b, truncations, d_vec, raw_tol, prefactor, dims,
         cap = int(fixed_nodes)
     else:
         cap = cq._node_cap(n if chain is None else 1, max_nodes)
-        starts = [
-            min(_pow2_at_least(max(32, int(truncations[k] * (abs(d_vec[k]) + 2.0) / math.pi))),
-                max(16, cap // 2))
-            for k in range(n)
-        ]
+        starts = [_start_count(truncations[k], d_vec[k], cap) for k in range(n)]
 
     if n == 1:
         res = cq.integrate_line(integrand, b[0], truncations[0], raw_tol,
@@ -559,19 +614,26 @@ def _contour_price(integrand, b, truncations, d_vec, raw_tol, prefactor, dims,
             res = cq.integrate_tensor(integrand, spec, raw_tol, max_nodes_per_axis=cap)
         else:
             res = cq._integrate_chain(integrand, spec, *chain, raw_tol, max_nodes_per_axis=cap)
+    return _scaled_price(res, prefactor, raw_tol, offsets, dims, stalled_raises=fixed_nodes is None)
 
-    denom = (2.0j * math.pi) ** n
+
+def _scaled_price(res, prefactor, raw_tol, offsets, dims, stalled_raises=True) -> PriceResult:
+    """The price prefactor / (2 pi i)^N times ``res`` (``prefactor=None``: see ``_contour_price``).
+
+    The value must be real up to quadrature noise; the error estimate
+    includes the float-cancellation floor of hot integrands.  An unconverged
+    ``res`` raises NoConvergence carrying the price if ``stalled_raises``.
+    """
+    denom = (2.0j * math.pi) ** dims[0]
     scale = 1.0 / denom if prefactor is None else prefactor / denom
     value_c = res.value / denom if prefactor is None else scale * res.value
     err = abs(scale) * res.error_estimate
-    # The assembled value must be real up to quadrature noise; the reported
-    # error estimate includes the float-cancellation floor of hot integrands.
     if abs(value_c.imag) > max(IMAG_RESIDUE_TOL * (1.0 + abs(value_c.real)), 4.0 * err):
         raise PricingError(
             f"imaginary residue {value_c.imag:g} too large for value {value_c.real:g}"
         )
     price = PriceResult(float(value_c.real), err, offsets, dims, res.evaluations)
-    if fixed_nodes is None and not res.converged:
+    if stalled_raises and not res.converged:
         raise NoConvergence(
             f"quadrature stalled at error {err:g} (tolerance {abs(scale) * raw_tol:g})", price
         )

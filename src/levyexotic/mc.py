@@ -25,7 +25,7 @@ from .contracts import (
     ForwardStart,
     LookbackFixed,
 )
-from .digitals import MonitoringSchedule, price_single_period
+from .digitals import MonitoringSchedule, PayoffParameterSet, _price_strip
 from .errors import NestingTooDeep, UnsupportedContract, UnsupportedModel
 from .models import GaussianModel, LevyModel, NIGModel
 
@@ -128,17 +128,16 @@ def _contract_schedule(c: ContractSpec) -> MonitoringSchedule:
 
 
 def _vanilla_curve(model, t1, leg, x_lo, x_hi):
-    """Value of a vanilla (T, K, w) at time t1 as a spline in log spot."""
+    """Value of a vanilla (T, K, w) at time t1 as a spline in log spot, from two 320-spot strips."""
     T, K, w = leg
     grid = np.linspace(x_lo - 0.5, x_hi + 0.5, 320)
-    asset = np.array([
-        price_single_period(model, T, 1.0, 1.0, w, math.log(K), math.exp(g), t=t1).value
-        for g in grid
-    ])
-    cash = np.array([
-        price_single_period(model, T, 0.0, 1.0, w, math.log(K), math.exp(g), t=t1).value
-        for g in grid
-    ])
+    sched = MonitoringSchedule(t1, (T,))
+    spots = [math.exp(g) for g in grid]
+    asset, cash = (
+        np.array([res.value for res in _price_strip(
+            model, sched, PayoffParameterSet((gamma,), (math.log(K),), (w,), ((1.0,),)), spots)])
+        for gamma in (1.0, 0.0)
+    )
     return CubicSpline(grid, w * (asset - K * cash))
 
 
@@ -235,8 +234,10 @@ def _mc_compound(c: Compound, model, spot, n_paths, seed):
     log_s = math.log(spot)
 
     blocks = list(_iter_blocks(model, sched, n_paths, seed))
-    x_all = np.concatenate(blocks, axis=0)[:, 0] + log_s
-    curve = _vanilla_curve(model, t1, inner, float(x_all.min()), float(x_all.max()))
+    # Rounding is monotone, so min(x) + log_s is the least of x + log_s.
+    x_lo = min(float(x[:, 0].min()) for x in blocks) + log_s
+    x_hi = max(float(x[:, 0].max()) for x in blocks) + log_s
+    curve = _vanilla_curve(model, t1, inner, x_lo, x_hi)
 
     payoffs = (discount * np.maximum(w1 * (curve(x[:, 0] + log_s) - k1), 0.0) for x in blocks)
     return _accumulate(payoffs, seed)

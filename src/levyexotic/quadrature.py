@@ -3,10 +3,13 @@
 All integrands here are analytic in a neighbourhood of the integration lines
 and decay like exp(-c*tau*|x|**order) at the truncation edge, which makes the
 uniform trapezoid rule spectrally accurate.  One refinement ladder
-(``_refine``) doubles the nodes of every axis up to its cap and serves three
+(``_refine``) doubles the nodes of every axis up to its cap and serves four
 level rules:
 
 - the line rule of ``integrate_line``, for one axis;
+- the strip rule of ``_integrate_strip``, for the line integrals of
+  exp(i d_s xi) f(xi) over a strip of phase coefficients d_s, all from one
+  set of samples of f (the spot strips of the N = 1 digitals);
 - the chain rule of ``_integrate_chain``, for N >= 2 axes whose integrand
   factors into per-axis factors and leg factors of nested partial sums of
   the axes: it computes the tensor trapezoid sum on a common step as N nested
@@ -39,6 +42,7 @@ TRUNCATION_MIN = 1.0
 TRUNCATION_MAX = 1.0e4
 _SLAB_POINTS = 1 << 21  # grid points held in memory at once
 _DIRECT_CONVOLVE = 64  # inputs this short are convolved directly, longer ones by FFT
+_STRIP_PRODUCTS = 1 << 16  # phase products the strip rule forms at once
 _EPS = np.finfo(float).eps
 
 
@@ -126,7 +130,7 @@ def _tail_estimate(abs_lo: float, abs_next_lo: float, abs_hi: float, abs_next_hi
 
 
 def _refine(level, starts, cap, tol, tail) -> QuadratureResult:
-    """The refinement ladder behind the line, the chain and the tensor rule.
+    """The refinement ladder behind the line, the strip, the chain and the tensor rule.
 
     ``level(nodes)`` evaluates one trapezoid level at per-axis node counts
     ``nodes`` and returns (value, roundoff bound of its sum, new integrand
@@ -136,7 +140,8 @@ def _refine(level, starts, cap, tol, tail) -> QuadratureResult:
     to ``tol`` or every axis sits at ``cap``, in which case the best value is
     returned with ``converged=False``.  When every axis starts at ``cap`` the
     ladder first runs a level at half the nodes, so the capped level's
-    refinement error is measured rather than taken as 0.
+    refinement error is measured rather than taken as 0.  For a strip, values,
+    errors and ``tol`` are arrays; the ladder stops once every entry meets its own.
     """
     nodes = [min(max(16, p + p % 2), cap) for p in map(int, starts)]
     if all(p >= cap for p in nodes):
@@ -152,16 +157,20 @@ def _refine(level, starts, cap, tol, tail) -> QuadratureResult:
         if prev is not None:
             err = abs(value - prev)
             # Below the float-cancellation floor further refinement is noise.
-            if err <= max(tol, 2.0 * roundoff):
+            if np.all(err <= np.maximum(tol, 2.0 * roundoff)):
                 converged = True
                 break
         if all(p >= cap for p in nodes):
             break
         nodes = [min(p * 2, cap) for p in nodes]
 
+    if np.ndim(err):
+        err = np.where(np.isfinite(err), err, 0.0)
+    elif not math.isfinite(err):
+        err = 0.0
     return QuadratureResult(
         value=value,
-        error_estimate=(err if math.isfinite(err) else 0.0) + tail(nodes) + roundoff,
+        error_estimate=err + tail(nodes) + roundoff,
         evaluations=evaluations,
         converged=converged,
     )
@@ -204,6 +213,52 @@ def integrate_line(f, offset: float, truncation: float, tol: float,
 
     return _refine(level, (start_nodes,), max_nodes, tol,
                    lambda nodes: _tail_estimate(*edges, 2.0 * truncation / nodes[0]))
+
+
+def _integrate_strip(f, d, offset: float, truncation: float, tol,
+                     start_nodes: int = 64, max_nodes: int = LINE_NODE_CAP) -> QuadratureResult:
+    """Line-rule values of the integrals of exp(i d_s xi) f(xi) over Im(xi) = offset, one per d_s.
+
+    The strip rule: each level samples ``f`` once, at its new odd nodes as in
+    ``integrate_line``, and adds each d_s's phased sum over them, formed in
+    chunks of ``_STRIP_PRODUCTS``, to its running sum.  |exp(i d_s xi)| is
+    exp(-d_s offset) on the line, so each entry's tail and roundoff are
+    those of ``f`` times that factor.  ``tol``, value and error estimate
+    hold one entry per d_s; ``evaluations`` counts samples of ``f``.
+    """
+    d = np.asarray(d, dtype=float)
+    moduli = np.exp(-d * offset)
+    edges = []  # |f| at the last level's two outermost nodes on each side
+    sums = last = mass = None  # per entry the phased trapezoid sum / h; the level's p; sum |f|
+
+    def phased(xi, vals):
+        out = np.empty(d.size, dtype=complex)
+        rows = max(1, _STRIP_PRODUCTS // xi.size)
+        for lo in range(0, d.size, rows):
+            out[lo:lo + rows] = np.exp(1j * np.multiply.outer(d[lo:lo + rows], xi)) @ vals
+        return out
+
+    def level(nodes):
+        nonlocal sums, last, mass
+        (p,) = nodes
+        h = 2.0 * truncation / p
+        if last is not None and 2 * last == p:
+            xi = -truncation + h * np.arange(1, p, 2) + 1j * offset
+            new = _finite(f(xi))
+            sums = sums + phased(xi, new)
+            mass += float(np.abs(new).sum())
+            edges[1], edges[3] = abs(new[0]), abs(new[-1])
+        else:
+            xi = np.linspace(-truncation, truncation, p + 1) + 1j * offset
+            new = _finite(f(xi))
+            sums = phased(xi, new) - 0.5 * phased(xi[[0, -1]], new[[0, -1]])
+            mass = float(np.abs(new).sum())
+            edges[:] = abs(new[0]), abs(new[1]), abs(new[-1]), abs(new[-2])
+        last = p
+        return h * sums, moduli * _roundoff_estimate(mass * h, p + 1), new.size
+
+    return _refine(level, (start_nodes,), max_nodes, tol,
+                   lambda nodes: moduli * _tail_estimate(*edges, 2.0 * truncation / nodes[0]))
 
 
 def _tensor_level(f, offsets, truncations, nodes):

@@ -11,6 +11,7 @@ from levyexotic import (
     PayoffParameterSet,
     default_offsets,
     delta,
+    make_cgmy,
     make_gaussian,
     make_nig,
     mc_price,
@@ -21,6 +22,7 @@ from levyexotic import (
 )
 from levyexotic import quadrature as cq
 from levyexotic.contracts import Digital, to_portfolio
+from levyexotic.digitals import _price_strip
 from levyexotic.errors import DimensionTooLarge, NoFeasibleOffsets
 
 GAUSS = make_gaussian(0.2, 0.05)
@@ -82,6 +84,14 @@ class TestDefaultOffsets:
         p = PayoffParameterSet((7.0,), (ATM_LOG,), (1,), ((1.0,),))
         off = default_offsets(NIG, p)
         assert 0.0 < off.omega[0] < 3.0
+
+    def test_interval_too_narrow_to_halve_keeps_its_midpoint(self):
+        # gamma = 9.6 leaves ]0, 0.4[: the midpoint 0.2 already sits at the floor
+        sched = MonitoringSchedule(0.0, (1.0,))
+        p = PayoffParameterSet((9.6,), (0.0,), (1,), ((1.0,),))
+        midpoint = default_offsets(NIG, p)
+        assert default_offsets(NIG, p, sched, 1.2) == midpoint
+        assert [res.offsets_used for res in _price_strip(NIG, sched, p, [0.8, 1.2])] == [midpoint] * 2
 
     def test_multidate_terms_use_the_same_rule(self):
         sched = MonitoringSchedule(0.0, (0.5, 1.0))
@@ -188,6 +198,49 @@ class TestPriceDigital:
         mu = 0.05 - 0.02
         prob = ndtr(mu * 0.5 / (0.2 * math.sqrt(0.5))) ** 2
         assert res.value == pytest.approx(math.exp(-0.05) * prob, abs=1e-7)
+
+
+STRIP_MODELS = {
+    "gaussian": GAUSS,
+    "nig": NIG,
+    "cgmy05": make_cgmy(1.0, 5.0, 5.0, 0.5, 0.05),
+    "cgmy15": make_cgmy(1.0, 5.0, 5.0, 1.5, 0.05),
+}
+
+
+class TestPriceStrip:
+    # the per-spot line ladder (price_single_period) is the strip's oracle
+    SCHED = MonitoringSchedule(0.0, (1.0,))
+    # ln S - k from -13 to 13: several offset groups, and w*d > 12 at both ends
+    SPOTS = [SPOT * math.exp(x) for x in np.linspace(-13.0, 13.0, 40)]
+
+    @pytest.mark.parametrize("w", [1, -1], ids=["call", "put"])
+    @pytest.mark.parametrize("gamma", [0.0, 1.0], ids=["cash", "asset"])
+    @pytest.mark.parametrize("model", STRIP_MODELS.values(), ids=STRIP_MODELS.keys())
+    def test_strip_matches_per_spot_prices(self, model, gamma, w):
+        p = plain_digital(ATM_LOG, w, gamma)
+        strip = _price_strip(model, self.SCHED, p, self.SPOTS)
+        assert len({res.offsets_used for res in strip}) >= 3
+        flips = 0
+        for spot, res in zip(self.SPOTS, strip):
+            ref = price_single_period(model, 1.0, gamma, 1.0, w, ATM_LOG, spot)
+            assert abs(res.value - ref.value) <= ref.quadrature_error + 1e-12 * (1.0 + abs(ref.value))
+            flipped = w * (math.log(spot) - ATM_LOG) > 12.0  # priced as its complement
+            flips += flipped
+            q = plain_digital(ATM_LOG, -w if flipped else w, gamma)
+            assert res.offsets_used == default_offsets(model, q, self.SCHED, spot)
+        assert flips > 0
+
+    @pytest.mark.parametrize("w", [1, -1], ids=["call", "put"])
+    @pytest.mark.parametrize("gamma", [0.0, 1.0], ids=["cash", "asset"])
+    @pytest.mark.parametrize("model", STRIP_MODELS.values(), ids=STRIP_MODELS.keys())
+    def test_one_spot_strip_is_the_line_rule(self, model, gamma, w):
+        p = plain_digital(ATM_LOG, w, gamma)
+        for spot in (60.0, SPOT, 140.0):
+            (res,) = _price_strip(model, self.SCHED, p, [spot])
+            ref = price_digital(model, self.SCHED, p, spot)
+            assert res.value == pytest.approx(ref.value, rel=1e-13, abs=0.0)
+            assert (res.offsets_used, res.evaluations) == (ref.offsets_used, ref.evaluations)
 
 
 class TestGaussianReduction:

@@ -21,6 +21,7 @@ from levyexotic import (
     price_contract,
     simulate_monitoring,
 )
+from levyexotic import digitals
 from levyexotic.errors import NestingTooDeep, UnsupportedContract, UnsupportedModel
 
 GAUSS = make_gaussian(0.2, 0.05)
@@ -121,6 +122,21 @@ class TestMcPrice:
         fourier = price_contract(comp, GAUSS, SPOT).value
         mc = mc_price(comp, GAUSS, SPOT, 1 << 18, 7)
         assert abs(fourier - mc.estimate) <= 3.5 * mc.stderr
+
+    @pytest.mark.parametrize("model, pinned", [
+        (GAUSS, 7.8911678445691225),
+        (NIG, 7.639199288639812),
+    ], ids=["gaussian", "nig"])
+    def test_compound_inner_curve_prices_strips(self, model, pinned, monkeypatch):
+        # pinned: the estimates when the inner curve took one price_digital per spot
+        calls = []
+        per_spot = digitals.price_digital
+        monkeypatch.setattr(digitals, "price_digital",
+                            lambda *args, **kwargs: calls.append(args) or per_spot(*args, **kwargs))
+        comp = Compound(((0.5, 3.0, 1), (1.0, 100.0, 1)))
+        res = mc_price(comp, model, SPOT, 1 << 19, 7)
+        assert abs(res.estimate - pinned) <= 1e-9
+        assert calls == []
 
     def test_compound_depth_three_rejected(self):
         comp = Compound(((0.25, 2.0, 1), (0.5, 4.0, 1), (1.0, 100.0, 1)))

@@ -114,6 +114,29 @@ class TestLine:
             integrate_line(gaussian_pole_integrand(0.0), 0.0, 10.0, 1e-8)
 
 
+class TestStrip:
+    # integrate_line on each phased integrand is the oracle of the strip rule
+    D = np.array([-2.0, -0.5, 0.0, 1.0, 3.0])
+
+    def test_each_entry_matches_its_line_rule(self):
+        res = cq._integrate_strip(gaussian_pole_integrand(0.0), self.D, -1.0, 40.0,
+                                  np.full(self.D.size, 1e-12))
+        assert res.converged
+        assert res.value.shape == res.error_estimate.shape == self.D.shape
+        for k, d in enumerate(self.D):
+            line = integrate_line(gaussian_pole_integrand(d), -1.0, 40.0, 1e-12)
+            assert abs(res.value[k] - line.value) <= line.error_estimate + res.error_estimate[k]
+            assert res.value[k] == pytest.approx(2j * math.pi * ndtr(d), abs=1e-10)
+
+    def test_stops_once_every_entry_meets_its_own_tolerance(self):
+        f = gaussian_pole_integrand(0.0)
+        loose = cq._integrate_strip(f, [0.0, 1.0], -1.0, 40.0, np.array([1e-2, 1e-2]), start_nodes=16)
+        mixed = cq._integrate_strip(f, [0.0, 1.0], -1.0, 40.0, np.array([1e-2, 1e-13]), start_nodes=16)
+        assert loose.converged and mixed.converged
+        assert mixed.evaluations > loose.evaluations
+        assert mixed.value[1] == pytest.approx(2j * math.pi * ndtr(1.0), abs=1e-11)
+
+
 def lemma1_tensor_integrand(corr):
     corr = np.asarray(corr, dtype=float)
     n = corr.shape[0]
