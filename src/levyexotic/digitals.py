@@ -456,7 +456,7 @@ def _price_core(model, sched, p, spot, offsets, tol, fixed_nodes, max_nodes, del
                           offsets, fixed_nodes, max_nodes, chain)
 
 
-def _price_strip(model, sched, p, spots, tol=None) -> list[PriceResult]:
+def _price_strip(model, sched, p, spots) -> list[PriceResult]:
     """N = 1 prices of ``p`` at each of ``spots``: one PriceResult per spot, from one ladder per offset group.
 
     The spot enters only through the phase exp(i d xi), so samples of the
@@ -468,7 +468,6 @@ def _price_strip(model, sched, p, spots, tol=None) -> list[PriceResult]:
     """
     if p.n != 1:
         raise ValueError("a spot strip prices one exercise condition")
-    tol = DEFAULT_TOL_1D if tol is None else tol
     d = p.matrix().sum(axis=1)[0] * np.array([math.log(s) for s in spots]) - p.k_log[0]
     flip = p.w[0] * d > 12.0
     flipped = PayoffParameterSet(p.gamma, p.k_log, (-p.w[0],), p.a)
@@ -482,16 +481,17 @@ def _price_strip(model, sched, p, spots, tol=None) -> list[PriceResult]:
             offsets = ContourOffsets((omega,))
             check_offsets(model, q, offsets)
             prefactors = [_prefactor(model, sched, q, spots[i]) for i in group]
-            raw_tols = np.array([tol * (2.0 * math.pi) / abs(pf) for pf in prefactors])
+            raw_tols = np.array([DEFAULT_TOL_1D * (2.0 * math.pi) / abs(pf) for pf in prefactors])
             log_peak = _log_peak(model, sched, q, (omega,), d[group, None])
             (truncation,) = _truncations(model, q.condition_weights(), sched.intervals(),
                                          raw_tols.min(), log_peak.max())
             res = cq._integrate_strip(
-                lambda xi: np.exp(-psi_aggregate(model, sched, q, xi[:, None])) / xi,
+                lambda xi: -psi_aggregate(model, sched, q, xi[:, None]) - np.log(xi),
                 d[group], -q.w[0] * omega, truncation, raw_tols,
                 _start_count(truncation, np.abs(d[group]).max(), cq.LINE_NODE_CAP))
             for s, i in enumerate(group):
-                spot_res = cq.QuadratureResult(res.value[s], res.error_estimate[s], res.evaluations, res.converged)
+                spot_res = cq.QuadratureResult(res.value[s], res.error_estimate[s], res.evaluations,
+                                               bool(res.converged[s]))
                 out[i] = _scaled_price(spot_res, prefactors[s], raw_tols[s], offsets, (1, q.m))
     for i in np.flatnonzero(flip):
         out[i] = _complement(model, sched, p, spots[i], out[i])

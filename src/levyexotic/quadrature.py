@@ -8,8 +8,8 @@ level rules:
 
 - the line rule of ``integrate_line``, for one axis;
 - the strip rule of ``_integrate_strip``, for the line integrals of
-  exp(i d_s xi) f(xi) over a strip of phase coefficients d_s, all from one
-  set of samples of f (the spot strips of the N = 1 digitals);
+  exp(i d_s xi + log_f(xi)) over a strip of phase coefficients d_s, all from
+  one set of samples of log_f (the spot strips of the N = 1 digitals);
 - the chain rule of ``_integrate_chain``, for N >= 2 axes whose integrand
   factors into per-axis factors and leg factors of nested partial sums of
   the axes: it computes the tensor trapezoid sum on a common step as N nested
@@ -141,7 +141,7 @@ def _refine(level, starts, cap, tol, tail) -> QuadratureResult:
     returned with ``converged=False``.  When every axis starts at ``cap`` the
     ladder first runs a level at half the nodes, so the capped level's
     refinement error is measured rather than taken as 0.  For a strip, values,
-    errors and ``tol`` are arrays; the ladder stops once every entry meets its own.
+    errors, ``tol`` and ``converged`` are arrays; it stops once all converge.
     """
     nodes = [min(max(16, p + p % 2), cap) for p in map(int, starts)]
     if all(p >= cap for p in nodes):
@@ -157,8 +157,8 @@ def _refine(level, starts, cap, tol, tail) -> QuadratureResult:
         if prev is not None:
             err = abs(value - prev)
             # Below the float-cancellation floor further refinement is noise.
-            if np.all(err <= np.maximum(tol, 2.0 * roundoff)):
-                converged = True
+            converged = err <= np.maximum(tol, 2.0 * roundoff)
+            if np.all(converged):
                 break
         if all(p >= cap for p in nodes):
             break
@@ -172,7 +172,7 @@ def _refine(level, starts, cap, tol, tail) -> QuadratureResult:
         value=value,
         error_estimate=err + tail(nodes) + roundoff,
         evaluations=evaluations,
-        converged=converged,
+        converged=converged if np.ndim(converged) else bool(converged),
     )
 
 
@@ -215,27 +215,27 @@ def integrate_line(f, offset: float, truncation: float, tol: float,
                    lambda nodes: _tail_estimate(*edges, 2.0 * truncation / nodes[0]))
 
 
-def _integrate_strip(f, d, offset: float, truncation: float, tol,
-                     start_nodes: int = 64, max_nodes: int = LINE_NODE_CAP) -> QuadratureResult:
-    """Line-rule values of the integrals of exp(i d_s xi) f(xi) over Im(xi) = offset, one per d_s.
+def _integrate_strip(log_f, d, offset: float, truncation: float, tol, start_nodes: int) -> QuadratureResult:
+    """Line-rule values of the integrals of exp(i d_s xi + log_f(xi)) over Im(xi) = offset, one per d_s.
 
-    The strip rule: each level samples ``f`` once, at its new odd nodes as in
-    ``integrate_line``, and adds each d_s's phased sum over them, formed in
-    chunks of ``_STRIP_PRODUCTS``, to its running sum.  |exp(i d_s xi)| is
-    exp(-d_s offset) on the line, so each entry's tail and roundoff are
-    those of ``f`` times that factor.  ``tol``, value and error estimate
-    hold one entry per d_s; ``evaluations`` counts samples of ``f``.
+    The strip rule: each level samples exp(log_f - c), c = Re log_f at the
+    line's centre, once at its new odd nodes as in ``integrate_line``, and
+    adds each d_s's sum of them times exp(i d_s Re xi), formed in chunks of
+    ``_STRIP_PRODUCTS``.  Each entry's modulus exp(c - d_s offset) scales its
+    sum, tail and roundoff, so a huge c that the phase cancels cannot
+    overflow.  ``tol`` and the result hold one entry per d_s.
     """
     d = np.asarray(d, dtype=float)
-    moduli = np.exp(-d * offset)
-    edges = []  # |f| at the last level's two outermost nodes on each side
-    sums = last = mass = None  # per entry the phased trapezoid sum / h; the level's p; sum |f|
+    centre = float(log_f(np.array([1j * offset]))[0].real)
+    moduli = np.exp(centre - d * offset)
+    edges = []  # |sample| at the last level's two outermost nodes on each side
+    sums = last = mass = None  # per entry the phased trapezoid sum / h; the level's p; sum |sample|
 
-    def phased(xi, vals):
+    def phased(x, vals):
         out = np.empty(d.size, dtype=complex)
-        rows = max(1, _STRIP_PRODUCTS // xi.size)
+        rows = max(1, _STRIP_PRODUCTS // x.size)
         for lo in range(0, d.size, rows):
-            out[lo:lo + rows] = np.exp(1j * np.multiply.outer(d[lo:lo + rows], xi)) @ vals
+            out[lo:lo + rows] = np.exp(1j * np.multiply.outer(d[lo:lo + rows], x)) @ vals
         return out
 
     def level(nodes):
@@ -243,21 +243,21 @@ def _integrate_strip(f, d, offset: float, truncation: float, tol,
         (p,) = nodes
         h = 2.0 * truncation / p
         if last is not None and 2 * last == p:
-            xi = -truncation + h * np.arange(1, p, 2) + 1j * offset
-            new = _finite(f(xi))
-            sums = sums + phased(xi, new)
+            x = -truncation + h * np.arange(1, p, 2)
+            new = _finite(np.exp(log_f(x + 1j * offset) - centre))
+            sums = sums + phased(x, new)
             mass += float(np.abs(new).sum())
             edges[1], edges[3] = abs(new[0]), abs(new[-1])
         else:
-            xi = np.linspace(-truncation, truncation, p + 1) + 1j * offset
-            new = _finite(f(xi))
-            sums = phased(xi, new) - 0.5 * phased(xi[[0, -1]], new[[0, -1]])
+            x = np.linspace(-truncation, truncation, p + 1)
+            new = _finite(np.exp(log_f(x + 1j * offset) - centre))
+            sums = phased(x, new) - 0.5 * phased(x[[0, -1]], new[[0, -1]])
             mass = float(np.abs(new).sum())
             edges[:] = abs(new[0]), abs(new[1]), abs(new[-1]), abs(new[-2])
         last = p
-        return h * sums, moduli * _roundoff_estimate(mass * h, p + 1), new.size
+        return h * moduli * sums, moduli * _roundoff_estimate(mass * h, p + 1), new.size
 
-    return _refine(level, (start_nodes,), max_nodes, tol,
+    return _refine(level, (start_nodes,), LINE_NODE_CAP, tol,
                    lambda nodes: moduli * _tail_estimate(*edges, 2.0 * truncation / nodes[0]))
 
 

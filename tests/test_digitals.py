@@ -231,6 +231,15 @@ class TestPriceStrip:
             assert res.offsets_used == default_offsets(model, q, self.SCHED, spot)
         assert flips > 0
 
+    def test_deep_spot_of_a_wide_model_does_not_overflow(self):
+        # at ln S - k = -80 the spot-free factor alone is about e^1201, the phase about e^-2000
+        model = make_gaussian(2.0, 0.05)
+        spots = [SPOT * math.exp(x) for x in (-80.0, -40.0, 0.0)]
+        strip = _price_strip(model, self.SCHED, plain_digital(ATM_LOG), spots)
+        for spot, res in zip(spots, strip):
+            ref = price_single_period(model, 1.0, 0.0, 1.0, 1, ATM_LOG, spot)
+            assert abs(res.value - ref.value) <= ref.quadrature_error + 1e-12 * (1.0 + abs(ref.value))
+
     @pytest.mark.parametrize("w", [1, -1], ids=["call", "put"])
     @pytest.mark.parametrize("gamma", [0.0, 1.0], ids=["cash", "asset"])
     @pytest.mark.parametrize("model", STRIP_MODELS.values(), ids=STRIP_MODELS.keys())

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import ndtr
+from scipy.special import log_ndtr, ndtr
 
 from levyexotic import quadrature as cq
 from levyexotic.errors import DimensionTooLarge, NaNEncountered, NonPositiveInput
@@ -118,10 +118,14 @@ class TestStrip:
     # integrate_line on each phased integrand is the oracle of the strip rule
     D = np.array([-2.0, -0.5, 0.0, 1.0, 3.0])
 
+    @staticmethod
+    def log_gaussian_pole(xi):
+        return -0.5 * xi * xi - np.log(xi)
+
     def test_each_entry_matches_its_line_rule(self):
-        res = cq._integrate_strip(gaussian_pole_integrand(0.0), self.D, -1.0, 40.0,
-                                  np.full(self.D.size, 1e-12))
-        assert res.converged
+        res = cq._integrate_strip(self.log_gaussian_pole, self.D, -1.0, 40.0,
+                                  np.full(self.D.size, 1e-12), 64)
+        assert res.converged.all()
         assert res.value.shape == res.error_estimate.shape == self.D.shape
         for k, d in enumerate(self.D):
             line = integrate_line(gaussian_pole_integrand(d), -1.0, 40.0, 1e-12)
@@ -129,12 +133,27 @@ class TestStrip:
             assert res.value[k] == pytest.approx(2j * math.pi * ndtr(d), abs=1e-10)
 
     def test_stops_once_every_entry_meets_its_own_tolerance(self):
-        f = gaussian_pole_integrand(0.0)
-        loose = cq._integrate_strip(f, [0.0, 1.0], -1.0, 40.0, np.array([1e-2, 1e-2]), start_nodes=16)
-        mixed = cq._integrate_strip(f, [0.0, 1.0], -1.0, 40.0, np.array([1e-2, 1e-13]), start_nodes=16)
-        assert loose.converged and mixed.converged
+        f = self.log_gaussian_pole
+        loose = cq._integrate_strip(f, [0.0, 1.0], -1.0, 40.0, np.array([1e-2, 1e-2]), 16)
+        mixed = cq._integrate_strip(f, [0.0, 1.0], -1.0, 40.0, np.array([1e-2, 1e-13]), 16)
+        assert loose.converged.all() and mixed.converged.all()
         assert mixed.evaluations > loose.evaluations
         assert mixed.value[1] == pytest.approx(2j * math.pi * ndtr(1.0), abs=1e-11)
+
+    def test_huge_spot_free_factor_does_not_overflow(self):
+        # exp(log_f) is about e^3009 at the centre; the phase's modulus e^-2025 cancels it
+        d = np.array([-45.0, -46.0])
+        res = cq._integrate_strip(lambda xi: self.log_gaussian_pole(xi) + 1000.0, d,
+                                  -45.0, 40.0, np.full(2, 1e-300), 64)
+        assert res.converged.all()
+        expected = 2j * math.pi * np.exp(1000.0 + log_ndtr(d))
+        assert res.value == pytest.approx(expected, rel=1e-12)
+
+    def test_convergence_is_reported_per_entry(self):
+        # entry 0 settles at once; entry 1 changes at every level up to the cap
+        res = cq._refine(lambda nodes: (np.array([1.0, float(nodes[0])]), np.zeros(2), 1),
+                         (16,), 64, np.array([1e-3, 1e-3]), lambda nodes: 0.0)
+        assert res.converged.tolist() == [True, False]
 
 
 def lemma1_tensor_integrand(corr):
