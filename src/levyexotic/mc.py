@@ -4,11 +4,15 @@ Gaussian increments are sampled exactly; normal-inverse-Gaussian increments
 via the normal variance-mean mixture with an inverse-Gaussian mixing time
 (Michael-Schucany-Haas transformation with a uniform acceptance branch).
 Paths live in fixed-size blocks keyed by (seed, block index) on a
-counter-based generator, so path i never depends on the total path count.
+counter-based generator.  The blocks of one price are drawn on a thread pool
+sized by the usable CPUs and merged in block order, so path i and every
+estimate depend neither on the total path count nor on the CPU count.
 """
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +35,10 @@ from .models import GaussianModel, LevyModel, NIGModel
 
 BLOCK = 1 << 14
 _CONTINUOUS_STEPS = 256
+# Ceiling on the block pool's threads: an NIG block holds four (BLOCK, M)
+# float buffers while it is drawn, 134 MB at the continuous Asian's M = 256.
+_MAX_THREADS = 4
+_POOLS: dict[int, ThreadPoolExecutor] = {}  # pid -> that process's block pool
 
 
 @dataclass(frozen=True)
@@ -45,58 +53,102 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, block))))
 
 
-def _sample_inverse_gaussian(mean, shape, rng, size):
-    """Inverse-Gaussian draws with the quadratic-transformation method."""
-    nu = rng.standard_normal(size)
-    u = rng.random(size)
-    y = nu * nu
-    x = mean + (mean * mean * y) / (2.0 * shape) - (mean / (2.0 * shape)) * np.sqrt(
-        4.0 * mean * shape * y + (mean * y) ** 2
-    )
-    alt = mean * mean / x
-    return np.where(u <= mean / (mean + x), x, alt)
-
-
 def _simulate_block(model: LevyModel, deltas: np.ndarray, seed: int, block: int) -> np.ndarray:
-    """One block of cumulative log-price paths, shape (BLOCK, M), X_t = 0 base."""
+    """One block of cumulative log-price paths, shape (BLOCK, M), X_t = 0 base.
+
+    The model is Gaussian or NIG (``_iter_blocks`` rejects the others).  The
+    work is done in place on at most four (BLOCK, M) buffers with per-column
+    constants, and every floating-point operation keeps the order of the
+    broadcast formula, so paths are bit-identical to it (``tests/test_mc.py``
+    keeps that formula as the oracle).
+    """
     rng = _block_rng(seed, block)
-    m = deltas.shape[0]
+    shape = (BLOCK, deltas.shape[0])
+    steps = rng.standard_normal(shape)
     if isinstance(model, GaussianModel):
-        z = rng.standard_normal((BLOCK, m))
-        steps = model.mu * deltas + model.sigma * np.sqrt(deltas) * z
-    elif isinstance(model, NIGModel):
-        eps = rng.standard_normal((BLOCK, m))
-        gam = math.sqrt(model.alpha**2 - model.beta**2)
-        mean_ig = model.delta * deltas / gam
-        shape_ig = (model.delta * deltas) ** 2
-        mixing = _sample_inverse_gaussian(
-            np.broadcast_to(mean_ig, (BLOCK, m)),
-            np.broadcast_to(shape_ig, (BLOCK, m)),
-            rng,
-            (BLOCK, m),
-        )
-        steps = model.mu * deltas + model.beta * mixing + np.sqrt(mixing) * eps
-    else:
-        raise UnsupportedModel(
-            f"no exact path sampler for the {model.kind} model"
-        )
-    return steps.cumsum(axis=1)
+        steps *= model.sigma * np.sqrt(deltas)
+        steps += model.mu * deltas
+        return np.cumsum(steps, axis=1, out=steps)
+    gam = math.sqrt(model.alpha**2 - model.beta**2)
+    mean = model.delta * deltas / gam  # inverse-Gaussian mean and shape per column
+    shape_ig = (model.delta * deltas) ** 2
+    mean_sq = mean * mean
+    two_shape = 2.0 * shape_ig
+    y = rng.standard_normal(shape)
+    np.square(y, out=y)
+    x = np.multiply(mean_sq, y)
+    x /= two_shape
+    x += mean
+    root = np.multiply(mean, y)
+    np.square(root, out=root)
+    y *= 4.0 * mean * shape_ig
+    y += root
+    np.sqrt(y, out=y)
+    y *= mean / two_shape
+    x -= y  # the smaller root of the transformation
+    u = rng.random(shape, out=root)
+    np.add(mean, x, out=y)
+    np.divide(mean, y, out=y)
+    take_x = u <= y
+    mixing = np.divide(mean_sq, x, out=y)  # the larger root, mean^2 / x
+    np.copyto(mixing, x, where=take_x)
+    drift = np.multiply(model.beta, mixing, out=x)
+    drift += model.mu * deltas
+    steps *= np.sqrt(mixing, out=mixing)
+    steps += drift
+    return np.cumsum(steps, axis=1, out=steps)
 
 
-def _iter_blocks(model, sched: MonitoringSchedule, n_paths: int, seed: int):
-    """Path blocks of at most BLOCK rows, drawn lazily; ``n_paths`` < 1 raises at the call."""
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _pool(workers: int) -> ThreadPoolExecutor:
+    """This process's block pool, created on first use.
+
+    Keyed by pid: a child forked after the parent used the pool inherits the
+    executor but none of its threads, and would wait forever on it.  Callers
+    racing to create it all get the one ``setdefault`` stored; the others'
+    executors never started a thread.
+    """
+    pid = os.getpid()
+    pool = _POOLS.get(pid)
+    if pool is None:
+        pool = _POOLS.setdefault(pid, ThreadPoolExecutor(workers, thread_name_prefix="levyexotic-mc"))
+    return pool
+
+
+def _iter_blocks(model, sched: MonitoringSchedule, n_paths: int, seed: int, fn):
+    """``fn`` of each path block of at most BLOCK rows, in block order.
+
+    Blocks are drawn concurrently on a thread pool sized by the usable CPUs
+    (numpy releases the interpreter lock while it fills and combines arrays)
+    and yielded in block order, so results never depend on the CPU count.
+    ``n_paths`` < 1 or a model without a sampler raises at the call.
+    """
     if n_paths < 1:
         raise ValueError("need at least one path")
+    if not isinstance(model, (GaussianModel, NIGModel)):
+        raise UnsupportedModel(f"no exact path sampler for the {model.kind} model")
     deltas = sched.intervals()
     n_blocks = (n_paths + BLOCK - 1) // BLOCK
-    return (_simulate_block(model, deltas, seed, block)[:min(BLOCK, n_paths - block * BLOCK)]
-            for block in range(n_blocks))
+
+    def draw(block):
+        return fn(_simulate_block(model, deltas, seed, block)[:min(BLOCK, n_paths - block * BLOCK)])
+
+    workers = min(_usable_cpus(), _MAX_THREADS)
+    if workers == 1 or n_blocks == 1:
+        return map(draw, range(n_blocks))
+    return _pool(workers).map(draw, range(n_blocks))
 
 
 def simulate_monitoring(model: LevyModel, sched: MonitoringSchedule,
                         n_paths: int, seed: int) -> np.ndarray:
     """Paths of X at the monitoring dates, shape (n_paths, M), relative to X_t = 0."""
-    return np.concatenate(list(_iter_blocks(model, sched, n_paths, seed)), axis=0)
+    return np.concatenate(list(_iter_blocks(model, sched, n_paths, seed, lambda x: x)), axis=0)
 
 
 def _digital_payoff(x, spot, p):
@@ -190,8 +242,8 @@ def mc_price(c: ContractSpec, model: LevyModel, spot: float,
         return _mc_compound(c, model, spot, n_paths, seed)
     sched = _contract_schedule(c)
     discount = math.exp(-model.r * (sched.expiry - sched.t))
-    payoffs = (discount * _pathwise_payoff(c, model, spot, x)
-               for x in _iter_blocks(model, sched, n_paths, seed))
+    payoffs = _iter_blocks(model, sched, n_paths, seed,
+                           lambda x: discount * _pathwise_payoff(c, model, spot, x))
     return _accumulate(payoffs, seed)
 
 
@@ -233,11 +285,11 @@ def _mc_compound(c: Compound, model, spot, n_paths, seed):
     discount = math.exp(-model.r * (t1 - c.t))
     log_s = math.log(spot)
 
-    blocks = list(_iter_blocks(model, sched, n_paths, seed))
+    blocks = list(_iter_blocks(model, sched, n_paths, seed, lambda x: x[:, 0]))
     # Rounding is monotone, so min(x) + log_s is the least of x + log_s.
-    x_lo = min(float(x[:, 0].min()) for x in blocks) + log_s
-    x_hi = max(float(x[:, 0].max()) for x in blocks) + log_s
+    x_lo = min(float(x.min()) for x in blocks) + log_s
+    x_hi = max(float(x.max()) for x in blocks) + log_s
     curve = _vanilla_curve(model, t1, inner, x_lo, x_hi)
 
-    payoffs = (discount * np.maximum(w1 * (curve(x[:, 0] + log_s) - k1), 0.0) for x in blocks)
+    payoffs = (discount * np.maximum(w1 * (curve(x + log_s) - k1), 0.0) for x in blocks)
     return _accumulate(payoffs, seed)

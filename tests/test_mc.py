@@ -1,4 +1,11 @@
 import math
+import multiprocessing
+import os
+import queue
+import subprocess
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -21,13 +28,57 @@ from levyexotic import (
     price_contract,
     simulate_monitoring,
 )
-from levyexotic import digitals
+from levyexotic import digitals, mc
 from levyexotic.errors import NestingTooDeep, UnsupportedContract, UnsupportedModel
+from levyexotic.models import GaussianModel
 
 GAUSS = make_gaussian(0.2, 0.05)
 NIG = make_nig(8.0, -2.0, 0.3, 0.05)
 SPOT = 100.0
 SCHED2 = MonitoringSchedule(0.0, (0.5, 1.0))
+SCHED3 = MonitoringSchedule(0.0, (1 / 3, 2 / 3, 1.0))
+SCHED12 = MonitoringSchedule(0.0, tuple((k + 1) / 12 for k in range(12)))
+
+
+def broadcast_block(model, deltas, seed, block):
+    """Reference sampler: the block formula on full (BLOCK, M) temporaries."""
+    rng = mc._block_rng(seed, block)
+    size = (mc.BLOCK, deltas.shape[0])
+    if isinstance(model, GaussianModel):
+        z = rng.standard_normal(size)
+        steps = model.mu * deltas + model.sigma * np.sqrt(deltas) * z
+    else:
+        eps = rng.standard_normal(size)
+        gam = math.sqrt(model.alpha**2 - model.beta**2)
+        mean = np.broadcast_to(model.delta * deltas / gam, size)
+        shape = np.broadcast_to((model.delta * deltas) ** 2, size)
+        nu = rng.standard_normal(size)
+        u = rng.random(size)
+        y = nu * nu
+        x = mean + (mean * mean * y) / (2.0 * shape) - (mean / (2.0 * shape)) * np.sqrt(
+            4.0 * mean * shape * y + (mean * y) ** 2
+        )
+        mixing = np.where(u <= mean / (mean + x), x, mean * mean / x)
+        steps = model.mu * deltas + model.beta * mixing + np.sqrt(mixing) * eps
+    return steps.cumsum(axis=1)
+
+
+def count_blocks(monkeypatch):
+    """The thread that draws each block, from a wrapped ``_simulate_block``."""
+    threads = []
+    draw = mc._simulate_block
+
+    def counted(*args):
+        threads.append(threading.current_thread())
+        return draw(*args)
+
+    monkeypatch.setattr(mc, "_simulate_block", counted)
+    return threads
+
+
+def price_in_child(results):
+    res = mc_price(AsianGeometric(SCHED12, 100.0), NIG, SPOT, 3 * mc.BLOCK, 9)
+    results.put((res.estimate, res.stderr))
 
 
 class TestSimulation:
@@ -64,10 +115,107 @@ class TestSimulation:
             target = np.exp(-0.5 * model.psi(complex(xi)))
             assert abs(ecf - target) <= 4.0 / math.sqrt(n)
 
-    def test_cgmy_unsupported(self):
+    def test_cgmy_unsupported(self, monkeypatch):
         model = make_cgmy(1.0, 5.0, 5.0, 0.5, 0.05)
+        drawn = count_blocks(monkeypatch)
         with pytest.raises(UnsupportedModel):
-            simulate_monitoring(model, SCHED2, 100, 0)
+            simulate_monitoring(model, SCHED2, 100_000, 0)
+        with pytest.raises(UnsupportedModel):
+            mc_price(ForwardStart(0.5, 1.0), model, SPOT, 100_000, 0)
+        assert drawn == []
+
+    @pytest.mark.parametrize("model", [GAUSS, NIG], ids=["gaussian", "nig"])
+    @pytest.mark.parametrize("sched", [
+        MonitoringSchedule(0.0, (0.7,)), SCHED2, MonitoringSchedule(0.0, (0.1, 0.25, 0.9)), SCHED12,
+    ], ids=["M1", "M2", "M3", "M12"])
+    def test_sampler_bit_identical_to_broadcast_formula(self, model, sched):
+        deltas = sched.intervals()
+        for seed, block in ((0, 0), (3, 1), (2**32 + 7, 31)):
+            expected = broadcast_block(model, deltas, seed, block)
+            assert np.array_equal(mc._simulate_block(model, deltas, seed, block), expected)
+
+    def test_independent_of_cpu_count(self, monkeypatch):
+        drawn = count_blocks(monkeypatch)
+        runs = []
+        for cpus in (1, 4):
+            monkeypatch.setattr(mc, "_usable_cpus", lambda: cpus)
+            drawn.clear()
+            paths = simulate_monitoring(NIG, SCHED3, 3 * mc.BLOCK + 1_234, 5)
+            threads = set(drawn)
+            res = mc_price(LookbackFixed(SCHED3, 100.0), NIG, SPOT, 3 * mc.BLOCK + 1_234, 5)
+            comp = mc_price(Compound(((0.5, 3.0, 1), (1.0, 100.0, 1))), GAUSS, SPOT, 2 * mc.BLOCK, 5)
+            runs.append((paths, res, comp, threads))
+        (serial, serial_res, serial_comp, serial_threads), (par, par_res, par_comp, par_threads) = runs
+        assert serial_threads == {threading.current_thread()}
+        assert all(t.name.startswith("levyexotic-mc") for t in par_threads)
+        assert np.array_equal(serial, par)
+        assert serial_res == par_res and serial_comp == par_comp
+
+    def test_concurrent_callers_share_one_pool(self, monkeypatch):
+        contract, n = ForwardStart(0.5, 1.0), 2 * mc.BLOCK
+        monkeypatch.setattr(mc, "_usable_cpus", lambda: 1)
+        expected = mc_price(contract, NIG, SPOT, n, 4)
+        monkeypatch.setattr(mc, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(mc, "_POOLS", {})
+        executor = mc.ThreadPoolExecutor
+
+        def slow_executor(*args, **kwargs):  # lets every caller see no pool before one is stored
+            time.sleep(0.05)
+            return executor(*args, **kwargs)
+
+        monkeypatch.setattr(mc, "ThreadPoolExecutor", slow_executor)
+        drawn = count_blocks(monkeypatch)
+        start = threading.Barrier(8)
+        results = [None] * 8
+
+        def call(i):
+            start.wait()
+            results[i] = mc_price(contract, NIG, SPOT, n, 4)
+
+        callers = [threading.Thread(target=call, args=(i,)) for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert results == [expected] * 8
+        assert len(set(drawn)) <= 2  # one pool's threads, not a pool per caller
+        mc._POOLS[os.getpid()].shutdown()
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork")
+    def test_forked_child_draws_blocks(self, monkeypatch):
+        # The child inherits the parent's used pool object but none of its threads.
+        monkeypatch.setattr(mc, "_usable_cpus", lambda: 2)
+        drawn = count_blocks(monkeypatch)
+        res = mc_price(AsianGeometric(SCHED12, 100.0), NIG, SPOT, 3 * mc.BLOCK, 9)
+        assert all(t.name.startswith("levyexotic-mc") for t in drawn)
+        ctx = multiprocessing.get_context("fork")
+        results = ctx.Queue()
+        child = ctx.Process(target=price_in_child, args=(results,))
+        child.start()
+        try:
+            assert results.get(timeout=60) == (res.estimate, res.stderr)
+            child.join(timeout=10)
+            assert not child.is_alive()
+        except queue.Empty:
+            pytest.fail("forked child did not price within 60 s")
+        finally:
+            if child.is_alive():
+                child.kill()
+                child.join(timeout=10)
+
+    def test_import_starts_no_thread(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(mc.__file__)))
+        code = ("import threading; n = threading.active_count(); import levyexotic; "
+                "print(n, threading.active_count())")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                             timeout=60, env={**os.environ, "PYTHONPATH": src}).stdout.split()
+        assert out[0] == out[1]
 
 
 class TestMcPrice:
@@ -92,6 +240,15 @@ class TestMcPrice:
     def test_vanilla_against_black_scholes(self):
         res = mc_price(Compound(((1.0, 100.0, 1),)), GAUSS, SPOT, 10**6, 17)
         assert abs(res.estimate - 10.450584) <= 3.0 * res.stderr
+
+    @pytest.mark.parametrize("contract, model, pinned", [
+        (AsianGeometric(SCHED12, 100.0), NIG, (5.713211821562299, 0.021623393163874908)),
+        (BarrierDownOutCall(SCHED3, 90.0, 100.0), GAUSS, (10.081894429719743, 0.04070534433700345)),
+    ], ids=["nig-asian-M12", "gaussian-barrier-M3"])
+    def test_estimates_pinned(self, contract, model, pinned):
+        # pinned: the values of the serial broadcast sampler, to the last bit
+        res = mc_price(contract, model, SPOT, 1 << 17, 3)
+        assert (res.estimate, res.stderr) == pinned
 
     def test_deterministic_given_seed(self):
         a = mc_price(ForwardStart(0.5, 1.0), NIG, SPOT, 100_000, 11)
