@@ -7,6 +7,11 @@ Paths live in fixed-size blocks keyed by (seed, block index) on a
 counter-based generator.  The blocks of one price are drawn on a thread pool
 sized by the usable CPUs and merged in block order, so path i and every
 estimate depend neither on the total path count nor on the CPU count.
+
+The pool is created on first use, one per process, and its threads then live
+as long as the process.  A child forked with no price in flight gets a pool of
+its own; forking while another thread is inside an MC price is unsafe, since
+the child may inherit a lock held by one of the pool's workers.
 """
 from __future__ import annotations
 
@@ -36,8 +41,10 @@ from .models import GaussianModel, LevyModel, NIGModel
 BLOCK = 1 << 14
 _CONTINUOUS_STEPS = 256
 # Ceiling on the block pool's threads: an NIG block holds four (BLOCK, M)
-# float buffers while it is drawn, 134 MB at the continuous Asian's M = 256.
-_MAX_THREADS = 4
+# float buffers while it is drawn, 134 MB at the continuous Asian's M = 256,
+# so each thread adds that much to the peak.  Two is the only pool size whose
+# time and memory have been measured (BENCH_12.json, 2 vCPUs).
+_MAX_THREADS = 2
 _POOLS: dict[int, ThreadPoolExecutor] = {}  # pid -> that process's block pool
 
 
@@ -106,8 +113,9 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _pool(workers: int) -> ThreadPoolExecutor:
-    """This process's block pool, created on first use.
+def _pool() -> ThreadPoolExecutor:
+    """This process's block pool, created on first use with one thread per
+    usable CPU, at most ``_MAX_THREADS``.
 
     Keyed by pid: a child forked after the parent used the pool inherits the
     executor but none of its threads, and would wait forever on it.  Callers
@@ -117,6 +125,7 @@ def _pool(workers: int) -> ThreadPoolExecutor:
     pid = os.getpid()
     pool = _POOLS.get(pid)
     if pool is None:
+        workers = min(_usable_cpus(), _MAX_THREADS)
         pool = _POOLS.setdefault(pid, ThreadPoolExecutor(workers, thread_name_prefix="levyexotic-mc"))
     return pool
 
@@ -139,10 +148,7 @@ def _iter_blocks(model, sched: MonitoringSchedule, n_paths: int, seed: int, fn):
     def draw(block):
         return fn(_simulate_block(model, deltas, seed, block)[:min(BLOCK, n_paths - block * BLOCK)])
 
-    workers = min(_usable_cpus(), _MAX_THREADS)
-    if workers == 1 or n_blocks == 1:
-        return map(draw, range(n_blocks))
-    return _pool(workers).map(draw, range(n_blocks))
+    return _pool().map(draw, range(n_blocks))
 
 
 def simulate_monitoring(model: LevyModel, sched: MonitoringSchedule,

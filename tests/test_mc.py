@@ -137,23 +137,34 @@ class TestSimulation:
     def test_independent_of_cpu_count(self, monkeypatch):
         drawn = count_blocks(monkeypatch)
         runs = []
-        for cpus in (1, 4):
+        for cpus in (1, 2):
             monkeypatch.setattr(mc, "_usable_cpus", lambda: cpus)
+            monkeypatch.setattr(mc, "_POOLS", {})
             drawn.clear()
             paths = simulate_monitoring(NIG, SCHED3, 3 * mc.BLOCK + 1_234, 5)
             threads = set(drawn)
             res = mc_price(LookbackFixed(SCHED3, 100.0), NIG, SPOT, 3 * mc.BLOCK + 1_234, 5)
             comp = mc_price(Compound(((0.5, 3.0, 1), (1.0, 100.0, 1))), GAUSS, SPOT, 2 * mc.BLOCK, 5)
+            mc._POOLS[os.getpid()].shutdown()
             runs.append((paths, res, comp, threads))
-        (serial, serial_res, serial_comp, serial_threads), (par, par_res, par_comp, par_threads) = runs
-        assert serial_threads == {threading.current_thread()}
-        assert all(t.name.startswith("levyexotic-mc") for t in par_threads)
-        assert np.array_equal(serial, par)
-        assert serial_res == par_res and serial_comp == par_comp
+        (one, one_res, one_comp, one_threads), (two, two_res, two_comp, two_threads) = runs
+        assert len(one_threads) == 1 and len(two_threads) <= 2
+        assert all(t.name.startswith("levyexotic-mc") for t in one_threads | two_threads)
+        assert np.array_equal(one, two)
+        assert one_res == two_res and one_comp == two_comp
+
+    def test_pool_size_has_a_ceiling(self, monkeypatch):
+        monkeypatch.setattr(mc, "_usable_cpus", lambda: 64)
+        monkeypatch.setattr(mc, "_POOLS", {})
+        pool = mc._pool()
+        try:
+            assert pool._max_workers == mc._MAX_THREADS
+            assert mc._pool() is pool
+        finally:
+            pool.shutdown()
 
     def test_concurrent_callers_share_one_pool(self, monkeypatch):
         contract, n = ForwardStart(0.5, 1.0), 2 * mc.BLOCK
-        monkeypatch.setattr(mc, "_usable_cpus", lambda: 1)
         expected = mc_price(contract, NIG, SPOT, n, 4)
         monkeypatch.setattr(mc, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(mc, "_POOLS", {})
@@ -190,9 +201,10 @@ class TestSimulation:
     @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork")
     def test_forked_child_draws_blocks(self, monkeypatch):
         # The child inherits the parent's used pool object but none of its threads.
-        monkeypatch.setattr(mc, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(mc, "_POOLS", {})
         drawn = count_blocks(monkeypatch)
         res = mc_price(AsianGeometric(SCHED12, 100.0), NIG, SPOT, 3 * mc.BLOCK, 9)
+        parent_pool = mc._pool()
         assert all(t.name.startswith("levyexotic-mc") for t in drawn)
         ctx = multiprocessing.get_context("fork")
         results = ctx.Queue()
@@ -208,6 +220,7 @@ class TestSimulation:
             if child.is_alive():
                 child.kill()
                 child.join(timeout=10)
+            parent_pool.shutdown()
 
     def test_import_starts_no_thread(self):
         src = os.path.dirname(os.path.dirname(os.path.abspath(mc.__file__)))
@@ -246,7 +259,7 @@ class TestMcPrice:
         (BarrierDownOutCall(SCHED3, 90.0, 100.0), GAUSS, (10.081894429719743, 0.04070534433700345)),
     ], ids=["nig-asian-M12", "gaussian-barrier-M3"])
     def test_estimates_pinned(self, contract, model, pinned):
-        # pinned: the values of the serial broadcast sampler, to the last bit
+        # pinned to the last bit: the broadcast sampler's values, its blocks drawn in turn
         res = mc_price(contract, model, SPOT, 1 << 17, 3)
         assert (res.estimate, res.stderr) == pinned
 
