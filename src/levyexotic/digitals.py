@@ -5,11 +5,17 @@ A payoff parameter set [(gamma_1..gamma_M), K, W, A] describes the claim
     S_1^gamma_1 ... S_M^gamma_M * prod_n 1( w_n * (A X)_n >= w_n K_n )
 
 on monitored log prices X_1..X_M.  Its value is an N-fold contour integral
-whose integrand couples the monitoring legs only through suffix sums of A and
-gamma; this module assembles that integrand, picks feasible contour offsets,
-and drives the line, chain or tensor quadrature.  ``_contour_price`` runs
-every contour price in the package (digitals, the continuous Asian and the
-normal-CDF identity).
+of exp(i d.xi + E(xi)) / prod(xi); this module assembles that integrand, picks
+feasible contour offsets, and drives the line, chain or tensor quadrature.
+``_contour_price`` runs every contour price in the package (digitals, the
+continuous Asian and the normal-CDF identity).
+
+The exponent E is a sum over the monitoring legs j = 1..M of
+-Delta_j psi(zeta_j), at zeta_j = sum_k C[k, j] xi_k - i G_j, where C and G
+are the suffix sums of A and gamma.  One leg list per term (``_Legs``) holds
+C, Delta and G, builds zeta_j and is the only caller of psi.  The line, chain
+and tensor rules, the offset and truncation choice and the spot strips all
+read it, so a StripViolation from any of them names its leg.
 """
 from __future__ import annotations
 
@@ -151,28 +157,49 @@ class PriceResult:
     evaluations: int
 
 
-def psi_aggregate(model: LevyModel, sched: MonitoringSchedule, p: PayoffParameterSet, xi):
-    """Multi-leg exponent sum_j (T_j - T_{j-1}) psi(zeta_j(xi)).
+class _Legs:
+    """The leg list of one digital term: model, couplings C, Delta_j = T_j - T_{j-1} and G_j.
 
-    ``xi`` has shape (..., N); the leg arguments are
-    zeta_j = sum_n C[n, j] xi_n - i G_j.  Raises StripViolation naming the
-    offending leg when some zeta_j leaves the strip.
+    A term on the chain rule multiplies row k of C by its plan's flips[k].
     """
-    if p.m != sched.m:
-        raise ValueError("payoff and schedule disagree on the number of dates")
+
+    def __init__(self, model: LevyModel, sched: MonitoringSchedule, p: PayoffParameterSet):
+        if p.m != sched.m:
+            raise ValueError("payoff and schedule disagree on the number of dates")
+        self.model = model
+        self.cmat = p.condition_weights()
+        self.deltas = sched.intervals()
+        self.gsuf = p.gamma_suffix()
+
+    def zeta(self, j, xs, axes):
+        """Leg j's argument at values ``xs`` of ``axes``; the other axes count as 0."""
+        zeta = -1j * self.gsuf[j]
+        for x, k in zip(xs, axes):
+            if self.cmat[k, j] != 0.0:
+                zeta = zeta + self.cmat[k, j] * x
+        return zeta
+
+    def exponent(self, legs, xs, axes):
+        """-sum_j Delta_j psi(zeta_j) over ``legs``; a StripViolation names its leg."""
+        total = 0.0
+        for j in legs:
+            try:
+                total = total - self.deltas[j] * self.model.psi(self.zeta(j, xs, axes))
+            except StripViolation as exc:
+                raise StripViolation(f"leg {j + 1}: {exc}") from None
+        return total
+
+
+def psi_aggregate(model: LevyModel, sched: MonitoringSchedule, p: PayoffParameterSet, xi):
+    """Multi-leg exponent sum_j (T_j - T_{j-1}) psi(zeta_j(xi)) of the leg list (``_Legs``).
+
+    ``xi`` of shape (..., N) gives shape xi.shape[:-1], and a single point of
+    shape (N,) a complex.  Raises StripViolation naming the offending leg.
+    """
     xi = np.asarray(xi, dtype=complex)
-    scalar_in = xi.ndim == 1
-    cmat = p.condition_weights()
-    gsuf = p.gamma_suffix()
-    deltas = sched.intervals()
-    total = np.zeros(xi.shape[:-1], dtype=complex)
-    for j in range(p.m):
-        zeta = xi @ cmat[:, j] - 1j * gsuf[j]
-        try:
-            total = total + deltas[j] * model.psi(zeta)
-        except StripViolation as exc:
-            raise StripViolation(f"leg {j + 1}: {exc}") from None
-    return complex(total) if scalar_in and total.ndim == 0 else total
+    exponent = _Legs(model, sched, p).exponent(range(p.m), tuple(xi[..., k] for k in range(p.n)), range(p.n))
+    total = np.zeros(xi.shape[:-1], dtype=complex) - exponent
+    return complex(total) if total.ndim == 0 else total
 
 
 def feasibility_sums(p: PayoffParameterSet, omega) -> np.ndarray:
@@ -201,7 +228,7 @@ def _log_moneyness(p: PayoffParameterSet, spot: float) -> np.ndarray:
     return p.matrix().sum(axis=1) * math.log(spot) - np.array(p.k_log)
 
 
-def _log_peak(model, sched, p, omega, d_vec):
+def _log_peak(legs, p, omega, d_vec):
     """Log-magnitude of the integrand at the contour's central point.
 
     Used to condition the offset choice: a huge central value means the
@@ -211,11 +238,11 @@ def _log_peak(model, sched, p, omega, d_vec):
     """
     signs = np.array(p.w, dtype=float)
     xi0 = -1j * signs * np.asarray(omega, dtype=float)
-    psi_val = psi_aggregate(model, sched, p, xi0)
-    return np.sum(signs * omega * d_vec, axis=-1) - psi_val.real - np.sum(np.log(omega), axis=-1)
+    exponent = legs.exponent(range(p.m), tuple(xi0[..., k] for k in range(p.n)), range(p.n))
+    return np.sum(signs * omega * d_vec, axis=-1) + exponent.real - np.sum(np.log(omega), axis=-1)
 
 
-def _halved_offsets(model, sched, p, lo, hi, d_rows) -> np.ndarray:
+def _halved_offsets(legs, p, lo, hi, d_rows) -> np.ndarray:
     """Per row of ``d_rows`` (log moneyness, shape (S, N)), the equal offset of ``default_offsets``.
 
     The candidates are the midpoint of ]lo, hi[ and its halvings down to a
@@ -229,7 +256,7 @@ def _halved_offsets(model, sched, p, lo, hi, d_rows) -> np.ndarray:
     while candidates[-1] / 2 >= floor:
         candidates.append(candidates[-1] / 2)
     candidates = np.array(candidates)
-    peaks = _log_peak(model, sched, p, np.repeat(candidates[:, None, None], p.n, axis=2), d_rows)
+    peaks = _log_peak(legs, p, np.repeat(candidates[:, None, None], p.n, axis=2), d_rows)
     # Row k: the halving from candidate k does not lower the peak, or there is none.
     stops = np.vstack((peaks[1:] >= peaks[:-1], np.ones_like(peaks[:1], dtype=bool)))
     return candidates[stops.argmax(axis=0)]
@@ -287,7 +314,7 @@ def default_offsets(
             raise ValueError("position must lie strictly between 0 and 1")
         omega = lo + position * width
     elif sched is not None and spot is not None:
-        omega = float(_halved_offsets(model, sched, p, lo, hi, _log_moneyness(p, spot)[None])[0])
+        omega = float(_halved_offsets(_Legs(model, sched, p), p, lo, hi, _log_moneyness(p, spot)[None])[0])
     else:
         omega = lo + 0.5 * width
     chosen = ContourOffsets((omega,) * p.n)
@@ -297,19 +324,13 @@ def default_offsets(
 
 def _certain_price(model, sched, p, spot, delta_mode=False):
     """N = 0 branch: plain discounted power moment, no quadrature."""
-    gsuf = p.gamma_suffix()
-    deltas = sched.intervals()
-    tau = sched.expiry - sched.t
-    exponent = 0.0 + 0.0j
-    for j in range(p.m):
-        exponent += deltas[j] * model.psi(-1j * gsuf[j])
-    gamma_total = float(np.sum(p.gamma))
-    value = math.exp(-model.r * tau) * spot**gamma_total * np.exp(-exponent)
+    exponent = _Legs(model, sched, p).exponent(range(p.m), (), ())
+    value = _prefactor(model, sched, p, spot) * np.exp(exponent)
     if abs(value.imag) > IMAG_RESIDUE_TOL * (1.0 + abs(value.real)):
         raise PricingError("imaginary residue of the analytic branch too large")
     out = value.real
     if delta_mode:
-        out *= gamma_total / spot
+        out *= float(np.sum(p.gamma)) / spot
     return PriceResult(out, 0.0, ContourOffsets(()), (0, p.m), 0)
 
 
@@ -365,13 +386,13 @@ def _prefactor(model, sched, p, spot) -> float:
     return math.exp(-model.r * (sched.expiry - sched.t)) * spot**gamma_total * math.prod(p.w)
 
 
-def _truncations(model, cmat, deltas, raw_tol, log_peak) -> list[float]:
+def _truncations(legs: _Legs, raw_tol, log_peak) -> list[float]:
     """Per-axis radii that make the tail negligible next to the peak, allowing for the decay shift."""
-    shift = model.decay_shift * float(deltas.sum())
+    shift = legs.model.decay_shift * float(legs.deltas.sum())
     trunc_tol = max(raw_tol * math.exp(-max(log_peak, 0.0) - shift) * 0.1, 1e-280)
     return [
-        cq.truncation_radius(model.decay_coefficient, model.order, tau_n, trunc_tol)
-        for tau_n in _corner_tau(cmat, deltas, model.order)
+        cq.truncation_radius(legs.model.decay_coefficient, legs.model.order, tau_n, trunc_tol)
+        for tau_n in _corner_tau(legs.cmat, legs.deltas, legs.model.order)
     ]
 
 
@@ -387,8 +408,7 @@ def _price_core(model, sched, p, spot, offsets, tol, fixed_nodes, max_nodes, del
         raise DimensionTooLarge(f"exercise dimension {n} exceeds the tensor cap {MAX_TENSOR_DIM}")
     if spot <= 0:
         raise ValueError("spot must be positive")
-    if p.m != sched.m:
-        raise ValueError("payoff and schedule disagree on the number of dates")
+    legs = _Legs(model, sched, p)
     if n == 0:
         return _certain_price(model, sched, p, spot, delta_mode)
 
@@ -405,9 +425,6 @@ def _price_core(model, sched, p, spot, offsets, tol, fixed_nodes, max_nodes, del
     else:
         check_offsets(model, p, offsets)
 
-    cmat = p.condition_weights()
-    gsuf = p.gamma_suffix()
-    deltas = sched.intervals()
     signs = np.array(p.w, dtype=float)
     omega = np.array(offsets.omega, dtype=float)
     b = -signs * omega
@@ -415,22 +432,22 @@ def _price_core(model, sched, p, spot, offsets, tol, fixed_nodes, max_nodes, del
 
     prefactor = _prefactor(model, sched, p, spot)
     raw_tol = tol * (2.0 * math.pi) ** n / abs(prefactor)
-    log_peak = _log_peak(model, sched, p, tuple(omega), d_vec)
-    truncations = _truncations(model, cmat, deltas, raw_tol, log_peak)
+    log_peak = _log_peak(legs, p, tuple(omega), d_vec)
+    truncations = _truncations(legs, raw_tol, log_peak)
 
-    weight = (lambda zeta: 1j * zeta / spot) if delta_mode else None  # see ``delta``
+    weight = (lambda xs, axes: 1j * legs.zeta(0, xs, axes) / spot) if delta_mode else None  # see ``delta``
 
     # Chain form: integrate over eta_k = flips_k * xi_k.  The flipped grid holds
     # the same points, and 1/prod(xi) = prod(flips) / prod(eta).
     chain = None
-    plan = None if n == 1 else _chain_plan(cmat)
+    plan = None if n == 1 else _chain_plan(legs.cmat)
     if plan is not None:
         flips, supports = plan
-        cmat = cmat * flips[:, None]
+        legs.cmat = legs.cmat * flips[:, None]
         d_vec = d_vec * flips
         b = b * flips
         prefactor *= math.prod(flips)
-        chain = _chain_factors(model, deltas, gsuf, cmat, d_vec, supports, weight)
+        chain = _chain_factors(legs, d_vec, supports, weight)
 
     def integrand(*xs):
         phase = 0.0
@@ -438,18 +455,9 @@ def _price_core(model, sched, p, spot, offsets, tol, fixed_nodes, max_nodes, del
         for k in range(n):
             phase = phase + 1j * d_vec[k] * xs[k]
             denom = denom * xs[k]
-        psi_sum = 0.0
-        for j in range(p.m):
-            zeta = -1j * gsuf[j]
-            for k in range(n):
-                if cmat[k, j] != 0.0:
-                    zeta = zeta + cmat[k, j] * xs[k]
-            psi_sum = psi_sum + deltas[j] * model.psi(zeta)
-            if j == 0:
-                zeta_1 = zeta
-        out = np.exp(phase - psi_sum) / denom
+        out = np.exp(phase + legs.exponent(range(p.m), xs, range(n))) / denom
         if weight is not None:
-            out = out * weight(zeta_1)
+            out = out * weight(xs, range(n))
         return out
 
     return _contour_price(integrand, b, truncations, d_vec, raw_tol, prefactor, (n, p.m),
@@ -460,7 +468,7 @@ def _price_strip(model, sched, p, spots) -> list[PriceResult]:
     """N = 1 prices of ``p`` at each of ``spots``: one PriceResult per spot, from one ladder per offset group.
 
     The spot enters only through the phase exp(i d xi), so samples of the
-    spot-free rest exp(-psi_aggregate) / xi serve a whole strip
+    spot-free rest exp(E(xi)) / xi of the leg list serve a whole strip
     (``quadrature._integrate_strip``).  Spots that ``default_offsets`` gives
     the same offset form a group, whose ladder takes the truncation of its
     largest ``_log_peak`` and smallest raw tolerance and its largest start
@@ -475,18 +483,18 @@ def _price_strip(model, sched, p, spots) -> list[PriceResult]:
     for part, q in ((np.flatnonzero(~flip), p), (np.flatnonzero(flip), flipped)):
         if not part.size:
             continue
-        omegas = _halved_offsets(model, sched, q, *_equal_offset_interval(model, q), d[part, None])
+        legs = _Legs(model, sched, q)
+        omegas = _halved_offsets(legs, q, *_equal_offset_interval(model, q), d[part, None])
         for omega in np.unique(omegas):
             group = part[omegas == omega]
             offsets = ContourOffsets((omega,))
             check_offsets(model, q, offsets)
             prefactors = [_prefactor(model, sched, q, spots[i]) for i in group]
             raw_tols = np.array([DEFAULT_TOL_1D * (2.0 * math.pi) / abs(pf) for pf in prefactors])
-            log_peak = _log_peak(model, sched, q, (omega,), d[group, None])
-            (truncation,) = _truncations(model, q.condition_weights(), sched.intervals(),
-                                         raw_tols.min(), log_peak.max())
+            log_peak = _log_peak(legs, q, (omega,), d[group, None])
+            (truncation,) = _truncations(legs, raw_tols.min(), log_peak.max())
             res = cq._integrate_strip(
-                lambda xi: -psi_aggregate(model, sched, q, xi[:, None]) - np.log(xi),
+                lambda xi: legs.exponent(range(q.m), (xi,), (0,)) - np.log(xi),
                 d[group], -q.w[0] * omega, truncation, raw_tols,
                 _start_count(truncation, np.abs(d[group]).max(), cq.LINE_NODE_CAP))
             for s, i in enumerate(group):
@@ -524,50 +532,42 @@ def _chain_plan(cmat: np.ndarray):
     return None
 
 
-def _chain_factors(model, deltas, gsuf, cmat, d_vec, supports, weight):
+def _chain_factors(legs: _Legs, d_vec, supports, weight):
     """Axis and leg factors of the digital integrand in chain form (``_chain_plan``).
 
-    Axis k carries exp(i d_k xi_k) / xi_k and the legs that couple it alone;
-    a leg that couples no axis is the constant exp(-Delta_j psi(-i G_j)) on
-    axis 0.  Each nested support adds its new axes and a leg factor of the
-    sum of its axes.  A ``weight`` other than None multiplies the factor that
-    holds leg 1, at leg 1's argument (axis 0's as a constant if leg 1 couples
-    no axis).  Returns (factors, stages) for ``quadrature._integrate_chain``.
+    The legs (``_Legs``, flipped by the plan) are grouped by support.  Axis k
+    carries exp(i d_k xi_k) / xi_k and the legs that couple it alone; the legs
+    that couple no axis are a constant on axis 0.  Each nested support adds
+    its new axes and a factor of the legs on it, at the sum of its axes.  A
+    ``weight`` other than None multiplies the factor that holds leg 1, at leg
+    1's argument.  Returns (factors, stages) for ``quadrature._integrate_chain``.
     """
-    n, m = cmat.shape
+    n, m = legs.cmat.shape
     own = [[] for _ in range(n)]
-    loose = [j for j in range(m) if not cmat[:, j].any()]
-    constant = 0.0
+    loose = [j for j in range(m) if not legs.cmat[:, j].any()]
     for j in range(m):
-        axes = np.flatnonzero(cmat[:, j])
-        if axes.size == 0:
-            constant -= deltas[j] * model.psi(-1j * gsuf[j])
-        elif axes.size == 1:
+        axes = np.flatnonzero(legs.cmat[:, j])
+        if axes.size == 1:
             own[axes[0]].append(j)
-
-    def leg_exponent(z, legs, k):
-        total = 0.0
-        for j in legs:
-            total = total - deltas[j] * model.psi(cmat[k, j] * z - 1j * gsuf[j])
-        return total
+    constant = legs.exponent(loose, (), ())
 
     def axis_factor(k):
         shift = constant if k == 0 else 0.0
-        return lambda x: np.exp(1j * d_vec[k] * x + shift + leg_exponent(x, own[k], k)) / x
+        return lambda x: np.exp(1j * d_vec[k] * x + shift + legs.exponent(own[k], (x,), (k,))) / x
 
-    def leg_factor(axes, legs):
-        return lambda z: np.exp(leg_exponent(z, legs, axes[0]))
+    def leg_factor(axes, held):
+        return lambda z: np.exp(legs.exponent(held, (z,), axes[:1]))
 
-    def holding(factor, legs, k):
-        if weight is None or 0 not in legs:
+    def holding(factor, held, k):
+        if weight is None or 0 not in held:
             return factor
-        return lambda z: factor(z) * weight(cmat[k, 0] * z - 1j * gsuf[0])
+        return lambda z: factor(z) * weight((z,), (k,))
 
     stages = []
     taken = []
-    for axes, legs in supports:
+    for axes, held in supports:
         stages.append((tuple(k for k in axes if k not in taken),
-                       holding(leg_factor(axes, legs), legs, axes[0])))
+                       holding(leg_factor(axes, held), held, axes[0])))
         taken.extend(axes)
     free = tuple(k for k in range(n) if k not in taken)
     if free:
@@ -683,7 +683,7 @@ def delta(
     """dPrice/dSpot: the price's own integral, on its own grid, weighted by i zeta_1 / spot.
 
     The spot enters only through spot**G_0 * exp(i d.xi) = exp(i ln(spot) zeta_1),
-    where zeta_1 = sum_k C[k, 0] xi_k - i G_0 is leg 1's argument.
+    zeta_1 being leg 1's argument (``_Legs.zeta``).
     """
     res = _price_core(model, sched, p, spot, None, tol, None, None, True)
     return res.value

@@ -184,6 +184,15 @@ DELTA_CONTRACTS = {
 }
 
 
+def multi_date_terms(model):
+    """The 15 terms of ``DELTA_CONTRACTS`` with N >= 2 under ``model``."""
+    terms = [(sched, p) for contract in DELTA_CONTRACTS.values()
+             for _, sched, p in to_portfolio(contract, model, tol=digitals.DEFAULT_TOL_ND).terms
+             if p.n >= 2]
+    assert len(terms) == 15
+    return terms
+
+
 class TestChainDelta:
     """delta() on the chain rule against a Richardson central difference of prices."""
 
@@ -204,21 +213,75 @@ class TestChainDelta:
     def test_every_multi_date_term_matches_the_difference(self, monkeypatch, name):
         model = DELTA_MODELS[name]
         calls = Calls(monkeypatch)
-        checked = 0
-        for contract in DELTA_CONTRACTS.values():
-            for _, sched, p in to_portfolio(contract, model, tol=digitals.DEFAULT_TOL_ND).terms:
-                if p.n < 2:
-                    continue
-                before = dict(calls.counts)
-                slope = delta(model, sched, p, SPOT)
-                assert calls.counts["_integrate_chain"] == before["_integrate_chain"] + 1
-                assert calls.counts["integrate_tensor"] == 0
-                d1, e1 = self.central_difference(model, sched, p, 0.1)
-                d2, e2 = self.central_difference(model, sched, p, 0.05)
-                richardson = (4.0 * d2 - d1) / 3.0
-                assert abs(slope - richardson) <= e1 + e2 + abs(d2 - d1), (contract, p)
-                checked += 1
-        assert checked == 15
+        results = []
+        price_core = digitals._price_core
+        monkeypatch.setattr(digitals, "_price_core",
+                            lambda *args: results.append(price_core(*args)) or results[-1])
+        for sched, p in multi_date_terms(model):
+            before = dict(calls.counts)
+            slope = delta(model, sched, p, SPOT)
+            assert calls.counts["_integrate_chain"] == before["_integrate_chain"] + 1
+            assert calls.counts["integrate_tensor"] == 0
+            assert results[-1].value == slope
+            claimed = results[-1].quadrature_error
+            (d1, e1), (d2, e2) = (self.central_difference(model, sched, p, h) for h in (0.1, 0.05))
+            assert abs(slope - (4.0 * d2 - d1) / 3.0) <= e1 + e2 + abs(d2 - d1), (sched, p)
+            if model is GAUSS:
+                # Two-level extrapolate against the delta's own claimed error, the
+                # closed form's rounding through the weights and the first level's gap.
+                d0, e0 = self.central_difference(model, sched, p, 0.2)
+                r1, r2 = (4.0 * d1 - d0) / 3.0, (4.0 * d2 - d1) / 3.0
+                rounding = (64.0 * e2 + 20.0 * e1 + e0) / 45.0
+                assert abs(slope - (16.0 * r2 - r1) / 15.0) <= claimed + rounding + abs(r2 - r1), (sched, p)
+
+
+class Captured(Exception):
+    """Stops a price once the chain rule has been handed its factors."""
+
+
+class TestChainFactors:
+    """The chain factors multiply back to the digital integrand at every point."""
+
+    @staticmethod
+    def chain_of(monkeypatch, model, sched, p, delta_mode):
+        """The (factors, stages) and contour that ``_price_core`` hands the chain rule."""
+        captured = {}
+
+        def capture(f, spec, factors, stages, *args, **kwargs):
+            captured.update(spec=spec, factors=factors, stages=stages)
+            raise Captured
+
+        monkeypatch.setattr(cq, "_integrate_chain", capture)
+        with pytest.raises(Captured):
+            digitals._price_core(model, sched, p, SPOT, None, None, None, None, delta_mode)
+        return captured["factors"], captured["stages"], captured["spec"]
+
+    @pytest.mark.parametrize("delta_mode", [False, True], ids=["price", "delta"])
+    @pytest.mark.parametrize("name", list(DELTA_MODELS))
+    def test_product_of_factors_is_the_integrand(self, monkeypatch, name, delta_mode):
+        model = DELTA_MODELS[name]
+        for sched, p in multi_date_terms(model):
+            factors, stages, spec = self.chain_of(monkeypatch, model, sched, p, delta_mode)
+            flips, _ = digitals._chain_plan(p.condition_weights())
+            n = p.n
+            # three points eta on the flipped contour, one per row
+            eta = np.array([[0.37, -1.21, 2.93]]).T * (1.0 + 0.3 * np.arange(n)) + 1j * np.array(spec.offsets)
+            product = np.ones(3, dtype=complex)
+            for k in range(n):
+                product *= factors[k](eta[:, k])
+            taken = []
+            for axes, leg in stages:
+                taken.extend(axes)
+                if leg is not None:
+                    product *= leg(eta[:, taken].sum(axis=1))
+            xi = eta * flips
+            d = p.matrix().sum(axis=1) * math.log(SPOT) - np.array(p.k_log)
+            expected = (math.prod(flips) * np.exp(1j * xi @ d - digitals.psi_aggregate(model, sched, p, xi))
+                        / xi.prod(axis=1))
+            if delta_mode:
+                zeta_1 = xi @ p.condition_weights()[:, 0] - 1j * p.gamma_suffix()[0]
+                expected *= 1j * zeta_1 / SPOT
+            np.testing.assert_allclose(product, expected, rtol=1e-12, atol=0.0)
 
 
 class TestRoundoff:

@@ -23,7 +23,7 @@ from levyexotic import (
 from levyexotic import quadrature as cq
 from levyexotic.contracts import Digital, to_portfolio
 from levyexotic.digitals import _price_strip
-from levyexotic.errors import DimensionTooLarge, NoFeasibleOffsets
+from levyexotic.errors import DimensionTooLarge, NoFeasibleOffsets, StripViolation
 
 GAUSS = make_gaussian(0.2, 0.05)
 NIG = make_nig(8.0, -2.0, 0.3, 0.05)
@@ -57,6 +57,32 @@ class TestPsiAggregate:
         got = psi_aggregate(GAUSS, sched, p, np.array([xi]))
         expected = -0.05 * 0.5 + 0.5 * GAUSS.psi(xi - 1j)
         assert got == pytest.approx(expected, abs=1e-13)
+
+    def test_batch_equals_row_by_row(self):
+        sched = MonitoringSchedule(0.0, (0.5, 1.0))
+        p = PayoffParameterSet((0.0, 1.0), (0.1, 0.2), (1, -1), ((1.0, 0.0), (-1.0, 1.0)))
+        xi = np.array([[0.3 - 1j, 1.2 - 0.5j], [-2.0 - 1j, 0.7 - 0.5j], [4.1 - 1j, -3.3 - 0.5j]])
+        got = psi_aggregate(NIG, sched, p, xi)
+        assert got.shape == (3,)
+        for row, value in zip(xi, got):
+            assert psi_aggregate(NIG, sched, p, row) == value
+
+    def test_no_condition_keeps_the_batch_shape(self):
+        sched = MonitoringSchedule(0.0, (0.5, 1.0))
+        p = PayoffParameterSet((0.0, 1.0), (), (), ())
+        single = psi_aggregate(NIG, sched, p, np.zeros(0))
+        assert isinstance(single, complex)
+        assert single == pytest.approx(-0.05, abs=1e-15)  # the martingale condition
+        batch = psi_aggregate(NIG, sched, p, np.zeros((3, 0)))
+        assert batch.shape == (3,)
+        assert np.all(batch == single)
+
+    def test_strip_violation_names_its_leg(self):
+        # forward start: leg 1 couples no axis, leg 2 has argument xi - i
+        sched = MonitoringSchedule(0.0, (0.5, 1.0))
+        p = PayoffParameterSet((0.0, 1.0), (0.0,), (1,), ((-1.0, 1.0),))
+        with pytest.raises(StripViolation, match="leg 2"):
+            psi_aggregate(NIG, sched, p, np.array([0.3 - 20j]))
 
 
 class TestDefaultOffsets:
