@@ -17,8 +17,8 @@ from .contracts import AsianContinuous, _price_portfolio, price_contract, to_por
 from .digitals import DEFAULT_TOL_ND
 from .errors import PricingError, SchemaError, UnsupportedModel
 from .gaussian import closed_form_price
-from .mc import mc_price
-from .models import GaussianModel, NIGModel
+from .mc import SAMPLED_MODELS, mc_price
+from .models import GaussianModel
 from .serialization import (
     METHODS,
     RunSpec,
@@ -49,8 +49,8 @@ def _load_spec(path: str) -> RunSpec:
 def _check_pairing(spec: RunSpec) -> None:
     if spec.method == "closed_form" and not isinstance(spec.model, GaussianModel):
         raise UnsupportedModel("closed_form requires a Gaussian model")
-    if spec.method == "mc" and not isinstance(spec.model, (GaussianModel, NIGModel)):
-        raise UnsupportedModel("mc requires a Gaussian or NIG model")
+    if spec.method == "mc" and not isinstance(spec.model, SAMPLED_MODELS):
+        raise UnsupportedModel(f"mc has no path sampler for the {spec.model.kind} model")
 
 
 def _price_report(spec: RunSpec) -> dict:

@@ -528,6 +528,8 @@ def continuous_asian_psi(model: LevyModel, xi):
 def _price_asian_continuous(c: AsianContinuous, model: LevyModel, spot: float,
                             tol: float | None, fixed_nodes: int | None,
                             max_nodes: int | None) -> PriceResult:
+    # Kept as a contour of its own: as asset minus K cash digital under the averaged exponent, the
+    # vanilla book's 40 continuous Asians took 0.15 s, not 0.027 s (55,504 vs 38,952 evaluations).
     tau = c.t_end - c.t_start
     lam_minus, lam_plus = model.strip
     # calls need Im(xi) < -1, puts 0 < Im(xi); the payoff transform

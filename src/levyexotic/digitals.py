@@ -6,9 +6,11 @@ A payoff parameter set [(gamma_1..gamma_M), K, W, A] describes the claim
 
 on monitored log prices X_1..X_M.  Its value is an N-fold contour integral
 of exp(i d.xi + E(xi)) / prod(xi); this module assembles that integrand, picks
-feasible contour offsets, and drives the line, chain or tensor quadrature.
-``_contour_price`` runs every contour price in the package (digitals, the
-continuous Asian and the normal-CDF identity).
+feasible contour offsets, and drives the line, strip, chain or tensor
+quadrature.  ``_price_core`` is the one set-up of every digital price:
+single spots, deltas, spot strips and the normal-CDF identity of
+``gaussian.lemma1_contour_side``.  ``_contour_price`` runs every
+single-spot contour (the digitals and the continuous Asian).
 
 The exponent E is a sum over the monitoring legs j = 1..M of
 -Delta_j psi(zeta_j), at zeta_j = sum_k C[k, j] xi_k - i G_j, where C and G
@@ -396,45 +398,80 @@ def _truncations(legs: _Legs, raw_tol, log_peak) -> list[float]:
     ]
 
 
-def _complement(model, sched, p, spot, rest: PriceResult, delta_mode=False) -> PriceResult:
-    """S^gamma for certain minus ``rest``, p's price with its near-certain condition flipped."""
-    whole = _certain_price(model, sched, PayoffParameterSet(p.gamma, (), (), ()), spot, delta_mode)
-    return replace(rest, value=whole.value - rest.value)
+def _price_core(model, sched, p, spots, offsets=None, tol=None, fixed_nodes=None, max_nodes=None,
+                delta_mode=False) -> list[PriceResult]:
+    """Prices of ``p`` at each of ``spots`` (deltas if ``delta_mode``): the one set-up of every digital.
 
-
-def _price_core(model, sched, p, spot, offsets, tol, fixed_nodes, max_nodes, delta_mode):
+    Without given offsets each spot takes the offset of ``default_offsets``,
+    and an N = 1 spot with w*d > 12 is priced as the certain claim minus its
+    flipped condition.  Spots of one payoff and offset form a group, whose
+    truncation serves its largest ``_log_peak`` and smallest raw tolerance.
+    One spot runs the line, chain or tensor rule.  Several spots form a strip
+    (N = 1, prices at default offsets and nodes): the spot enters only through
+    the phase exp(i d xi), so each group, even of one spot, runs one ladder of
+    the strip rule (``quadrature._integrate_strip``).
+    """
     n = p.n
     if n > MAX_TENSOR_DIM:
         raise DimensionTooLarge(f"exercise dimension {n} exceeds the tensor cap {MAX_TENSOR_DIM}")
-    if spot <= 0:
+    if min(spots) <= 0:
         raise ValueError("spot must be positive")
+    strip = len(spots) > 1
+    if strip and (n != 1 or delta_mode or (offsets, fixed_nodes, max_nodes) != (None, None, None)):
+        raise ValueError("a spot strip prices one exercise condition at default offsets and nodes")
     legs = _Legs(model, sched, p)
     if n == 0:
-        return _certain_price(model, sched, p, spot, delta_mode)
+        return [_certain_price(model, sched, p, spot, delta_mode) for spot in spots]
 
     if tol is None:
         tol = DEFAULT_TOL_1D if n == 1 else DEFAULT_TOL_ND
+    d_rows = np.array([_log_moneyness(p, spot) for spot in spots])
+    # A near-certain condition leaves exp(w*omega*d) huge; its complement decays.
+    flips = [n == 1 and offsets is None and p.w[0] * d[0] > 12.0 for d in d_rows]
 
-    if offsets is None:
-        # A near-certain condition leaves exp(w*omega*d) huge; its complement decays.
-        if n == 1 and p.w[0] * _log_moneyness(p, spot)[0] > 12.0:
-            flipped = PayoffParameterSet(p.gamma, p.k_log, (-p.w[0],), p.a)
-            rest = _price_core(model, sched, flipped, spot, None, tol, fixed_nodes, max_nodes, delta_mode)
-            return _complement(model, sched, p, spot, rest, delta_mode)
-        offsets = default_offsets(model, p, sched, spot)
-    else:
-        check_offsets(model, p, offsets)
+    out = [None] * len(spots)
+    for flipped in sorted(set(flips)):
+        q = PayoffParameterSet(p.gamma, p.k_log, (-p.w[0],), p.a) if flipped else p
+        q_legs = _Legs(model, sched, q) if flipped else legs
+        part = [i for i, f in enumerate(flips) if f == flipped]
+        if offsets is not None:
+            groups = [(offsets, part)]
+        else:
+            omegas = _halved_offsets(q_legs, q, *_equal_offset_interval(model, q), d_rows[part]).tolist()
+            groups = [(ContourOffsets((omega,) * n), [i for i, o in zip(part, omegas) if o == omega])
+                      for omega in sorted(set(omegas))]
+        for offs, group in groups:
+            check_offsets(model, q, offs)
+            b = -np.array(q.w, dtype=float) * offs.omega
+            prefactors = [_prefactor(model, sched, q, spots[i]) for i in group]
+            raw_tols = [tol * (2.0 * math.pi) ** n / abs(pf) for pf in prefactors]
+            log_peak = _log_peak(q_legs, q, offs.omega, d_rows[group])
+            truncations = _truncations(q_legs, min(raw_tols), log_peak.max())
+            if strip:
+                d = d_rows[group, 0]
+                res = cq._integrate_strip(
+                    lambda xi: q_legs.exponent(range(q.m), (xi,), (0,)) - np.log(xi),
+                    d, b[0], truncations[0], np.array(raw_tols),
+                    _start_count(truncations[0], np.abs(d).max(), cq.LINE_NODE_CAP))
+                for s, i in enumerate(group):
+                    spot_res = cq.QuadratureResult(res.value[s], res.error_estimate[s], res.evaluations,
+                                                   bool(res.converged[s]))
+                    out[i] = _scaled_price(spot_res, prefactors[s], raw_tols[s], offs, (1, q.m))
+            else:
+                (i,) = group
+                out[i] = _one_spot_price(q_legs, spots[i], d_rows[i], b, truncations, raw_tols[0],
+                                         prefactors[0], offs, fixed_nodes, max_nodes, delta_mode)
+    for i, flipped in enumerate(flips):
+        if flipped:  # S^gamma for certain minus the flipped price
+            whole = _certain_price(model, sched, PayoffParameterSet(p.gamma, (), (), ()), spots[i], delta_mode)
+            out[i] = replace(out[i], value=whole.value - out[i].value)
+    return out
 
-    signs = np.array(p.w, dtype=float)
-    omega = np.array(offsets.omega, dtype=float)
-    b = -signs * omega
-    d_vec = _log_moneyness(p, spot)
 
-    prefactor = _prefactor(model, sched, p, spot)
-    raw_tol = tol * (2.0 * math.pi) ** n / abs(prefactor)
-    log_peak = _log_peak(legs, p, tuple(omega), d_vec)
-    truncations = _truncations(legs, raw_tol, log_peak)
-
+def _one_spot_price(legs, spot, d_vec, b, truncations, raw_tol, prefactor, offsets,
+                    fixed_nodes, max_nodes, delta_mode) -> PriceResult:
+    """One spot's price for ``_price_core``: on the line, the chain (``_chain_plan``) or the tensor rule."""
+    n, m = legs.cmat.shape
     weight = (lambda xs, axes: 1j * legs.zeta(0, xs, axes) / spot) if delta_mode else None  # see ``delta``
 
     # Chain form: integrate over eta_k = flips_k * xi_k.  The flipped grid holds
@@ -455,55 +492,13 @@ def _price_core(model, sched, p, spot, offsets, tol, fixed_nodes, max_nodes, del
         for k in range(n):
             phase = phase + 1j * d_vec[k] * xs[k]
             denom = denom * xs[k]
-        out = np.exp(phase + legs.exponent(range(p.m), xs, range(n))) / denom
+        out = np.exp(phase + legs.exponent(range(m), xs, range(n))) / denom
         if weight is not None:
             out = out * weight(xs, range(n))
         return out
 
-    return _contour_price(integrand, b, truncations, d_vec, raw_tol, prefactor, (n, p.m),
+    return _contour_price(integrand, b, truncations, d_vec, raw_tol, prefactor, (n, m),
                           offsets, fixed_nodes, max_nodes, chain)
-
-
-def _price_strip(model, sched, p, spots) -> list[PriceResult]:
-    """N = 1 prices of ``p`` at each of ``spots``: one PriceResult per spot, from one ladder per offset group.
-
-    The spot enters only through the phase exp(i d xi), so samples of the
-    spot-free rest exp(E(xi)) / xi of the leg list serve a whole strip
-    (``quadrature._integrate_strip``).  Spots that ``default_offsets`` gives
-    the same offset form a group, whose ladder takes the truncation of its
-    largest ``_log_peak`` and smallest raw tolerance and its largest start
-    count.  Spots with w*d > 12 take ``_complement``, as in ``_price_core``.
-    """
-    if p.n != 1:
-        raise ValueError("a spot strip prices one exercise condition")
-    d = p.matrix().sum(axis=1)[0] * np.array([math.log(s) for s in spots]) - p.k_log[0]
-    flip = p.w[0] * d > 12.0
-    flipped = PayoffParameterSet(p.gamma, p.k_log, (-p.w[0],), p.a)
-    out = [None] * len(spots)
-    for part, q in ((np.flatnonzero(~flip), p), (np.flatnonzero(flip), flipped)):
-        if not part.size:
-            continue
-        legs = _Legs(model, sched, q)
-        omegas = _halved_offsets(legs, q, *_equal_offset_interval(model, q), d[part, None])
-        for omega in np.unique(omegas):
-            group = part[omegas == omega]
-            offsets = ContourOffsets((omega,))
-            check_offsets(model, q, offsets)
-            prefactors = [_prefactor(model, sched, q, spots[i]) for i in group]
-            raw_tols = np.array([DEFAULT_TOL_1D * (2.0 * math.pi) / abs(pf) for pf in prefactors])
-            log_peak = _log_peak(legs, q, (omega,), d[group, None])
-            (truncation,) = _truncations(legs, raw_tols.min(), log_peak.max())
-            res = cq._integrate_strip(
-                lambda xi: legs.exponent(range(q.m), (xi,), (0,)) - np.log(xi),
-                d[group], -q.w[0] * omega, truncation, raw_tols,
-                _start_count(truncation, np.abs(d[group]).max(), cq.LINE_NODE_CAP))
-            for s, i in enumerate(group):
-                spot_res = cq.QuadratureResult(res.value[s], res.error_estimate[s], res.evaluations,
-                                               bool(res.converged[s]))
-                out[i] = _scaled_price(spot_res, prefactors[s], raw_tols[s], offsets, (1, q.m))
-    for i in np.flatnonzero(flip):
-        out[i] = _complement(model, sched, p, spots[i], out[i])
-    return out
 
 
 def _chain_plan(cmat: np.ndarray):
@@ -580,17 +575,16 @@ def _contour_price(integrand, b, truncations, d_vec, raw_tol, prefactor, dims,
                    offsets=None, fixed_nodes=None, max_nodes=None, chain=None) -> PriceResult:
     """prefactor / (2 pi i)^N times the N-fold contour integral of ``integrand``.
 
-    The one driver behind every contour price.  Axis k runs along
-    Im(xi_k) = b[k] out to |Re| <= truncations[k]; its ladder starts at a node
-    count that resolves the phase exp(i d_k xi_k) over the window.  N = 1 goes
-    to the line quadrature; N >= 2 goes to the chain rule when ``chain`` holds
-    the integrand's (factors, stages) (``_chain_factors``), else to the
-    tensor ladder.  Line and chain axes share the line rule's node cap; only
-    the tensor ladder reads the tensor caps.  ``raw_tol`` bounds the raw
-    integral.  ``prefactor=None`` stands for a unit prefactor and
-    divides by (2 pi i)^N rather than multiplying by its rounded inverse, so
-    the normal-CDF identity keeps its last digit.  ``fixed_nodes`` evaluates
-    a single level and never raises NoConvergence.  ``fixed_nodes`` and
+    The driver of every single-spot contour price: the digitals of
+    ``_price_core`` (the normal-CDF identity among them) and the continuous
+    Asian.  Axis k runs along Im(xi_k) = b[k] out to |Re| <= truncations[k];
+    its ladder starts at a node count that resolves the phase exp(i d_k xi_k)
+    over the window.  N = 1 goes to the line quadrature; N >= 2 goes to the
+    chain rule when ``chain`` holds the integrand's (factors, stages)
+    (``_chain_factors``), else to the tensor ladder.  Line and chain axes
+    share the line rule's node cap; only the tensor ladder reads the tensor
+    caps.  ``raw_tol`` bounds the raw integral.  ``fixed_nodes`` evaluates a
+    single level and never raises NoConvergence.  ``fixed_nodes`` and
     ``max_nodes`` must be even and at least 16 for every N; a start count is
     at most half the cap, but never below 16.
     """
@@ -618,15 +612,14 @@ def _contour_price(integrand, b, truncations, d_vec, raw_tol, prefactor, dims,
 
 
 def _scaled_price(res, prefactor, raw_tol, offsets, dims, stalled_raises=True) -> PriceResult:
-    """The price prefactor / (2 pi i)^N times ``res`` (``prefactor=None``: see ``_contour_price``).
+    """The price prefactor / (2 pi i)^N times ``res``.
 
     The value must be real up to quadrature noise; the error estimate
     includes the float-cancellation floor of hot integrands.  An unconverged
     ``res`` raises NoConvergence carrying the price if ``stalled_raises``.
     """
-    denom = (2.0j * math.pi) ** dims[0]
-    scale = 1.0 / denom if prefactor is None else prefactor / denom
-    value_c = res.value / denom if prefactor is None else scale * res.value
+    scale = prefactor / (2.0j * math.pi) ** dims[0]
+    value_c = scale * res.value
     err = abs(scale) * res.error_estimate
     if abs(value_c.imag) > max(IMAG_RESIDUE_TOL * (1.0 + abs(value_c.real)), 4.0 * err):
         raise PricingError(
@@ -651,7 +644,7 @@ def price_digital(
     max_nodes: int | None = None,
 ) -> PriceResult:
     """Value of the multi-period power digital described by ``p``."""
-    return _price_core(model, sched, p, spot, offsets, tol, fixed_nodes, max_nodes, False)
+    return _price_core(model, sched, p, [spot], offsets, tol, fixed_nodes, max_nodes)[0]
 
 
 def price_single_period(
@@ -665,9 +658,7 @@ def price_single_period(
     t: float = 0.0,
     tol: float | None = None,
 ) -> PriceResult:
-    """Single-date power digital S_T^gamma 1(w a X_T >= w K); 1-D fast path."""
-    if a == 0.0:
-        raise ValueError("condition weight a must be nonzero")
+    """Single-date power digital S_T^gamma 1(w a X_T >= w K), priced by ``price_digital``."""
     sched = MonitoringSchedule(t, (T,))
     p = PayoffParameterSet((gamma,), (k_log,), (w,), ((a,),))
     return price_digital(model, sched, p, spot, tol=tol)
@@ -685,5 +676,4 @@ def delta(
     The spot enters only through spot**G_0 * exp(i d.xi) = exp(i ln(spot) zeta_1),
     zeta_1 being leg 1's argument (``_Legs.zeta``).
     """
-    res = _price_core(model, sched, p, spot, None, tol, None, None, True)
-    return res.value
+    return _price_core(model, sched, p, [spot], None, tol, None, None, True)[0].value

@@ -1,9 +1,11 @@
 """Gaussian closed forms used as independent oracles for the contour engine.
 
-Everything here is assembled from the normal CDF and elementary functions;
-no contour integral appears on this path.  The multivariate normal CDF uses
+The closed forms are assembled from the normal CDF and elementary functions;
+no contour integral appears on their path.  The multivariate normal CDF uses
 deterministic recursive conditioning (no randomized rules), so oracle values
-reproduce bit for bit.
+reproduce bit for bit.  The one contour here is the other side of the
+normal-CDF identity (``lemma1_contour_side``), priced by the engine itself
+as a power digital under the driftless unit-variance Gaussian.
 """
 from __future__ import annotations
 
@@ -12,7 +14,6 @@ import math
 import numpy as np
 from scipy.special import ndtr
 
-from . import quadrature as cq
 from .contracts import (
     AsianContinuous,
     AsianGeometric,
@@ -26,8 +27,9 @@ from .contracts import (
     _cash_compound,
     _solve_thresholds,
 )
-from .digitals import _contour_price
+from .digitals import ContourOffsets, MonitoringSchedule, PayoffParameterSet, price_digital
 from .errors import DimensionTooLarge, NotPSD, UnsupportedContract
+from .models import GaussianModel
 
 MVN_MAX_DIM = 4
 _CLIP = 38.0  # ndtr saturates in double precision beyond this
@@ -189,45 +191,29 @@ def mvn_cdf(d, corr) -> float:
 
 
 def lemma1_contour_side(d, corr, w, omega, tol: float = 1e-8):
-    """Contour-integral side of the normal-CDF identity.
+    """Contour-integral side of the normal-CDF identity, priced as a power digital.
 
-    Evaluates (2 pi i)^-N times the N-fold integral of
-    exp(i sum xi_k d_k - 1/2 xi' C xi) / prod xi_k over Im xi_k = -w_k omega_k.
-    Equals prod(w) * N_N(w*d; WCW).
+    (2 pi i)^-N times the N-fold integral of exp(i sum xi_k d_k - 1/2 xi' C xi)
+    / prod xi_k over Im xi_k = -w_k omega_k; it equals prod(w) * N_N(w*d; WCW).
+    The integral is prod(w) times the digital with strikes -d on the spot 1 at
+    dates 1..N under the driftless unit-variance Gaussian, r = 0: its leg
+    couplings are the Cholesky factor L of C, since the rows of ``a`` are
+    differences of L's columns and their suffix sums give back L.
     """
     corr = check_correlation(corr)
-    d = np.asarray(d, dtype=float).reshape(-1)
-    w = np.asarray(w, dtype=int).reshape(-1)
-    omega = np.asarray(omega, dtype=float).reshape(-1)
-    n = d.shape[0]
+    n = corr.shape[0]
     if n > 3:
         raise DimensionTooLarge("the contour side is capped at N <= 3")
-    if np.any(omega <= 0):
-        raise ValueError("offsets must be positive")
     try:
-        q_inv_diag = np.diag(np.linalg.inv(corr))
+        chol = np.linalg.cholesky(corr)
     except np.linalg.LinAlgError:
         raise NotPSD("correlation matrix is singular") from None
-    taus = 1.0 / q_inv_diag
-    raw_tol = tol * (2.0 * math.pi) ** n
-    truncs = [cq.truncation_radius(0.5, 2.0, float(t), raw_tol * 0.1) for t in taus]
-
-    def integrand(*xs):
-        phase = 0.0
-        for k in range(n):
-            phase = phase + 1j * d[k] * xs[k]
-        quad = 0.0
-        for k in range(n):
-            for j in range(n):
-                coeff = 0.5 * corr[k, j]
-                if coeff != 0.0:
-                    quad = quad + coeff * xs[k] * xs[j]
-        denom = xs[0]
-        for k in range(1, n):
-            denom = denom * xs[k]
-        return np.exp(phase - quad) / denom
-
-    return _contour_price(integrand, -w * omega, truncs, d, raw_tol, None, (n, 0)).value
+    rows = chol - np.hstack((chol[:, 1:], np.zeros((n, 1))))
+    p = PayoffParameterSet((0.0,) * n, tuple(-np.ravel(d)), tuple(np.ravel(w)), tuple(map(tuple, rows)))
+    unit = GaussianModel(mu=0.0, r=0.0, sigma=1.0)
+    sched = MonitoringSchedule(0.0, tuple(range(1, n + 1)))
+    res = price_digital(unit, sched, p, 1.0, ContourOffsets(tuple(np.ravel(omega))), tol)
+    return math.prod(p.w) * res.value
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from .contracts import (
     ForwardStart,
     LookbackFixed,
 )
-from .digitals import MonitoringSchedule, PayoffParameterSet, _price_strip
+from .digitals import MonitoringSchedule, PayoffParameterSet, _price_core
 from .errors import NestingTooDeep, UnsupportedContract, UnsupportedModel
 from .models import GaussianModel, LevyModel, NIGModel
 
@@ -46,6 +46,7 @@ _CONTINUOUS_STEPS = 256
 # time and memory have been measured (BENCH_12.json, 2 vCPUs).
 _MAX_THREADS = 2
 _POOLS: dict[int, ThreadPoolExecutor] = {}  # pid -> that process's block pool
+SAMPLED_MODELS = (GaussianModel, NIGModel)  # the models with an exact path sampler
 
 
 @dataclass(frozen=True)
@@ -63,11 +64,11 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
 def _simulate_block(model: LevyModel, deltas: np.ndarray, seed: int, block: int) -> np.ndarray:
     """One block of cumulative log-price paths, shape (BLOCK, M), X_t = 0 base.
 
-    The model is Gaussian or NIG (``_iter_blocks`` rejects the others).  The
-    work is done in place on at most four (BLOCK, M) buffers with per-column
-    constants, and every floating-point operation keeps the order of the
-    broadcast formula, so paths are bit-identical to it (``tests/test_mc.py``
-    keeps that formula as the oracle).
+    The model is one of ``SAMPLED_MODELS`` (``_iter_blocks`` rejects the
+    others).  The work is done in place on at most four (BLOCK, M) buffers
+    with per-column constants, and every floating-point operation keeps the
+    order of the broadcast formula, so paths are bit-identical to it
+    (``tests/test_mc.py`` keeps that formula as the oracle).
     """
     rng = _block_rng(seed, block)
     shape = (BLOCK, deltas.shape[0])
@@ -140,7 +141,7 @@ def _iter_blocks(model, sched: MonitoringSchedule, n_paths: int, seed: int, fn):
     """
     if n_paths < 1:
         raise ValueError("need at least one path")
-    if not isinstance(model, (GaussianModel, NIGModel)):
+    if not isinstance(model, SAMPLED_MODELS):
         raise UnsupportedModel(f"no exact path sampler for the {model.kind} model")
     deltas = sched.intervals()
     n_blocks = (n_paths + BLOCK - 1) // BLOCK
@@ -192,7 +193,7 @@ def _vanilla_curve(model, t1, leg, x_lo, x_hi):
     sched = MonitoringSchedule(t1, (T,))
     spots = [math.exp(g) for g in grid]
     asset, cash = (
-        np.array([res.value for res in _price_strip(
+        np.array([res.value for res in _price_core(
             model, sched, PayoffParameterSet((gamma,), (math.log(K),), (w,), ((1.0,),)), spots)])
         for gamma in (1.0, 0.0)
     )

@@ -216,7 +216,7 @@ class TestChainDelta:
         results = []
         price_core = digitals._price_core
         monkeypatch.setattr(digitals, "_price_core",
-                            lambda *args: results.append(price_core(*args)) or results[-1])
+                            lambda *args: results.extend(price_core(*args)) or results[-1:])
         for sched, p in multi_date_terms(model):
             before = dict(calls.counts)
             slope = delta(model, sched, p, SPOT)
@@ -253,7 +253,7 @@ class TestChainFactors:
 
         monkeypatch.setattr(cq, "_integrate_chain", capture)
         with pytest.raises(Captured):
-            digitals._price_core(model, sched, p, SPOT, None, None, None, None, delta_mode)
+            digitals._price_core(model, sched, p, [SPOT], None, None, None, None, delta_mode)
         return captured["factors"], captured["stages"], captured["spec"]
 
     @pytest.mark.parametrize("delta_mode", [False, True], ids=["price", "delta"])

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from levyexotic import (
 )
 from levyexotic import quadrature as cq
 from levyexotic.contracts import Digital, to_portfolio
-from levyexotic.digitals import _price_strip
+from levyexotic.digitals import _price_core
 from levyexotic.errors import DimensionTooLarge, NoFeasibleOffsets, StripViolation
 
 GAUSS = make_gaussian(0.2, 0.05)
@@ -117,7 +118,7 @@ class TestDefaultOffsets:
         p = PayoffParameterSet((9.6,), (0.0,), (1,), ((1.0,),))
         midpoint = default_offsets(NIG, p)
         assert default_offsets(NIG, p, sched, 1.2) == midpoint
-        assert [res.offsets_used for res in _price_strip(NIG, sched, p, [0.8, 1.2])] == [midpoint] * 2
+        assert [res.offsets_used for res in _price_core(NIG, sched, p, [0.8, 1.2])] == [midpoint] * 2
 
     def test_multidate_terms_use_the_same_rule(self):
         sched = MonitoringSchedule(0.0, (0.5, 1.0))
@@ -165,6 +166,8 @@ class TestPriceDigital:
         a = price_digital(NIG, sched, plain_digital(ATM_LOG), SPOT)
         b = price_single_period(NIG, 1.0, 0.0, 1.0, 1, ATM_LOG, SPOT)
         assert abs(a.value - b.value) <= 2.0 * (a.quadrature_error + b.quadrature_error) + 1e-12
+        with pytest.raises(ValueError, match="nonzero"):  # the payoff rejects a = 0
+            price_single_period(NIG, 1.0, 0.0, 0.0, 1, ATM_LOG, SPOT)
 
     def test_negated_condition_identity(self):
         # 1(-X >= K) equals 1(X <= -K)
@@ -235,7 +238,8 @@ STRIP_MODELS = {
 
 
 class TestPriceStrip:
-    # the per-spot line ladder (price_single_period) is the strip's oracle
+    # ``_price_core`` at several spots prices a strip; the per-spot line ladder
+    # (price_single_period) is its oracle
     SCHED = MonitoringSchedule(0.0, (1.0,))
     # ln S - k from -13 to 13: several offset groups, and w*d > 12 at both ends
     SPOTS = [SPOT * math.exp(x) for x in np.linspace(-13.0, 13.0, 40)]
@@ -245,7 +249,7 @@ class TestPriceStrip:
     @pytest.mark.parametrize("model", STRIP_MODELS.values(), ids=STRIP_MODELS.keys())
     def test_strip_matches_per_spot_prices(self, model, gamma, w):
         p = plain_digital(ATM_LOG, w, gamma)
-        strip = _price_strip(model, self.SCHED, p, self.SPOTS)
+        strip = _price_core(model, self.SCHED, p, self.SPOTS)
         assert len({res.offsets_used for res in strip}) >= 3
         flips = 0
         for spot, res in zip(self.SPOTS, strip):
@@ -261,7 +265,7 @@ class TestPriceStrip:
         # at ln S - k = -80 the spot-free factor alone is about e^1201, the phase about e^-2000
         model = make_gaussian(2.0, 0.05)
         spots = [SPOT * math.exp(x) for x in (-80.0, -40.0, 0.0)]
-        strip = _price_strip(model, self.SCHED, plain_digital(ATM_LOG), spots)
+        strip = _price_core(model, self.SCHED, plain_digital(ATM_LOG), spots)
         for spot, res in zip(spots, strip):
             ref = price_single_period(model, 1.0, 0.0, 1.0, 1, ATM_LOG, spot)
             assert abs(res.value - ref.value) <= ref.quadrature_error + 1e-12 * (1.0 + abs(ref.value))
@@ -270,12 +274,48 @@ class TestPriceStrip:
     @pytest.mark.parametrize("gamma", [0.0, 1.0], ids=["cash", "asset"])
     @pytest.mark.parametrize("model", STRIP_MODELS.values(), ids=STRIP_MODELS.keys())
     def test_one_spot_strip_is_the_line_rule(self, model, gamma, w):
+        # the second spot has w*d > 12, so it is priced from the flipped
+        # condition and the first spot is an offset group of its own
         p = plain_digital(ATM_LOG, w, gamma)
+        far = SPOT * math.exp(13.0 * w)
         for spot in (60.0, SPOT, 140.0):
-            (res,) = _price_strip(model, self.SCHED, p, [spot])
+            res, _ = _price_core(model, self.SCHED, p, [spot, far])
             ref = price_digital(model, self.SCHED, p, spot)
             assert res.value == pytest.approx(ref.value, rel=1e-13, abs=0.0)
             assert (res.offsets_used, res.evaluations) == (ref.offsets_used, ref.evaluations)
+
+    def test_a_strip_takes_no_options(self):
+        p = plain_digital(ATM_LOG)
+        for options in ({"offsets": ContourOffsets((1.0,))}, {"fixed_nodes": 64}, {"max_nodes": 64},
+                        {"delta_mode": True}):
+            with pytest.raises(ValueError, match="strip"):
+                _price_core(GAUSS, self.SCHED, p, [SPOT, 2 * SPOT], **options)
+        two_conditions = PayoffParameterSet((0.0, 0.0), (ATM_LOG, ATM_LOG), (1, 1), ((1.0, 0.0), (0.0, 1.0)))
+        with pytest.raises(ValueError, match="strip"):
+            _price_core(GAUSS, MonitoringSchedule(0.0, (0.5, 1.0)), two_conditions, [SPOT, 2 * SPOT])
+
+    @pytest.mark.parametrize("model", STRIP_MODELS.values(), ids=STRIP_MODELS.keys())
+    def test_a_strip_runs_no_line_ladder(self, monkeypatch, model):
+        # the rule follows the number of spots asked for, not the group sizes:
+        # [SPOT, far] is two groups of one spot (far has w*d > 12)
+        calls = Counter()
+
+        def counted(name, fn):
+            return lambda *args, **kwargs: calls.update([name]) or fn(*args, **kwargs)
+
+        for name in ("integrate_line", "_integrate_strip"):
+            monkeypatch.setattr(cq, name, counted(name, getattr(cq, name)))
+        p = plain_digital(ATM_LOG)
+        for spots in (self.SPOTS, [SPOT, SPOT * math.exp(13.0)]):
+            before = calls["_integrate_strip"]
+            strip = _price_core(model, self.SCHED, p, spots)
+            groups = Counter((res.offsets_used, math.log(spot) - ATM_LOG > 12.0)
+                             for spot, res in zip(spots, strip))
+            assert calls["_integrate_strip"] - before == len(groups)
+        assert sorted(groups.values()) == [1, 1]
+        assert calls["integrate_line"] == 0
+        price_digital(model, self.SCHED, p, SPOT)
+        assert calls["integrate_line"] == 1
 
 
 class TestGaussianReduction:

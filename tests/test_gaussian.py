@@ -21,7 +21,8 @@ from levyexotic import (
     mvn_cdf,
 )
 from levyexotic.errors import DimensionTooLarge, NotPSD
-from levyexotic import contracts
+from levyexotic import contracts, gaussian
+from levyexotic import quadrature as cq
 from levyexotic.gaussian import _compound_cf_thresholds
 
 # trivariate values frozen from an independent adaptive-quadrature
@@ -109,6 +110,32 @@ class TestLemma1:
         a = lemma1_contour_side([0.4, -0.2], corr, [1, 1], [0.5, 0.5])
         b = lemma1_contour_side([0.4, -0.2], corr, [1, 1], [2.0, 1.0])
         assert a == pytest.approx(b, abs=1e-8)
+
+    @pytest.mark.parametrize("d, corr, w, omega, tol", [
+        ([1.0, -0.5], [[1.0, 0.3], [0.3, 1.0]], [1, -1], [0.8, 1.2], 1e-8),
+        ([0.3, -0.4, 0.8], [[1.0, 0.4, 0.2], [0.4, 1.0, 0.5], [0.2, 0.5, 1.0]], [1, -1, 1],
+         [1.0, 0.7, 1.3], 1e-6),
+    ], ids=["N=2", "N=3"])
+    def test_engine_tensor_rule_matches_mvn_cdf(self, monkeypatch, d, corr, w, omega, tol):
+        # Cholesky couplings with unequal entries are not chain form, so the
+        # digital runs the engine's tensor rule; mvn_cdf shares none of its code
+        calls = []
+
+        def counted(name, fn):
+            return lambda *args, **kwargs: calls.append(name) or fn(*args, **kwargs)
+
+        for module, name in ((gaussian, "price_digital"), (cq, "integrate_tensor"), (cq, "_integrate_chain")):
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        corr = np.array(corr)
+        got = lemma1_contour_side(d, corr, w, omega, tol=tol)
+        assert calls == ["price_digital", "integrate_tensor"]
+        wmat = np.diag(np.array(w, dtype=float))
+        expected = math.prod(w) * mvn_cdf(np.array(w) * d, wmat @ corr @ wmat)
+        assert abs(got - expected) <= 1e-8
+
+    def test_singular_correlation_rejected(self):
+        with pytest.raises(NotPSD):
+            lemma1_contour_side([0.0, 0.0], np.array([[1.0, 1.0], [1.0, 1.0]]), [1, 1], [1.0, 1.0])
 
 
 class TestClosedForms:
