@@ -3,7 +3,7 @@
 Each builder returns an exact decomposition: pricing the portfolio equals
 pricing the contract.  Compound options additionally need their critical
 exercise prices, found by root bracketing on the engine's own sub-option
-values.
+values, with one set-up per term per search and each spot priced from kept samples.
 """
 from __future__ import annotations
 
@@ -23,6 +23,7 @@ from .digitals import (
     PayoffParameterSet,
     PriceResult,
     _contour_price,
+    _kept_sample_prices,
     _whole,
     default_offsets,
     price_digital,
@@ -417,16 +418,9 @@ def to_portfolio(c: ContractSpec, model: LevyModel | None = None,
     raise UnsupportedContract(f"unknown contract type {type(c).__name__}")
 
 
-def _compound_value(legs, thresholds, model, spot, t, tol):
-    cash = _cash_compound(legs, t, model.r)
-    if cash is not None:
-        return cash
-    sub = Compound(legs, t=t)
-    port = _compound_portfolio(sub, thresholds)
-    total = port.cash
-    for coef, sched, p in port.terms:
-        total += coef * price_digital(model, sched, p, spot, tol=tol).value
-    return total
+def _compound_value(port, prices, spot):
+    """A critical-price search's objective: sub-compound ``port`` at ``spot``, term k priced by ``prices[k]``."""
+    return port.cash + sum(coef * price(spot).value for (coef, _, _), price in zip(port.terms, prices))
 
 
 def _bracket_root(objective, x0: float, xtol: float) -> float:
@@ -491,15 +485,24 @@ def solve_compound_thresholds(c: Compound, model: LevyModel,
     (``_solve_thresholds``), to relative accuracy ``rel_tol``, with each
     inner price asked for max(K_j * rel_tol / 100, 1e-13).  Brackets grow
     outward from the nearest solved inner critical price (``_bracket_root``).
+    A search builds its sub-compound portfolio once and gives each term one
+    set-up (``digitals._kept_sample_prices``); its samples die with it.
     An inner price that stalls raises NoConvergence naming the leg whose
     critical price failed, with no result: no compound value was formed.
     """
+    search = {}  # leg j: the sub-compound portfolio and term prices of the search under way
+
     def value(j, inner_thresholds, s):
         T_j, K_j, _ = c.legs[j]
-        # pricing-noise floor well below the root tolerance
-        tol_inner = max(K_j * rel_tol * 0.01, 1e-13)
+        if j not in search:
+            tol_inner = max(K_j * rel_tol * 0.01, 1e-13)  # pricing-noise floor well below the root tolerance
+            cash = _cash_compound(c.legs[j + 1:], T_j, model.r)
+            port = (DigitalPortfolio((), cash) if cash is not None
+                    else _compound_portfolio(Compound(c.legs[j + 1:], t=T_j), inner_thresholds))
+            search.clear()  # the inner leg's kept samples go with its search
+            search[j] = port, [_kept_sample_prices(model, sched, p, tol_inner) for _, sched, p in port.terms]
         try:
-            return _compound_value(c.legs[j + 1:], inner_thresholds, model, s, T_j, tol_inner)
+            return _compound_value(*search[j], s)
         except NoConvergence as exc:
             raise NoConvergence(
                 f"critical price of leg {j + 1} (T={T_j:g}, K={K_j:g}) at spot {s:g}: {exc}"

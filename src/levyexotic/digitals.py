@@ -9,8 +9,8 @@ of exp(i d.xi + E(xi)) / prod(xi); this module assembles that integrand, picks
 feasible contour offsets, and drives the line, strip, chain or tensor
 quadrature.  ``_price_core`` is the one set-up of every digital price:
 single spots, deltas, spot strips and the normal-CDF identity of
-``gaussian.lemma1_contour_side``.  ``_contour_price`` runs every
-single-spot contour (the digitals and the continuous Asian).
+``gaussian.lemma1_contour_side``; its offset groups (``_group_setup``) also
+size the kept-sample spot windows of ``_kept_sample_prices``.
 
 The exponent E is a sum over the monitoring legs j = 1..M of
 -Delta_j psi(zeta_j), at zeta_j = sum_k C[k, j] xi_k - i G_j, where C and G
@@ -441,22 +441,12 @@ def _price_core(model, sched, p, spots, offsets=None, tol=None, fixed_nodes=None
             groups = [(ContourOffsets((omega,) * n), [i for i, o in zip(part, omegas) if o == omega])
                       for omega in sorted(set(omegas))]
         for offs, group in groups:
-            check_offsets(model, q, offs)
-            b = -np.array(q.w, dtype=float) * offs.omega
-            prefactors = [_prefactor(model, sched, q, spots[i]) for i in group]
-            raw_tols = [tol * (2.0 * math.pi) ** n / abs(pf) for pf in prefactors]
-            log_peak = _log_peak(q_legs, q, offs.omega, d_rows[group])
-            truncations = _truncations(q_legs, min(raw_tols), log_peak.max())
+            b, prefactors, raw_tols, truncations = _group_setup(
+                model, sched, q, q_legs, offs, [spots[i] for i in group], d_rows[group], tol)
             if strip:
-                d = d_rows[group, 0]
-                res = cq._integrate_strip(
-                    lambda xi: q_legs.exponent(range(q.m), (xi,), (0,)) - np.log(xi),
-                    d, b[0], truncations[0], np.array(raw_tols),
-                    _start_count(truncations[0], np.abs(d).max(), cq.LINE_NODE_CAP))
-                for s, i in enumerate(group):
-                    spot_res = cq.QuadratureResult(res.value[s], res.error_estimate[s], res.evaluations,
-                                                   bool(res.converged[s]))
-                    out[i] = _scaled_price(spot_res, prefactors[s], raw_tols[s], offs, (1, q.m))
+                prices = _strip_pricer(q_legs, offs, b, truncations, d_rows[group])
+                for i, res in zip(group, prices(d_rows[group, 0], prefactors, raw_tols)):
+                    out[i] = res
             else:
                 (i,) = group
                 out[i] = _one_spot_price(q_legs, spots[i], d_rows[i], b, truncations, raw_tols[0],
@@ -466,6 +456,56 @@ def _price_core(model, sched, p, spots, offsets=None, tol=None, fixed_nodes=None
             whole = _certain_price(model, sched, PayoffParameterSet(p.gamma, (), (), ()), spots[i], delta_mode)
             out[i] = replace(out[i], value=whole.value - out[i].value)
     return out
+
+
+def _group_setup(model, sched, q, legs, offs, spots, d_rows, tol):
+    """An offset group's b, prefactors, raw tolerances and truncations (for its largest peak, smallest tolerance)."""
+    check_offsets(model, q, offs)
+    prefactors = [_prefactor(model, sched, q, spot) for spot in spots]
+    raw_tols = [tol * (2.0 * math.pi) ** q.n / abs(pf) for pf in prefactors]
+    log_peak = _log_peak(legs, q, offs.omega, d_rows)
+    return (-np.array(q.w, dtype=float) * offs.omega, prefactors, raw_tols,
+            _truncations(legs, min(raw_tols), log_peak.max()))
+
+
+def _strip_pricer(legs, offs, b, truncations, d_rows):
+    """Strip-rule prices of an N = 1 set-up at log moneyness d, from samples kept across calls; start for ``d_rows``."""
+    m = legs.cmat.shape[1]
+    samples = cq._Samples(lambda xi: legs.exponent(range(m), (xi,), (0,)) - np.log(xi), b[0], truncations[0])
+    start = _start_count(truncations[0], np.abs(d_rows).max(), cq.LINE_NODE_CAP)
+
+    def prices(d, prefactors, raw_tols) -> list[PriceResult]:
+        res = cq._integrate_strip(samples, d, np.array(raw_tols), start)
+        return [_scaled_price(cq.QuadratureResult(res.value[s], res.error_estimate[s], res.evaluations,
+                                                  bool(res.converged[s])), prefactors[s], raw_tols[s], offs, (1, m))
+                for s in range(d.size)]
+    return prices
+
+
+def _kept_sample_prices(model, sched, p, tol):
+    """``price_digital`` of ``p`` to ``tol`` as a function of the spot, for N = 1 from kept samples.
+
+    A spot x0 sets up the window [x0/2, 2 x0] once: an offset group at the offset of ``default_offsets`` at x0,
+    its truncation and start count serving both ends.  Spots in the window reuse its samples (``_strip_pricer``);
+    a spot outside it sets up a fresh window.  N >= 2 and spots with w*d > 12 (complements) go to ``price_digital``.
+    """
+    legs = _Legs(model, sched, p)
+    window = None  # (x0, its strip pricer)
+
+    def price(spot):
+        nonlocal window
+        d = _log_moneyness(p, spot)
+        if p.n != 1 or p.w[0] * d[0] > 12.0:
+            return price_digital(model, sched, p, spot, tol=tol)
+        if window is None or not window[0] / 2 <= spot <= 2 * window[0]:
+            ends = [spot / 2, 2 * spot]
+            d_ends = np.array([_log_moneyness(p, x) for x in ends])
+            offs = default_offsets(model, p, sched, spot)
+            b, _, _, truncations = _group_setup(model, sched, p, legs, offs, ends, d_ends, tol)
+            window = spot, _strip_pricer(legs, offs, b, truncations, d_ends)
+        pf = _prefactor(model, sched, p, spot)
+        return window[1](d, [pf], [tol * 2.0 * math.pi / abs(pf)])[0]
+    return price
 
 
 def _one_spot_price(legs, spot, d_vec, b, truncations, raw_tol, prefactor, offsets,

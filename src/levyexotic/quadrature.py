@@ -8,8 +8,8 @@ level rules:
 
 - the line rule of ``integrate_line``, for one axis;
 - the strip rule of ``_integrate_strip``, for the line integrals of
-  exp(i d_s xi + log_f(xi)) over a strip of phase coefficients d_s, all from
-  one set of samples of log_f (the spot strips of the N = 1 digitals);
+  exp(i d_s xi + log_f(xi)) over phase coefficients d_s, all from one store
+  of samples of log_f (``_Samples``) that callers may keep across strips;
 - the chain rule of ``_integrate_chain``, for N >= 2 axes whose integrand
   factors into per-axis factors and leg factors of nested partial sums of
   the axes: it computes the tensor trapezoid sum on a common step as N nested
@@ -215,19 +215,38 @@ def integrate_line(f, offset: float, truncation: float, tol: float,
                    lambda nodes: _tail_estimate(*edges, 2.0 * truncation / nodes[0]))
 
 
-def _integrate_strip(log_f, d, offset: float, truncation: float, tol, start_nodes: int) -> QuadratureResult:
-    """Line-rule values of the integrals of exp(i d_s xi + log_f(xi)) over Im(xi) = offset, one per d_s.
+class _Samples:
+    """Ladder samples of exp(log_f(xi) - c) on Im(xi) = offset, |Re| <= truncation, c = Re log_f at the centre.
 
-    The strip rule: each level samples exp(log_f - c), c = Re log_f at the
-    line's centre, once at its new odd nodes as in ``integrate_line``, and
-    adds each d_s's sum of them times exp(i d_s Re xi), formed in chunks of
+    ``level(p, refine)`` gives level p's (Re xi, samples) at its new odd
+    nodes if ``refine``, else at all p + 1; each is evaluated once and kept.
+    """
+
+    def __init__(self, log_f, offset: float, truncation: float):
+        self.log_f, self.offset, self.truncation = log_f, offset, truncation
+        self.centre = float(log_f(np.array([1j * offset]))[0].real)
+        self._held = {}
+
+    def level(self, p: int, refine: bool):
+        if (p, refine) not in self._held:
+            ell = self.truncation
+            x = -ell + 2.0 * ell / p * np.arange(1, p, 2) if refine else np.linspace(-ell, ell, p + 1)
+            self._held[p, refine] = x, _finite(np.exp(self.log_f(x + 1j * self.offset) - self.centre))
+        return self._held[p, refine]
+
+
+def _integrate_strip(samples: _Samples, d, tol, start_nodes: int) -> QuadratureResult:
+    """Line-rule values of the integrals of exp(i d_s xi + log_f(xi)) over the line of ``samples``, one per d_s.
+
+    The strip rule: each level reads exp(log_f - c) at its new odd nodes
+    from the store, which a caller may keep for later strips, and adds each
+    d_s's sum of them times exp(i d_s Re xi), formed in chunks of
     ``_STRIP_PRODUCTS``.  Each entry's modulus exp(c - d_s offset) scales its
     sum, tail and roundoff, so a huge c that the phase cancels cannot
     overflow.  ``tol`` and the result hold one entry per d_s.
     """
     d = np.asarray(d, dtype=float)
-    centre = float(log_f(np.array([1j * offset]))[0].real)
-    moduli = np.exp(centre - d * offset)
+    moduli = np.exp(samples.centre - d * samples.offset)
     edges = []  # |sample| at the last level's two outermost nodes on each side
     sums = last = mass = None  # per entry the phased trapezoid sum / h; the level's p; sum |sample|
 
@@ -241,16 +260,14 @@ def _integrate_strip(log_f, d, offset: float, truncation: float, tol, start_node
     def level(nodes):
         nonlocal sums, last, mass
         (p,) = nodes
-        h = 2.0 * truncation / p
-        if last is not None and 2 * last == p:
-            x = -truncation + h * np.arange(1, p, 2)
-            new = _finite(np.exp(log_f(x + 1j * offset) - centre))
+        h = 2.0 * samples.truncation / p
+        refine = last is not None and 2 * last == p
+        x, new = samples.level(p, refine)
+        if refine:
             sums = sums + phased(x, new)
             mass += float(np.abs(new).sum())
             edges[1], edges[3] = abs(new[0]), abs(new[-1])
         else:
-            x = np.linspace(-truncation, truncation, p + 1)
-            new = _finite(np.exp(log_f(x + 1j * offset) - centre))
             sums = phased(x, new) - 0.5 * phased(x[[0, -1]], new[[0, -1]])
             mass = float(np.abs(new).sum())
             edges[:] = abs(new[0]), abs(new[1]), abs(new[-1]), abs(new[-2])
@@ -258,7 +275,7 @@ def _integrate_strip(log_f, d, offset: float, truncation: float, tol, start_node
         return h * moduli * sums, moduli * _roundoff_estimate(mass * h, p + 1), new.size
 
     return _refine(level, (start_nodes,), LINE_NODE_CAP, tol,
-                   lambda nodes: moduli * _tail_estimate(*edges, 2.0 * truncation / nodes[0]))
+                   lambda nodes: moduli * _tail_estimate(*edges, 2.0 * samples.truncation / nodes[0]))
 
 
 def _tensor_level(f, offsets, truncations, nodes):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +26,8 @@ from levyexotic import (
     solve_compound_thresholds,
     to_portfolio,
 )
-from levyexotic import contracts
+from levyexotic import contracts, digitals
+from levyexotic import quadrature as cq
 from levyexotic.errors import (
     CapExceeded,
     NoConvergence,
@@ -215,11 +217,16 @@ class TestCompound:
 
     def test_threshold_failure_names_the_leg(self, monkeypatch):
         # an inner price that stalls during the threshold search is not the
-        # compound's value: the error names the leg and carries no result
-        def stalled(*args, **kwargs):
-            raise NoConvergence("quadrature stalled", object())
+        # compound's value: the error names the leg and carries no result.
+        # The search prices its one-condition terms from kept samples, on the
+        # strip rule, so the stall is made there.
+        strip = cq._integrate_strip
 
-        monkeypatch.setattr(contracts, "price_digital", stalled)
+        def stalled(*args, **kwargs):
+            res = strip(*args, **kwargs)
+            return replace(res, converged=np.zeros_like(res.converged))
+
+        monkeypatch.setattr(cq, "_integrate_strip", stalled)
         with pytest.raises(NoConvergence, match=r"critical price of leg 1 \(T=0.5, K=3\)") as info:
             price_contract(Compound(((0.5, 3.0, 1), (1.0, 100.0, -1))), GAUSS, SPOT)
         assert info.value.result is None
@@ -352,6 +359,99 @@ class TestThresholdSearch:
         for c, res in zip(DEPTH_TWO, default):
             tight = price_contract(c, model, SPOT)
             assert abs(res.value - tight.value) <= 0.05 * res.quadrature_error, c.legs
+
+
+def _counting_in(monkeypatch, module, name):
+    """Replace ``module.<name>`` by a wrapper that records each call's positional arguments."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+SEARCH_MODELS = {"gaussian": GAUSS, "nig": NIG, "cgmy05": CGMY05, "cgmy15": CGMY15}
+
+
+class TestKeptSamples:
+    # a critical-price search prices its one-condition terms from one set-up
+    # per term and spot window (digitals._kept_sample_prices); price_digital
+    # at each spot is the oracle
+    @pytest.mark.parametrize("model", SEARCH_MODELS.values(), ids=SEARCH_MODELS.keys())
+    def test_objective_matches_per_spot_prices(self, monkeypatch, model):
+        visits = []
+        objective = contracts._compound_value
+
+        def recorded(port, prices, spot):
+            terms = []
+
+            def noted(price):
+                return lambda s: terms.append(price(s)) or terms[-1]
+
+            value = objective(port, [noted(price) for price in prices], spot)
+            visits.append((port, spot, value, terms))
+            return value
+
+        monkeypatch.setattr(contracts, "_compound_value", recorded)
+        for c in DEPTH_TWO:
+            visits.clear()
+            solve_compound_thresholds(c, model, rel_tol=1e-5)
+            tol = c.legs[0][1] * 1e-7  # the search's inner price tolerance
+            assert len(visits) > 3
+            for port, spot, value, terms in visits:
+                reference, budget = port.cash, 0.0
+                for (coef, sched, p), kept in zip(port.terms, terms):
+                    ref = price_digital(model, sched, p, spot, tol=tol)
+                    assert abs(kept.value - ref.value) <= kept.quadrature_error + ref.quadrature_error, (c.legs, spot)
+                    reference += coef * ref.value
+                    budget += abs(coef) * (kept.quadrature_error + ref.quadrature_error)
+                assert abs(value - reference) <= budget, (c.legs, spot)
+
+    @pytest.mark.parametrize("depth", [2, 3])
+    def test_one_truncation_per_term_and_window(self, monkeypatch, depth):
+        # depth 2: two one-condition terms, one window each.  Depth 3: two in the
+        # inner leg's search and one in the outer's, whose two-condition terms
+        # are priced by price_digital at every spot, each with its own truncation
+        truncations = _counting_in(monkeypatch, digitals, "_truncations")
+        windows = _counting_in(monkeypatch, digitals, "_strip_pricer")
+        per_spot = _counting_in(monkeypatch, digitals, "price_digital")
+        comps = DEPTH_TWO if depth == 2 else [Compound(((0.25, 2.0, w0), (0.5, 4.0, 1), (1.0, 100.0, 1)))
+                                              for w0 in (1, -1)]
+        for c in comps:
+            before = len(windows), len(truncations), len(per_spot)
+            solve_compound_thresholds(c, GAUSS)
+            new_windows = len(windows) - before[0]
+            assert new_windows == (2 if depth == 2 else 3)
+            assert len(truncations) - before[1] == new_windows + len(per_spot) - before[2]
+            assert all(args[2].n == 2 for args in per_spot[before[2]:])
+
+    def test_a_root_outside_the_start_window_gets_a_fresh_one(self, monkeypatch):
+        # S* is about 248, beyond the window [50, 200] set up at the first spot,
+        # 100; no kept sample prices a spot outside the window it was set up for
+        windows = []
+        pricer = digitals._strip_pricer
+
+        def watched(legs, offs, b, truncations, d_rows):
+            prices = pricer(legs, offs, b, truncations, d_rows)
+            lo, hi = d_rows.min(), d_rows.max()
+            windows.append((lo, hi))
+
+            def checked(d, *args):
+                assert np.all((lo <= d) & (d <= hi)), (d, lo, hi)
+                return prices(d, *args)
+            return checked
+
+        monkeypatch.setattr(digitals, "_strip_pricer", watched)
+        comp = Compound(((0.5, 150.0, 1), (1.0, 100.0, 1)))
+        s_star = solve_compound_thresholds(comp, GAUSS)[0]
+        assert s_star == pytest.approx(_compound_cf_thresholds(comp.legs, 0.0, 0.2, 0.05)[0], rel=1e-8)
+        assert s_star > 200.0
+        assert len(windows) > 2 and windows[0] == pytest.approx((math.log(0.5), math.log(2.0)))
+        assert windows[-1][0] <= math.log(s_star / 100.0) <= windows[-1][1]
 
 
 class TestPortfolioError:

@@ -21,7 +21,7 @@ from levyexotic import (
     mvn_cdf,
 )
 from levyexotic.errors import DimensionTooLarge, NotPSD
-from levyexotic import contracts, gaussian
+from levyexotic import contracts, digitals, gaussian
 from levyexotic import quadrature as cq
 from levyexotic.gaussian import _compound_cf_thresholds
 
@@ -226,3 +226,25 @@ class TestClosedForms:
         # the outer objective reuses S_2*
         assert starts == [100.0, s_2]
         assert value == pytest.approx(5.413122969638287, rel=1e-12)
+
+
+# the closed-form critical prices of the Gaussian compounds, to the search's own xtol (1e-12 of the start)
+CLOSED_FORM_ROOTS = [
+    (((0.5, 3.0, 1), (1.0, 100.0, 1)), [91.93273159762825, 100.0]),
+    (((0.5, 8.0, -1), (1.0, 100.0, -1)), [92.89479699045879, 100.0]),
+    (((0.25, 2.0, 1), (0.5, 4.0, 1), (1.0, 100.0, 1)), [92.46452109781579, 94.42891512795708, 100.0]),
+    (((0.25, 2.0, -1), (0.5, 4.0, 1), (1.0, 100.0, 1)), [92.46452109781579, 94.42891512795708, 100.0]),
+]
+
+
+@pytest.mark.parametrize("legs, roots", CLOSED_FORM_ROOTS, ids=["d2-call", "d2-put", "d3-call", "d3-put"])
+def test_closed_form_roots_price_no_digital(monkeypatch, legs, roots):
+    # the closed form shares only the root search with the engine's critical
+    # prices: it prices no digital, kept-sample or per spot
+    def refuse(*args, **kwargs):
+        raise AssertionError("the closed-form root search priced a digital")
+
+    for module, name in [(digitals, "_kept_sample_prices"), (digitals, "_price_core"),
+                         (contracts, "_kept_sample_prices"), (contracts, "price_digital")]:
+        monkeypatch.setattr(module, name, refuse)
+    assert _compound_cf_thresholds(legs, 0.0, 0.2, 0.05) == pytest.approx(roots, rel=1e-12)

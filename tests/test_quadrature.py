@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import log_ndtr, ndtr
 
+from levyexotic import make_gaussian, make_nig, mc
 from levyexotic import quadrature as cq
 from levyexotic.errors import DimensionTooLarge, NaNEncountered, NonPositiveInput
 from levyexotic.quadrature import (
@@ -114,6 +115,47 @@ class TestLine:
             integrate_line(gaussian_pole_integrand(0.0), 0.0, 10.0, 1e-8)
 
 
+def sampling_strip(log_f, d, offset, truncation, tol, start_nodes):
+    """The strip rule as it was before it read a sample store: every ladder evaluates its own samples.
+
+    The reference of ``_integrate_strip``, whose arithmetic the store must not change.
+    """
+    d = np.asarray(d, dtype=float)
+    centre = float(log_f(np.array([1j * offset]))[0].real)
+    moduli = np.exp(centre - d * offset)
+    edges = []
+    sums = last = mass = None
+
+    def phased(x, vals):
+        out = np.empty(d.size, dtype=complex)
+        rows = max(1, cq._STRIP_PRODUCTS // x.size)
+        for lo in range(0, d.size, rows):
+            out[lo:lo + rows] = np.exp(1j * np.multiply.outer(d[lo:lo + rows], x)) @ vals
+        return out
+
+    def level(nodes):
+        nonlocal sums, last, mass
+        (p,) = nodes
+        h = 2.0 * truncation / p
+        if last is not None and 2 * last == p:
+            x = -truncation + h * np.arange(1, p, 2)
+            new = np.exp(log_f(x + 1j * offset) - centre)
+            sums = sums + phased(x, new)
+            mass += float(np.abs(new).sum())
+            edges[1], edges[3] = abs(new[0]), abs(new[-1])
+        else:
+            x = np.linspace(-truncation, truncation, p + 1)
+            new = np.exp(log_f(x + 1j * offset) - centre)
+            sums = phased(x, new) - 0.5 * phased(x[[0, -1]], new[[0, -1]])
+            mass = float(np.abs(new).sum())
+            edges[:] = abs(new[0]), abs(new[1]), abs(new[-1]), abs(new[-2])
+        last = p
+        return h * moduli * sums, moduli * cq._roundoff_estimate(mass * h, p + 1), new.size
+
+    return cq._refine(level, (start_nodes,), cq.LINE_NODE_CAP, tol,
+                      lambda nodes: moduli * cq._tail_estimate(*edges, 2.0 * truncation / nodes[0]))
+
+
 class TestStrip:
     # integrate_line on each phased integrand is the oracle of the strip rule
     D = np.array([-2.0, -0.5, 0.0, 1.0, 3.0])
@@ -123,7 +165,7 @@ class TestStrip:
         return -0.5 * xi * xi - np.log(xi)
 
     def test_each_entry_matches_its_line_rule(self):
-        res = cq._integrate_strip(self.log_gaussian_pole, self.D, -1.0, 40.0,
+        res = cq._integrate_strip(cq._Samples(self.log_gaussian_pole, -1.0, 40.0), self.D,
                                   np.full(self.D.size, 1e-12), 64)
         assert res.converged.all()
         assert res.value.shape == res.error_estimate.shape == self.D.shape
@@ -134,8 +176,8 @@ class TestStrip:
 
     def test_stops_once_every_entry_meets_its_own_tolerance(self):
         f = self.log_gaussian_pole
-        loose = cq._integrate_strip(f, [0.0, 1.0], -1.0, 40.0, np.array([1e-2, 1e-2]), 16)
-        mixed = cq._integrate_strip(f, [0.0, 1.0], -1.0, 40.0, np.array([1e-2, 1e-13]), 16)
+        loose = cq._integrate_strip(cq._Samples(f, -1.0, 40.0), [0.0, 1.0], np.array([1e-2, 1e-2]), 16)
+        mixed = cq._integrate_strip(cq._Samples(f, -1.0, 40.0), [0.0, 1.0], np.array([1e-2, 1e-13]), 16)
         assert loose.converged.all() and mixed.converged.all()
         assert mixed.evaluations > loose.evaluations
         assert mixed.value[1] == pytest.approx(2j * math.pi * ndtr(1.0), abs=1e-11)
@@ -143,11 +185,52 @@ class TestStrip:
     def test_huge_spot_free_factor_does_not_overflow(self):
         # exp(log_f) is about e^3009 at the centre; the phase's modulus e^-2025 cancels it
         d = np.array([-45.0, -46.0])
-        res = cq._integrate_strip(lambda xi: self.log_gaussian_pole(xi) + 1000.0, d,
-                                  -45.0, 40.0, np.full(2, 1e-300), 64)
+        res = cq._integrate_strip(cq._Samples(lambda xi: self.log_gaussian_pole(xi) + 1000.0, -45.0, 40.0), d,
+                                  np.full(2, 1e-300), 64)
         assert res.converged.all()
         expected = 2j * math.pi * np.exp(1000.0 + log_ndtr(d))
         assert res.value == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("offset, truncation, start", [(-1.0, 40.0, 64), (0.7, 12.0, 16), (-45.0, 40.0, 64)])
+    def test_store_keeps_the_sampling_arithmetic(self, offset, truncation, start):
+        # a fresh store gives the strip rule's values bit for bit as it was before the store
+        def log_f(xi):
+            return self.log_gaussian_pole(xi) + (1000.0 if offset == -45.0 else 0.0)
+
+        d = np.array([-46.0, -45.0]) if offset == -45.0 else self.D
+        tol = np.full(d.size, 1e-300 if offset == -45.0 else 1e-12)
+        res = cq._integrate_strip(cq._Samples(log_f, offset, truncation), d, tol, start)
+        assert repr(res) == repr(sampling_strip(log_f, d, offset, truncation, tol, start))
+
+    @pytest.mark.parametrize("model", [make_gaussian(0.2, 0.05), make_nig(8.0, -2.0, 0.3, 0.05)],
+                             ids=["gaussian", "nig"])
+    def test_mc_inner_curve_keeps_the_sampling_arithmetic(self, monkeypatch, model):
+        # the Monte Carlo compound's inner curve (two spot strips) is bit for bit
+        # the curve that the strip rule gave before it read a sample store
+        curve = mc._vanilla_curve(model, 0.5, (1.0, 100.0, 1), math.log(40.0), math.log(250.0))
+        monkeypatch.setattr(cq, "_integrate_strip", lambda samples, d, tol, start: sampling_strip(
+            samples.log_f, d, samples.offset, samples.truncation, tol, start))
+        reference = mc._vanilla_curve(model, 0.5, (1.0, 100.0, 1), math.log(40.0), math.log(250.0))
+        assert curve.c.tobytes() == reference.c.tobytes()
+
+    def test_kept_samples_price_as_a_fresh_ladder(self):
+        # entries that need fewer, the same or more levels than the store holds:
+        # each is repr-identical to a ladder on a fresh store, and every level
+        # is sampled once, so a repeated entry samples nothing
+        points = []
+
+        def log_f(xi):
+            points.append(np.size(xi))
+            return self.log_gaussian_pole(xi)
+
+        kept = cq._Samples(log_f, -1.0, 40.0)
+        for repeat, d, tol in [(0, 0.0, 1e-6), (0, 3.0, 1e-12), (0, -2.0, 1e-9), (1, 3.0, 1e-12), (0, 6.0, 1e-13)]:
+            before = len(points)
+            res = cq._integrate_strip(kept, [d], np.array([tol]), 32)
+            fresh = cq._integrate_strip(cq._Samples(self.log_gaussian_pole, -1.0, 40.0), [d], np.array([tol]), 32)
+            assert repr(res) == repr(fresh)
+            assert len(points) == before or not repeat
+        assert sum(points) == 1 + sum(x.size for x, _ in kept._held.values())
 
     def test_convergence_is_reported_per_entry(self):
         # entry 0 settles at once; entry 1 changes at every level up to the cap
