@@ -115,7 +115,7 @@ def _grid_resolutions(dims: int) -> list[int]:
         return [64, 128, 256, 512, 1024]
     if dims == 2:
         return [32, 64, 128, 256, 512]
-    return [16, 32, 64, 128]
+    return [32, 64, 128]  # a fixed grid of 16 nodes has no half level to be measured against
 
 
 def cmd_convergence(args) -> int:

@@ -15,7 +15,8 @@ size the kept-sample spot windows of ``_kept_sample_prices``.
 The exponent E is a sum over the monitoring legs j = 1..M of
 -Delta_j psi(zeta_j), at zeta_j = sum_k C[k, j] xi_k - i G_j, where C and G
 are the suffix sums of A and gamma.  One leg list per term (``_Legs``) holds
-C, Delta and G, builds zeta_j and is the only caller of psi.  The line, chain
+C, Delta and G, builds zeta_j and is the only caller of psi, with one stacked
+call for all legs of a refinement level.  The line, chain
 and tensor rules, the offset and truncation choice and the spot strips all
 read it, so a StripViolation from any of them names its leg.
 """
@@ -42,6 +43,7 @@ DEFAULT_TOL_ND = 1e-6
 IMAG_RESIDUE_TOL = 1e-8
 MAX_TENSOR_DIM = max(cq.TENSOR_NODE_CAPS)
 OFFSET_FLOOR = 0.25
+_PSI_POINTS = 1 << 16  # leg arguments one stacked psi call holds (``_Legs.exponent``)
 
 
 def _whole(value, name: str = "value") -> int:
@@ -182,14 +184,72 @@ class _Legs:
         return zeta
 
     def exponent(self, legs, xs, axes):
-        """-sum_j Delta_j psi(zeta_j) over ``legs``; a StripViolation names its leg."""
+        """-sum_j Delta_j psi(zeta_j) over ``legs``; a StripViolation names its leg.
+
+        One psi call per refinement level, not one per leg: the legs'
+        arguments (``zeta``) are stacked as one array of shape (legs, ...),
+        and -Delta_j psi_j is added in leg order, so the sum is bit-identical
+        to a call per leg.  A leg that couples none of ``axes`` is a
+        constant, evaluated once as a scalar and never broadcast.  One call
+        holds at most ``_PSI_POINTS`` points, so a level with more is cut
+        into runs of consecutive legs (``_runs``; a leg with more points
+        alone, as a tensor slab), each added to the total as it returns.
+        """
         total = 0.0
-        for j in legs:
-            try:
-                total = total - self.deltas[j] * self.model.psi(self.zeta(j, xs, axes))
-            except StripViolation as exc:
-                raise StripViolation(f"leg {j + 1}: {exc}") from None
+        for run, shape in self._runs(legs, xs, axes):
+            if len(run) == 1:
+                rows = (self._psi(run, self.zeta(run[0], xs, axes)),)
+            else:
+                zeta = np.empty((len(run), *shape), dtype=complex)
+                for i, j in enumerate(run):
+                    zeta[i] = self.zeta(j, xs, axes)
+                rows = self._psi(run, zeta)
+            for j, row in zip(run, rows):
+                total = total - self.deltas[j] * row
         return total
+
+    def _runs(self, legs, xs, axes):
+        """``legs`` in order, cut into (run, zeta shape) pairs for one psi call each.
+
+        A leg that couples none of ``axes`` is a constant: a run of its own,
+        evaluated once as a scalar and never broadcast.  Other runs join
+        consecutive legs of one zeta shape, at most ``_PSI_POINTS`` points
+        together; a leg with more points than that runs alone.
+        """
+        if len(legs) == 1:
+            yield list(legs), None
+            return
+        shapes = [np.shape(x) for x in xs]
+        run, shape = [], None
+        for j in legs:
+            held = {s for s, k in zip(shapes, axes) if self.cmat[k, j] != 0.0}
+            if len(held) > 1:
+                held = {np.broadcast_shapes(*held)}
+            own = held.pop() if held else None  # leg j's zeta shape; None for a constant
+            if run and (own is None or own != shape or (len(run) + 1) * math.prod(own) > _PSI_POINTS):
+                yield run, shape
+                run = []
+            run.append(j)
+            shape = own
+            if own is None:
+                yield run, None
+                run = []
+        if run:
+            yield run, shape
+
+    def _psi(self, run, zeta):
+        """psi at ``zeta``, one row per leg of ``run`` if it has several; a StripViolation names its first failing leg."""
+        try:
+            return self.model.psi(zeta)
+        except StripViolation as exc:
+            if len(run) > 1:
+                for j, row in zip(run, zeta):
+                    try:
+                        self.model.psi(row)
+                    except StripViolation as row_exc:
+                        exc, run = row_exc, [j]
+                        break
+            raise StripViolation(f"leg {run[0] + 1}: {exc}") from None
 
 
 def psi_aggregate(model: LevyModel, sched: MonitoringSchedule, p: PayoffParameterSet, xi):
@@ -377,9 +437,9 @@ def _corner_tau(cmat: np.ndarray, deltas: np.ndarray, order: float) -> list[floa
 
 
 def _start_count(truncation: float, d: float, cap: int) -> int:
-    """Power-of-two start nodes resolving exp(i d xi) on [-truncation, truncation]; at most half ``cap``, at least 16."""
+    """Power-of-two start nodes resolving exp(i d xi) on [-truncation, truncation]; at most half ``cap``, at least ``MIN_NODES``."""
     wanted = max(32, int(truncation * (abs(d) + 2.0) / math.pi))
-    return min(1 << (wanted - 1).bit_length(), max(16, cap // 2))
+    return min(1 << (wanted - 1).bit_length(), max(cq.MIN_NODES, cap // 2))
 
 
 def _prefactor(model, sched, p, spot) -> float:
@@ -625,13 +685,15 @@ def _contour_price(integrand, b, truncations, d_vec, raw_tol, prefactor, dims,
     share the line rule's node cap; only the tensor ladder reads the tensor
     caps.  ``raw_tol`` bounds the raw integral.  ``fixed_nodes`` evaluates a
     single level and never raises NoConvergence.  ``fixed_nodes`` and
-    ``max_nodes`` must be even and at least 16 for every N; a start count is
-    at most half the cap, but never below 16.
+    ``max_nodes`` must be even and at least ``MIN_NODES`` (16) for every N;
+    a start count is at most half the cap, but never below 16.  A ladder
+    that starts at its cap, as every ``fixed_nodes`` ladder does, first runs
+    a half level and so needs a cap of at least 30 (``quadrature._refine``).
     """
     n = len(b)
     for name, count in (("fixed_nodes", fixed_nodes), ("max_nodes", max_nodes)):
-        if count is not None and (count < 16 or count % 2):
-            raise ValueError(f"{name} must be even and at least 16, got {count}")
+        if count is not None and (count < cq.MIN_NODES or count % 2):
+            raise ValueError(f"{name} must be even and at least {cq.MIN_NODES}, got {count}")
     if fixed_nodes is not None:
         starts = [int(fixed_nodes)] * n
         cap = int(fixed_nodes)

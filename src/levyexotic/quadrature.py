@@ -24,7 +24,7 @@ new samples.  The reported (not guaranteed) error estimate is the difference
 between the two finest levels plus a truncation-tail estimate and a
 float-roundoff floor.  A ladder that starts at its cap first runs a level at
 half the nodes, so a single capped level is still measured against a coarser
-one.
+one; no level runs fewer than ``MIN_NODES`` nodes per axis.
 """
 from __future__ import annotations
 
@@ -40,6 +40,7 @@ LINE_NODE_CAP = 2**14
 TENSOR_NODE_CAPS = {2: 2**11, 3: 2**9, 4: 2**6}
 TRUNCATION_MIN = 1.0
 TRUNCATION_MAX = 1.0e4
+MIN_NODES = 16  # the fewest trapezoid nodes per axis any level runs
 _SLAB_POINTS = 1 << 21  # grid points held in memory at once
 _DIRECT_CONVOLVE = 64  # inputs this short are convolved directly, longer ones by FFT
 _STRIP_PRODUCTS = 1 << 16  # phase products the strip rule forms at once
@@ -67,8 +68,8 @@ class ContourSpec:
             raise ValueError("contour offsets must avoid the pole on the real axis")
         if any(ell <= 0 for ell in self.truncations):
             raise NonPositiveInput("truncations must be positive")
-        if any(p < 16 or p % 2 for p in self.start_nodes):
-            raise ValueError("node counts must be even and at least 16")
+        if any(p < MIN_NODES or p % 2 for p in self.start_nodes):
+            raise ValueError(f"node counts must be even and at least {MIN_NODES}")
 
     @property
     def ndim(self) -> int:
@@ -136,16 +137,23 @@ def _refine(level, starts, cap, tol, tail) -> QuadratureResult:
     ``nodes`` and returns (value, roundoff bound of its sum, new integrand
     evaluations); ``tail(nodes)`` estimates the mass outside the truncation
     box at the final nodes.  Each axis starts at its even start count (at
-    least 16, at most ``cap``) and doubles until two successive levels agree
-    to ``tol`` or every axis sits at ``cap``, in which case the best value is
-    returned with ``converged=False``.  When every axis starts at ``cap`` the
-    ladder first runs a level at half the nodes, so the capped level's
-    refinement error is measured rather than taken as 0.  For a strip, values,
+    least ``MIN_NODES``, at most ``cap``) and doubles until two successive
+    levels agree to ``tol`` or every axis sits at ``cap``, in which case the
+    best value is returned with ``converged=False``.  When every axis starts
+    at ``cap`` the ladder first runs a level at half the nodes (rounded up
+    to even), so the capped level's refinement error is measured rather than
+    taken as 0; a cap whose half level falls below ``MIN_NODES`` (a cap
+    under 30) raises ValueError.  No level runs an odd count or fewer than
+    ``MIN_NODES`` nodes, given an even cap.  For a strip, values,
     errors, ``tol`` and ``converged`` are arrays; it stops once all converge.
     """
-    nodes = [min(max(16, p + p % 2), cap) for p in map(int, starts)]
+    nodes = [min(max(MIN_NODES, p + p % 2), cap) for p in map(int, starts)]
     if all(p >= cap for p in nodes):
-        nodes = [(p + 1) // 2 for p in nodes]
+        half = -(-cap // 4) * 2  # cap / 2 rounded up to even: one doubling reaches the cap
+        if half < MIN_NODES:
+            raise ValueError(f"a ladder that starts at its cap of {cap} nodes first runs a half level "
+                             f"of {half} nodes, below the floor of {MIN_NODES}")
+        nodes = [half] * len(nodes)
     value = None
     err = math.inf
     evaluations = 0

@@ -499,7 +499,30 @@ class TestPortfolioError:
         result = info.value.result
         assert abs(result.value - closed_form_price(contract, 0.2, 0.05, SPOT)) <= result.quadrature_error
 
-    @pytest.mark.parametrize("nodes", [16, 32, 64, 128])
+    @pytest.mark.parametrize("kwargs", [
+        {"fixed_nodes": 16}, {"fixed_nodes": 18}, {"fixed_nodes": 28}, {"max_nodes": 16},
+    ], ids=["fixed-16", "fixed-18", "fixed-28", "cap-16"])
+    def test_capped_start_below_the_floor_is_rejected(self, kwargs):
+        # the ladder starts at the cap, and its half level would run below 16 nodes
+        with pytest.raises(ValueError, match="below the floor of 16"):
+            price_contract(AsianContinuous(0.0, 1.0, 100.0), GAUSS, SPOT, **kwargs)
+
+    @pytest.mark.parametrize("kwargs, levels", [
+        ({"fixed_nodes": 30}, [16, 30]), ({"fixed_nodes": 32}, [16, 32]), ({"fixed_nodes": 34}, [18, 34]),
+        ({"max_nodes": 18}, [16, 18]), ({"max_nodes": 32}, [16, 32]),
+    ], ids=["fixed-30", "fixed-32", "fixed-34", "cap-18", "cap-32"])
+    def test_capped_start_keeps_the_floor(self, kwargs, levels, monkeypatch):
+        seen = []
+        refine = cq._refine
+        monkeypatch.setattr(cq, "_refine", lambda level, *args: refine(
+            lambda nodes: seen.append(*nodes) or level(nodes), *args))
+        try:
+            price_contract(AsianContinuous(0.0, 1.0, 100.0), GAUSS, SPOT, **kwargs)
+        except NoConvergence:
+            pass
+        assert seen == levels
+
+    @pytest.mark.parametrize("nodes", [32, 34, 64, 128])
     @pytest.mark.parametrize("contract", [
         Chooser(0.5, 1.0, 100.0),
         AsianGeometric(MonitoringSchedule(0.0, (0.5, 1.0)), 100.0),

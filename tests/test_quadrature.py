@@ -324,6 +324,13 @@ class TestLadder:
         assert math.isfinite(res.error_estimate)
         assert ladder(ndim, 4 * p, p) == res  # a start above the cap is clamped to it
 
+    @pytest.mark.parametrize("cap", [16, 18, 28])
+    @pytest.mark.parametrize("ndim", [1, 2])
+    def test_capped_start_needs_room_for_its_half_level(self, ndim, cap):
+        # its half level would run below 16 nodes
+        with pytest.raises(ValueError, match="below the floor of 16"):
+            ladder(ndim, cap, cap)
+
     @staticmethod
     def full_line_ladder(f, offset, truncation, tol, start_nodes, max_nodes):
         """``integrate_line`` with every level evaluated at all of its nodes."""
