@@ -23,6 +23,7 @@ from .digitals import (
     PayoffParameterSet,
     PriceResult,
     _contour_price,
+    _interval_point,
     _kept_sample_prices,
     _whole,
     default_offsets,
@@ -528,9 +529,8 @@ def continuous_asian_psi(model: LevyModel, xi):
     return complex(out) if arr.ndim == 0 else out
 
 
-def _price_asian_continuous(c: AsianContinuous, model: LevyModel, spot: float,
-                            tol: float | None, fixed_nodes: int | None,
-                            max_nodes: int | None) -> PriceResult:
+def _price_asian_continuous(c: AsianContinuous, model: LevyModel, spot: float, tol: float | None,
+                            offset_position: float | None, fixed_nodes: int | None) -> PriceResult:
     # Kept as a contour of its own: as asset minus K cash digital under the averaged exponent, the
     # vanilla book's 40 continuous Asians took 0.15 s, not 0.027 s (55,504 vs 38,952 evaluations).
     tau = c.t_end - c.t_start
@@ -543,7 +543,7 @@ def _price_asian_continuous(c: AsianContinuous, model: LevyModel, spot: float,
         lo, hi = 0.0, lam_plus
     if not lo < hi:
         raise StripViolation("strip too narrow for the continuous-Asian contour")
-    omega = 0.5 * (lo + hi)
+    omega = 0.5 * (lo + hi) if offset_position is None else _interval_point(lo, hi, offset_position)
 
     d = math.log(spot) - math.log(c.strike)
     if tol is None:
@@ -560,7 +560,7 @@ def _price_asian_continuous(c: AsianContinuous, model: LevyModel, spot: float,
     # -i K e^{-r tau} / (2 pi i) is the real Fourier scale -K e^{-r tau} / (2 pi)
     prefactor = -1j * c.strike * math.exp(-model.r * tau)
     return _contour_price(integrand, (-c.w * omega,), (trunc,), (d,), raw_tol, prefactor,
-                          (1, 0), ContourOffsets((omega,)), fixed_nodes, max_nodes)
+                          (1, 0), ContourOffsets((omega,)), fixed_nodes)
 
 
 def price_contract(
@@ -570,27 +570,27 @@ def price_contract(
     tol: float | None = None,
     offset_position: float | None = None,
     fixed_nodes: int | None = None,
-    max_nodes: int | None = None,
 ) -> PriceResult:
     """Price a contract as its digital portfolio (plus discounted cash).
 
     The reported error is sum |coef| * (term error).  A term that stalls does
     not stop the others: once all are priced, NoConvergence is raised with
     the whole portfolio's result.
-    ``offset_position`` picks every term's contour offset at that relative
-    point of its feasible interval instead of the default rule
-    (``default_offsets``); useful for contour-invariance checks.
+    ``offset_position`` in ]0, 1[ picks the contour offset at that relative
+    point of the feasible interval instead of the default rule: each term's
+    (``default_offsets``), or the continuous Asian's ]1, -lambda_-[ (calls)
+    or ]0, lambda_+[ (puts); useful for contour-invariance checks.
+    ``fixed_nodes`` runs one level of that many nodes per axis (grid studies).
     """
     if isinstance(c, AsianContinuous):
-        return _price_asian_continuous(c, model, spot, tol, fixed_nodes, max_nodes)
+        return _price_asian_continuous(c, model, spot, tol, offset_position, fixed_nodes)
     # a compound that solves a critical price has a term with two or more
     # conditions, so its default tolerance is the N-D one
     port = to_portfolio(c, model, tol=DEFAULT_TOL_ND if tol is None else tol)
-    return _price_portfolio(port, model, spot, tol, offset_position, fixed_nodes, max_nodes)
+    return _price_portfolio(port, model, spot, tol, offset_position, fixed_nodes)
 
 
-def _price_portfolio(port, model, spot, tol=None, offset_position=None, fixed_nodes=None,
-                     max_nodes=None) -> PriceResult:
+def _price_portfolio(port, model, spot, tol=None, offset_position=None, fixed_nodes=None) -> PriceResult:
     """``price_contract`` of the contract whose portfolio is ``port``."""
     if not port.terms:
         return PriceResult(port.cash, 0.0, None, (0, 0), 0)
@@ -613,7 +613,7 @@ def _price_portfolio(port, model, spot, tol=None, offset_position=None, fixed_no
             offsets = default_offsets(model, p, position=offset_position)
         try:
             res = price_digital(model, sched, p, spot, offsets=offsets, tol=term_tol,
-                                fixed_nodes=fixed_nodes, max_nodes=max_nodes)
+                                fixed_nodes=fixed_nodes)
         except NoConvergence as exc:
             # keep pricing: the caller gets the whole portfolio's best value
             res = exc.result
@@ -633,14 +633,14 @@ def _price_portfolio(port, model, spot, tol=None, offset_position=None, fixed_no
 
 
 def compound_parity_check(model: LevyModel, K1: float, T1: float, K2: float,
-                          T2: float, w2: int, spot: float,
-                          tol: float | None = 1e-7) -> float:
+                          T2: float, w2: int, spot: float) -> float:
     """Residual of call-on-option minus put-on-option parity.
 
     Exact identity: F2(call-on-opt) - F2(put-on-opt) - F1 + K1*exp(-r*T1) = 0.
-    The default tolerance is tighter than the engine's, since the residual is
-    itself the quantity of interest.
+    Each price runs at tolerance 1e-7, tighter than the engine's, since the
+    residual is itself the quantity of interest.
     """
+    tol = 1e-7
     call2 = Compound(((T1, K1, 1), (T2, K2, w2)))
     put2 = Compound(((T1, K1, -1), (T2, K2, w2)))
     inner = Compound(((T2, K2, w2),))

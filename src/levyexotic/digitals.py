@@ -370,18 +370,20 @@ def default_offsets(
     if p.n == 0:
         return ContourOffsets(())
     lo, hi = _equal_offset_interval(model, p)
-    width = hi - lo
-    if position is not None:
-        if not 0.0 < position < 1.0:
-            raise ValueError("position must lie strictly between 0 and 1")
-        omega = lo + position * width
-    elif sched is not None and spot is not None:
+    if position is None and sched is not None and spot is not None:
         omega = float(_halved_offsets(_Legs(model, sched, p), p, lo, hi, _log_moneyness(p, spot)[None])[0])
     else:
-        omega = lo + 0.5 * width
+        omega = _interval_point(lo, hi, 0.5 if position is None else position)
     chosen = ContourOffsets((omega,) * p.n)
     check_offsets(model, p, chosen)
     return chosen
+
+
+def _interval_point(lo: float, hi: float, position: float) -> float:
+    """The point at relative ``position`` in ]0, 1[ of the interval ]lo, hi[."""
+    if not 0.0 < position < 1.0:
+        raise ValueError("position must lie strictly between 0 and 1")
+    return lo + position * (hi - lo)
 
 
 def _certain_price(model, sched, p, spot, delta_mode=False):
@@ -437,9 +439,9 @@ def _corner_tau(cmat: np.ndarray, deltas: np.ndarray, order: float) -> list[floa
 
 
 def _start_count(truncation: float, d: float, cap: int) -> int:
-    """Power-of-two start nodes resolving exp(i d xi) on [-truncation, truncation]; at most half ``cap``, at least ``MIN_NODES``."""
+    """Power-of-two start nodes resolving exp(i d xi) on [-truncation, truncation]; at most half ``cap``."""
     wanted = max(32, int(truncation * (abs(d) + 2.0) / math.pi))
-    return min(1 << (wanted - 1).bit_length(), max(cq.MIN_NODES, cap // 2))
+    return min(1 << (wanted - 1).bit_length(), cap // 2)
 
 
 def _prefactor(model, sched, p, spot) -> float:
@@ -458,7 +460,7 @@ def _truncations(legs: _Legs, raw_tol, log_peak) -> list[float]:
     ]
 
 
-def _price_core(model, sched, p, spots, offsets=None, tol=None, fixed_nodes=None, max_nodes=None,
+def _price_core(model, sched, p, spots, offsets=None, tol=None, fixed_nodes=None,
                 delta_mode=False) -> list[PriceResult]:
     """Prices of ``p`` at each of ``spots`` (deltas if ``delta_mode``): the one set-up of every digital.
 
@@ -477,7 +479,7 @@ def _price_core(model, sched, p, spots, offsets=None, tol=None, fixed_nodes=None
     if min(spots) <= 0:
         raise ValueError("spot must be positive")
     strip = len(spots) > 1
-    if strip and (n != 1 or delta_mode or (offsets, fixed_nodes, max_nodes) != (None, None, None)):
+    if strip and (n != 1 or delta_mode or (offsets, fixed_nodes) != (None, None)):
         raise ValueError("a spot strip prices one exercise condition at default offsets and nodes")
     legs = _Legs(model, sched, p)
     if n == 0:
@@ -510,7 +512,7 @@ def _price_core(model, sched, p, spots, offsets=None, tol=None, fixed_nodes=None
             else:
                 (i,) = group
                 out[i] = _one_spot_price(q_legs, spots[i], d_rows[i], b, truncations, raw_tols[0],
-                                         prefactors[0], offs, fixed_nodes, max_nodes, delta_mode)
+                                         prefactors[0], offs, fixed_nodes, delta_mode)
     for i, flipped in enumerate(flips):
         if flipped:  # S^gamma for certain minus the flipped price
             whole = _certain_price(model, sched, PayoffParameterSet(p.gamma, (), (), ()), spots[i], delta_mode)
@@ -569,7 +571,7 @@ def _kept_sample_prices(model, sched, p, tol):
 
 
 def _one_spot_price(legs, spot, d_vec, b, truncations, raw_tol, prefactor, offsets,
-                    fixed_nodes, max_nodes, delta_mode) -> PriceResult:
+                    fixed_nodes, delta_mode) -> PriceResult:
     """One spot's price for ``_price_core``: on the line, the chain (``_chain_plan``) or the tensor rule."""
     n, m = legs.cmat.shape
     weight = (lambda xs, axes: 1j * legs.zeta(0, xs, axes) / spot) if delta_mode else None  # see ``delta``
@@ -598,7 +600,7 @@ def _one_spot_price(legs, spot, d_vec, b, truncations, raw_tol, prefactor, offse
         return out
 
     return _contour_price(integrand, b, truncations, d_vec, raw_tol, prefactor, (n, m),
-                          offsets, fixed_nodes, max_nodes, chain)
+                          offsets, fixed_nodes, chain)
 
 
 def _chain_plan(cmat: np.ndarray):
@@ -672,7 +674,7 @@ def _chain_factors(legs: _Legs, d_vec, supports, weight):
 
 
 def _contour_price(integrand, b, truncations, d_vec, raw_tol, prefactor, dims,
-                   offsets=None, fixed_nodes=None, max_nodes=None, chain=None) -> PriceResult:
+                   offsets=None, fixed_nodes=None, chain=None) -> PriceResult:
     """prefactor / (2 pi i)^N times the N-fold contour integral of ``integrand``.
 
     The driver of every single-spot contour price: the digitals of
@@ -683,22 +685,20 @@ def _contour_price(integrand, b, truncations, d_vec, raw_tol, prefactor, dims,
     chain rule when ``chain`` holds the integrand's (factors, stages)
     (``_chain_factors``), else to the tensor ladder.  Line and chain axes
     share the line rule's node cap; only the tensor ladder reads the tensor
-    caps.  ``raw_tol`` bounds the raw integral.  ``fixed_nodes`` evaluates a
-    single level and never raises NoConvergence.  ``fixed_nodes`` and
-    ``max_nodes`` must be even and at least ``MIN_NODES`` (16) for every N;
-    a start count is at most half the cap, but never below 16.  A ladder
-    that starts at its cap, as every ``fixed_nodes`` ladder does, first runs
-    a half level and so needs a cap of at least 30 (``quadrature._refine``).
+    caps.  A start count is at most half the cap.  ``raw_tol`` bounds the raw
+    integral.  ``fixed_nodes`` evaluates a single level and never raises
+    NoConvergence; it must be even and at least ``MIN_NODES`` (16) for every
+    N.  A ``fixed_nodes`` ladder starts at its cap, so it first runs a half
+    level and needs at least 30 nodes (``quadrature._refine``).
     """
     n = len(b)
-    for name, count in (("fixed_nodes", fixed_nodes), ("max_nodes", max_nodes)):
-        if count is not None and (count < cq.MIN_NODES or count % 2):
-            raise ValueError(f"{name} must be even and at least {cq.MIN_NODES}, got {count}")
     if fixed_nodes is not None:
+        if fixed_nodes < cq.MIN_NODES or fixed_nodes % 2:
+            raise ValueError(f"fixed_nodes must be even and at least {cq.MIN_NODES}, got {fixed_nodes}")
         starts = [int(fixed_nodes)] * n
         cap = int(fixed_nodes)
     else:
-        cap = cq._node_cap(n if chain is None else 1, max_nodes)
+        cap = cq._node_cap(n if chain is None else 1, None)
         starts = [_start_count(truncations[k], d_vec[k], cap) for k in range(n)]
 
     if n == 1:
@@ -743,10 +743,9 @@ def price_digital(
     offsets: ContourOffsets | None = None,
     tol: float | None = None,
     fixed_nodes: int | None = None,
-    max_nodes: int | None = None,
 ) -> PriceResult:
     """Value of the multi-period power digital described by ``p``."""
-    return _price_core(model, sched, p, [spot], offsets, tol, fixed_nodes, max_nodes)[0]
+    return _price_core(model, sched, p, [spot], offsets, tol, fixed_nodes)[0]
 
 
 def price_single_period(
@@ -778,4 +777,4 @@ def delta(
     The spot enters only through spot**G_0 * exp(i d.xi) = exp(i ln(spot) zeta_1),
     zeta_1 being leg 1's argument (``_Legs.zeta``).
     """
-    return _price_core(model, sched, p, [spot], None, tol, None, None, True)[0].value
+    return _price_core(model, sched, p, [spot], None, tol, None, True)[0].value

@@ -123,18 +123,12 @@ def test_criterion_5_contour_offset_invariance():
         ("digital", Digital(SCHED1, PayoffParameterSet((0.0,), (atm,), (1,), ((1.0,),)))),
         ("asian_m4", AsianGeometric(SCHED4, 100.0)),
         ("barrier_m2", BarrierDownOutCall(sched2, 80.0, 100.0)),
+        ("asian_continuous", AsianContinuous(0.0, 1.0, 100.0)),
     ]
     worst = 0.0
     for model_name, model in (("gaussian", GAUSS), ("nig", NIG), ("cgmy", CGMY)):
         for contract_name, contract in instances:
-            multi = contract_name == "barrier_m2"
-            runs = [
-                price_contract(contract, model, SPOT,
-                               tol=5e-3 if multi else None,
-                               max_nodes=4096 if multi else None,
-                               offset_position=pos)
-                for pos in (0.35, 0.5, 0.65)
-            ]
+            runs = [price_contract(contract, model, SPOT, offset_position=pos) for pos in (0.35, 0.5, 0.65)]
             for i in range(len(runs)):
                 for j in range(i + 1, len(runs)):
                     gap = abs(runs[i].value - runs[j].value)
@@ -162,7 +156,7 @@ def test_criterion_6_degenerate_limits():
     checks.append(("asian M=1", abs(asian - vanilla) / vanilla, 1e-6))
 
     # near-expiry choice date: the chooser becomes a straddle; the almost
-    # degenerate second leg needs wide offsets and a deeper grid
+    # degenerate second leg needs wide offsets
     straddle = vanilla + bs_price(SPOT, 100.0, 1.0, 0.2, 0.05, -1)
     chooser = Chooser(1.0 - 1e-4, 1.0, 100.0)
     port = to_portfolio(chooser, GAUSS)
@@ -170,7 +164,7 @@ def test_criterion_6_degenerate_limits():
     for coef, sched, payoff in port.terms:
         res = price_digital(GAUSS, sched, payoff, SPOT,
                             offsets=ContourOffsets((8.0, 8.0)),
-                            tol=2e-4 / max(1.0, abs(coef)), max_nodes=8192)
+                            tol=2e-4 / max(1.0, abs(coef)))
         value += coef * res.value
     checks.append(("chooser T1->T", abs(value - straddle) / straddle, 1e-4))
 

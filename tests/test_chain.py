@@ -253,7 +253,7 @@ class TestChainFactors:
 
         monkeypatch.setattr(cq, "_integrate_chain", capture)
         with pytest.raises(Captured):
-            digitals._price_core(model, sched, p, [SPOT], None, None, None, None, delta_mode)
+            digitals._price_core(model, sched, p, [SPOT], None, None, None, delta_mode)
         return captured["factors"], captured["stages"], captured["spec"]
 
     @pytest.mark.parametrize("delta_mode", [False, True], ids=["price", "delta"])

@@ -1,3 +1,4 @@
+import inspect
 import math
 from dataclasses import replace
 
@@ -18,6 +19,7 @@ from levyexotic import (
     closed_form_price,
     compound_parity_check,
     continuous_asian_psi,
+    delta,
     make_cgmy,
     make_gaussian,
     make_nig,
@@ -37,6 +39,7 @@ from levyexotic.errors import (
 )
 from levyexotic.gaussian import _compound_cf_thresholds
 from levyexotic.quadrature import integrate_line
+from levyexotic.validation import run_lemma1
 
 GAUSS = make_gaussian(0.2, 0.05)
 NIG = make_nig(8.0, -2.0, 0.3, 0.05)
@@ -464,22 +467,24 @@ class TestPortfolioError:
         )
         assert total.quadrature_error == expected
 
-    def test_stalled_term_reports_whole_portfolio(self):
+    # The node caps are the engine's own constants, read at call time: a
+    # lowered line cap (which line and chain axes share) makes real stalls.
+    def test_stalled_term_reports_whole_portfolio(self, monkeypatch):
         barrier = BarrierDownOutCall(MonitoringSchedule(0.0, (0.5, 1.0)), 90.0, 100.0)
         reference = closed_form_price(barrier, 0.2, 0.05, SPOT)
         assert reference == pytest.approx(10.240017, abs=1e-6)
+        monkeypatch.setattr(cq, "LINE_NODE_CAP", 64)
         with pytest.raises(NoConvergence) as info:
-            price_contract(barrier, GAUSS, SPOT, max_nodes=64)
+            price_contract(barrier, GAUSS, SPOT)
         result = info.value.result
         assert abs(result.value - reference) <= result.quadrature_error
 
-    def test_continuous_asian_honours_max_nodes(self):
+    def test_continuous_asian_stalls_at_the_line_cap(self, monkeypatch):
+        monkeypatch.setattr(cq, "LINE_NODE_CAP", 32)
         with pytest.raises(NoConvergence):
-            price_contract(AsianContinuous(0.0, 1.0, 100.0), NIG, SPOT, max_nodes=32)
+            price_contract(AsianContinuous(0.0, 1.0, 100.0), NIG, SPOT)
 
-    @pytest.mark.parametrize("kwargs", [
-        {"fixed_nodes": 31}, {"fixed_nodes": 8}, {"max_nodes": 31}, {"max_nodes": 8},
-    ], ids=["fixed-odd", "fixed-small", "cap-odd", "cap-small"])
+    @pytest.mark.parametrize("kwargs", [{"fixed_nodes": 31}, {"fixed_nodes": 8}], ids=["fixed-odd", "fixed-small"])
     @pytest.mark.parametrize("contract", [
         AsianGeometric(MonitoringSchedule(0.0, (1.0,)), 100.0),
         Chooser(0.5, 1.0, 100.0),
@@ -488,20 +493,9 @@ class TestPortfolioError:
         with pytest.raises(ValueError, match="must be even and at least 16"):
             price_contract(contract, GAUSS, SPOT, **kwargs)
 
-    @pytest.mark.parametrize("contract", [
-        AsianGeometric(MonitoringSchedule(0.0, (1.0,)), 100.0),
-        Chooser(0.5, 1.0, 100.0),
-    ], ids=["call", "chooser"])
-    def test_small_node_cap_starts_at_floor(self, contract):
-        # a cap of 24 is below the default start counts: the ladder runs 16 then 24 nodes
-        with pytest.raises(NoConvergence) as info:
-            price_contract(contract, GAUSS, SPOT, max_nodes=24)
-        result = info.value.result
-        assert abs(result.value - closed_form_price(contract, 0.2, 0.05, SPOT)) <= result.quadrature_error
-
     @pytest.mark.parametrize("kwargs", [
-        {"fixed_nodes": 16}, {"fixed_nodes": 18}, {"fixed_nodes": 28}, {"max_nodes": 16},
-    ], ids=["fixed-16", "fixed-18", "fixed-28", "cap-16"])
+        {"fixed_nodes": 16}, {"fixed_nodes": 18}, {"fixed_nodes": 28},
+    ], ids=["fixed-16", "fixed-18", "fixed-28"])
     def test_capped_start_below_the_floor_is_rejected(self, kwargs):
         # the ladder starts at the cap, and its half level would run below 16 nodes
         with pytest.raises(ValueError, match="below the floor of 16"):
@@ -509,8 +503,7 @@ class TestPortfolioError:
 
     @pytest.mark.parametrize("kwargs, levels", [
         ({"fixed_nodes": 30}, [16, 30]), ({"fixed_nodes": 32}, [16, 32]), ({"fixed_nodes": 34}, [18, 34]),
-        ({"max_nodes": 18}, [16, 18]), ({"max_nodes": 32}, [16, 32]),
-    ], ids=["fixed-30", "fixed-32", "fixed-34", "cap-18", "cap-32"])
+    ], ids=["fixed-30", "fixed-32", "fixed-34"])
     def test_capped_start_keeps_the_floor(self, kwargs, levels, monkeypatch):
         seen = []
         refine = cq._refine
@@ -638,7 +631,41 @@ class TestAsian:
         residual = call.value - put.value - math.exp(-model.r * tau) * (forward - strike)
         assert abs(residual) <= call.quadrature_error + put.quadrature_error + 1e-12
 
+    @pytest.mark.parametrize("w", [1, -1], ids=["call", "put"])
+    def test_continuous_offset_position_moves_the_contour(self, w):
+        # calls run on ]1, -lambda_-[, puts on ]0, lambda_+[; no position keeps the midpoint
+        lo, hi = (1.0, -NIG.strip[0]) if w == 1 else (0.0, NIG.strip[1])
+        contract = AsianContinuous(0.0, 1.0, 100.0, w)
+        assert price_contract(contract, NIG, SPOT).offsets_used.omega == (0.5 * (lo + hi),)
+        values = set()
+        for pos in (0.35, 0.65):
+            res = price_contract(contract, NIG, SPOT, offset_position=pos)
+            assert res.offsets_used.omega == (lo + pos * (hi - lo),)
+            values.add(res.value)
+        assert len(values) == 2
+
+    @pytest.mark.parametrize("pos", [0.0, 1.0, -0.25, 1.5])
+    def test_continuous_offset_position_outside_the_interval_is_rejected(self, pos):
+        with pytest.raises(ValueError, match="strictly between 0 and 1"):
+            price_contract(AsianContinuous(0.0, 1.0, 100.0), NIG, SPOT, offset_position=pos)
+
 
 def test_cgmy_parity():
     residual = compound_parity_check(CGMY05, 5.0, 0.5, 100.0, 1.0, 1, SPOT)
     assert abs(residual) < 1e-5
+
+
+def test_entry_point_options_are_pinned():
+    # Each option here has a caller outside the tests (the CLI, the validation
+    # suites, the demos or the benchmark), except ``offset_position``, which
+    # acceptance criterion 5's contour-invariance check needs.  A new option
+    # needs such a caller too; add it here together with that caller.
+    pinned = {
+        price_contract: ["c", "model", "spot", "tol", "offset_position", "fixed_nodes"],
+        price_digital: ["model", "sched", "p", "spot", "offsets", "tol", "fixed_nodes"],
+        delta: ["model", "sched", "p", "spot", "tol"],
+        compound_parity_check: ["model", "K1", "T1", "K2", "T2", "w2", "spot"],
+        run_lemma1: ["limit"],
+    }
+    for function, names in pinned.items():
+        assert list(inspect.signature(function).parameters) == names, function.__name__

@@ -286,8 +286,7 @@ class TestPriceStrip:
 
     def test_a_strip_takes_no_options(self):
         p = plain_digital(ATM_LOG)
-        for options in ({"offsets": ContourOffsets((1.0,))}, {"fixed_nodes": 64}, {"max_nodes": 64},
-                        {"delta_mode": True}):
+        for options in ({"offsets": ContourOffsets((1.0,))}, {"fixed_nodes": 64}, {"delta_mode": True}):
             with pytest.raises(ValueError, match="strip"):
                 _price_core(GAUSS, self.SCHED, p, [SPOT, 2 * SPOT], **options)
         two_conditions = PayoffParameterSet((0.0, 0.0), (ATM_LOG, ATM_LOG), (1, 1), ((1.0, 0.0), (0.0, 1.0)))
