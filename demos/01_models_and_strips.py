@@ -2,8 +2,10 @@
 
 Every model describes log-price increments through a characteristic exponent
 psi with E[exp(i xi X_t)] = exp(-t psi(xi)).  The exponent extends to a
-horizontal strip of the complex plane, and all pricing contours later live
-inside that strip.  Run with:  python3 demos/01_models_and_strips.py
+horizontal strip of the complex plane, and beyond it to the whole plane but
+the cuts on the imaginary axis outside the strip.  The horizontal pricing
+contours live inside the strip; the sinh-deformed ones of the one-condition
+digitals cross the axis inside it.  Run with:  python3 demos/01_models_and_strips.py
 """
 import numpy as np
 

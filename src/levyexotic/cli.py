@@ -173,7 +173,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_conv = sub.add_parser("convergence", help="emit a CSV refinement study")
     p_conv.add_argument("--spec", required=True)
-    p_conv.add_argument("--axis", choices=("grid", "paths"), required=True)
+    p_conv.add_argument("--axis", choices=("grid", "paths"), required=True,
+                        help="grid: one fixed node count per axis and level (fixed_nodes; for a "
+                             "one-condition digital the y-nodes of its sinh contour); "
+                             "paths: Monte Carlo path counts")
     p_conv.set_defaults(func=cmd_convergence)
     return parser
 

@@ -10,7 +10,12 @@ feasible contour offsets, and drives the line, strip, chain or tensor
 quadrature.  ``_price_core`` is the one set-up of every digital price:
 single spots, deltas, spot strips and the normal-CDF identity of
 ``gaussian.lemma1_contour_side``; its offset groups (``_group_setup``) also
-size the kept-sample spot windows of ``_kept_sample_prices``.
+size the kept-sample spot windows of ``_kept_sample_prices``.  A single
+spot's one-condition digital runs the line rule along a sinh-deformed curve
+through its offset (``_sinh_price``), on which the integrand decays
+double-exponentially.  Spot strips, kept samples and the N >= 2 chain and
+tensor axes stay on horizontal lines, and the horizontal line rule stays
+the curve's tested oracle.
 
 The exponent E is a sum over the monitoring legs j = 1..M of
 -Delta_j psi(zeta_j), at zeta_j = sum_k C[k, j] xi_k - i G_j, where C and G
@@ -18,7 +23,8 @@ are the suffix sums of A and gamma.  One leg list per term (``_Legs``) holds
 C, Delta and G, builds zeta_j and is the only caller of psi, with one stacked
 call for all legs of a refinement level.  The line, chain
 and tensor rules, the offset and truncation choice and the spot strips all
-read it, so a StripViolation from any of them names its leg.
+read it, so a StripViolation (a point on a cut of psi) from any of them
+names its leg.
 """
 from __future__ import annotations
 
@@ -43,6 +49,10 @@ DEFAULT_TOL_ND = 1e-6
 IMAG_RESIDUE_TOL = 1e-8
 MAX_TENSOR_DIM = max(cq.TENSOR_NODE_CAPS)
 OFFSET_FLOOR = 0.25
+_SINH_BEND = 0.375  # a sinh contour's bend and y-strip half-width, as a share of its cone (``_sinh_price``)
+_SINH_ROOM = 0.9  # the share of the room to the ends of the offset interval its crossings use
+_PROBE_STEP = 0.5  # y-spacing of the probes that pick a sinh contour's window
+_PROBE_COUNT = 24  # probes on either side of y = 0: |y| <= 12, where |xi| passes 8e4 times the scale
 _PSI_POINTS = 1 << 16  # leg arguments one stacked psi call holds (``_Legs.exponent``)
 
 
@@ -304,8 +314,8 @@ def _log_peak(legs, p, omega, d_vec):
     return np.sum(signs * omega * d_vec, axis=-1) + exponent.real - np.sum(np.log(omega), axis=-1)
 
 
-def _halved_offsets(legs, p, lo, hi, d_rows) -> np.ndarray:
-    """Per row of ``d_rows`` (log moneyness, shape (S, N)), the equal offset of ``default_offsets``.
+def _halved_offsets(legs, p, lo, hi, d_rows) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of ``d_rows`` (log moneyness, shape (S, N)), the equal offset of ``default_offsets`` and its ``_log_peak``.
 
     The candidates are the midpoint of ]lo, hi[ and its halvings down to a
     floor.  The psi part of ``_log_peak`` does not depend on the row, so
@@ -321,7 +331,8 @@ def _halved_offsets(legs, p, lo, hi, d_rows) -> np.ndarray:
     peaks = _log_peak(legs, p, np.repeat(candidates[:, None, None], p.n, axis=2), d_rows)
     # Row k: the halving from candidate k does not lower the peak, or there is none.
     stops = np.vstack((peaks[1:] >= peaks[:-1], np.ones_like(peaks[:1], dtype=bool)))
-    return candidates[stops.argmax(axis=0)]
+    chosen = stops.argmax(axis=0)
+    return candidates[chosen], peaks[chosen, np.arange(peaks.shape[1])]
 
 
 def _equal_offset_interval(model: LevyModel, p: PayoffParameterSet) -> tuple[float, float]:
@@ -371,7 +382,7 @@ def default_offsets(
         return ContourOffsets(())
     lo, hi = _equal_offset_interval(model, p)
     if position is None and sched is not None and spot is not None:
-        omega = float(_halved_offsets(_Legs(model, sched, p), p, lo, hi, _log_moneyness(p, spot)[None])[0])
+        omega = float(_halved_offsets(_Legs(model, sched, p), p, lo, hi, _log_moneyness(p, spot)[None])[0][0])
     else:
         omega = _interval_point(lo, hi, 0.5 if position is None else position)
     chosen = ContourOffsets((omega,) * p.n)
@@ -466,12 +477,15 @@ def _price_core(model, sched, p, spots, offsets=None, tol=None, fixed_nodes=None
 
     Without given offsets each spot takes the offset of ``default_offsets``,
     and an N = 1 spot with w*d > 12 is priced as the certain claim minus its
-    flipped condition.  Spots of one payoff and offset form a group, whose
-    truncation serves its largest ``_log_peak`` and smallest raw tolerance.
-    One spot runs the line, chain or tensor rule.  Several spots form a strip
-    (N = 1, prices at default offsets and nodes): the spot enters only through
-    the phase exp(i d xi), so each group, even of one spot, runs one ladder of
-    the strip rule (``quadrature._integrate_strip``).
+    flipped condition.  Spots of one payoff and offset form a group.  One
+    spot with N = 1 runs the line rule along a sinh-deformed contour through
+    the group's offset (``_sinh_price``); one spot with N >= 2 runs the
+    chain or tensor rule, whose truncation serves its ``_log_peak``.
+    Several spots form a strip (N = 1, prices at default offsets and nodes):
+    the spot enters only through the phase exp(i d xi), so each group, even
+    of one spot, runs one ladder of the strip rule
+    (``quadrature._integrate_strip``) on the horizontal line, truncated for
+    its largest ``_log_peak`` and smallest raw tolerance.
     """
     n = p.n
     if n > MAX_TENSOR_DIM:
@@ -496,15 +510,26 @@ def _price_core(model, sched, p, spots, offsets=None, tol=None, fixed_nodes=None
         q = PayoffParameterSet(p.gamma, p.k_log, (-p.w[0],), p.a) if flipped else p
         q_legs = _Legs(model, sched, q) if flipped else legs
         part = [i for i, f in enumerate(flips) if f == flipped]
+        interval = None  # of the equal offset; known once it is needed
         if offsets is not None:
-            groups = [(offsets, part)]
+            groups = [(offsets, part, None)]
         else:
-            omegas = _halved_offsets(q_legs, q, *_equal_offset_interval(model, q), d_rows[part]).tolist()
-            groups = [(ContourOffsets((omega,) * n), [i for i, o in zip(part, omegas) if o == omega])
-                      for omega in sorted(set(omegas))]
-        for offs, group in groups:
-            b, prefactors, raw_tols, truncations = _group_setup(
-                model, sched, q, q_legs, offs, [spots[i] for i in group], d_rows[group], tol)
+            interval = _equal_offset_interval(model, q)
+            omegas, peaks = _halved_offsets(q_legs, q, *interval, d_rows[part])
+            omegas = omegas.tolist()
+            groups = [(ContourOffsets((omega,) * n), [i for i, o in zip(part, omegas) if o == omega],
+                       [pk for pk, o in zip(peaks, omegas) if o == omega]) for omega in sorted(set(omegas))]
+        for offs, group, log_peaks in groups:
+            b, prefactors, raw_tols = _group_setup(model, sched, q, offs, [spots[i] for i in group], tol)
+            if n == 1 and not strip:
+                (i,) = group
+                interval = interval or _equal_offset_interval(model, q)
+                out[i] = _sinh_price(q_legs, spots[i], d_rows[i, 0], b[0], sorted(-q.w[0] * o for o in interval),
+                                     raw_tols[0], prefactors[0], offs, fixed_nodes, delta_mode)
+                continue
+            if log_peaks is None:
+                log_peaks = _log_peak(q_legs, q, offs.omega, d_rows[group])
+            truncations = _truncations(q_legs, min(raw_tols), max(log_peaks))
             if strip:
                 prices = _strip_pricer(q_legs, offs, b, truncations, d_rows[group])
                 for i, res in zip(group, prices(d_rows[group, 0], prefactors, raw_tols)):
@@ -520,14 +545,12 @@ def _price_core(model, sched, p, spots, offsets=None, tol=None, fixed_nodes=None
     return out
 
 
-def _group_setup(model, sched, q, legs, offs, spots, d_rows, tol):
-    """An offset group's b, prefactors, raw tolerances and truncations (for its largest peak, smallest tolerance)."""
+def _group_setup(model, sched, q, offs, spots, tol):
+    """An offset group's b = Im xi of its contour's crossing, prefactors and raw tolerances."""
     check_offsets(model, q, offs)
     prefactors = [_prefactor(model, sched, q, spot) for spot in spots]
     raw_tols = [tol * (2.0 * math.pi) ** q.n / abs(pf) for pf in prefactors]
-    log_peak = _log_peak(legs, q, offs.omega, d_rows)
-    return (-np.array(q.w, dtype=float) * offs.omega, prefactors, raw_tols,
-            _truncations(legs, min(raw_tols), log_peak.max()))
+    return -np.array(q.w, dtype=float) * offs.omega, prefactors, raw_tols
 
 
 def _strip_pricer(legs, offs, b, truncations, d_rows):
@@ -548,8 +571,9 @@ def _kept_sample_prices(model, sched, p, tol):
     """``price_digital`` of ``p`` to ``tol`` as a function of the spot, for N = 1 from kept samples.
 
     A spot x0 sets up the window [x0/2, 2 x0] once: an offset group at the offset of ``default_offsets`` at x0,
-    its truncation and start count serving both ends.  Spots in the window reuse its samples (``_strip_pricer``);
-    a spot outside it sets up a fresh window.  N >= 2 and spots with w*d > 12 (complements) go to ``price_digital``.
+    its truncation and start count serving both ends.  Spots in the window reuse its samples (``_strip_pricer``)
+    on the horizontal line; a spot outside it sets up a fresh window.  N >= 2 and spots with w*d > 12
+    (complements) go to ``price_digital``.
     """
     legs = _Legs(model, sched, p)
     window = None  # (x0, its strip pricer)
@@ -563,23 +587,98 @@ def _kept_sample_prices(model, sched, p, tol):
             ends = [spot / 2, 2 * spot]
             d_ends = np.array([_log_moneyness(p, x) for x in ends])
             offs = default_offsets(model, p, sched, spot)
-            b, _, _, truncations = _group_setup(model, sched, p, legs, offs, ends, d_ends, tol)
+            b, _, raw_tols = _group_setup(model, sched, p, offs, ends, tol)
+            truncations = _truncations(legs, min(raw_tols), _log_peak(legs, p, offs.omega, d_ends).max())
             window = spot, _strip_pricer(legs, offs, b, truncations, d_ends)
         pf = _prefactor(model, sched, p, spot)
         return window[1](d, [pf], [tol * 2.0 * math.pi / abs(pf)])[0]
     return price
 
 
+def _sinh_price(legs, spot, d, b, interval, raw_tol, prefactor, offsets, fixed_nodes, delta_mode) -> PriceResult:
+    """One spot's N = 1 price: the line rule along a sinh-deformed contour (``quadrature.sinh_contour``).
+
+    The curve crosses the imaginary axis at i b, the horizontal line's offset,
+    and bends its ends by the sign of the integrand's linear phase (d plus
+    the drift term mu sum_j Delta_j C_j), so that the phase decays along
+    them as well as exp(-Delta psi).  The trapezoid rule in y errs by about
+    exp(-2 pi d0 / h) times the integrand on the strip |Im y| < d0
+    (Trefethen & Weideman, SIAM Review 56(3), 2014), where the curve sweeps
+    the family of bends theta +- d0 with crossings
+    b + scale (sin(theta +- d0) - sin theta).  Here theta = d0 =
+    ``_SINH_BEND`` * gamma, gamma = min(growth cone, pi/2), so the family
+    stays between the horizontal line and 3/4 of the cone, away from the
+    cone's edge where the growth of Re psi is weakest; ``scale`` keeps its
+    crossings within ``_SINH_ROOM`` of the way from i b to the ends of the
+    feasible ``interval`` of Im xi on the axis, so they stay off the pole and
+    the cuts.
+
+    One exponent call, at ``_PROBE_STEP``-spaced y and where the family's
+    edge curves cross the axis, sets the rest.  The first level aims at the
+    error peak * (raw_tol / peak)**2, peak being the largest |f xi'| probed:
+    the window runs out to the first probe on either side where |f xi'|
+    falls to that, and the start step h makes edge * exp(-2 pi d0 / h) that
+    small, edge being the larger of the peak and |f xi'| at the edge
+    crossings.  So a typical price stops at its second level, and no decay
+    bound or truncation radius enters.  ``fixed_nodes`` counts y-nodes.
+    """
+    model = legs.model
+    m = legs.cmat.shape[1]
+    sign = 1.0 if d + model.mu * float(legs.deltas @ legs.cmat[0]) >= 0.0 else -1.0
+    bend = _SINH_BEND * min(model.growth_cone, 0.5 * math.pi)
+    theta = sign * bend
+    # reach of the family's crossings below and above i b, per unit scale
+    outer, inner = math.sin(2.0 * bend) - math.sin(bend), math.sin(bend)
+    below, above = (inner, outer) if sign > 0 else (outer, inner)
+    im_lo, im_hi = interval
+    scale = _SINH_ROOM * min((b - im_lo) / below, (im_hi - b) / above)
+
+    def exponent(xi):
+        return 1j * d * xi + legs.exponent(range(m), (xi,), (0,))
+
+    # the curve at the probes y, and the family's edge curves (bends theta -+ d0) where they cross the axis
+    point, slope = cq.sinh_contour(b, theta, scale)
+    y = _PROBE_STEP * np.arange(-_PROBE_COUNT, _PROBE_COUNT + 1)
+    edges = theta + np.array([-bend, bend])
+    xi = np.concatenate((point(y), 1j * (b + scale * (np.sin(edges) - math.sin(theta)))))
+    log_mod = exponent(xi).real - np.log(np.abs(xi)) + np.log(np.abs(np.concatenate((slope(y), scale * np.cos(edges)))))
+    log_mod, log_edge = log_mod[:y.size], log_mod[y.size:].max()
+    top = int(np.argmax(log_mod))
+    gap = max(log_mod[top] - math.log(max(raw_tol, 1e-280)), 1.0)  # log(peak / raw_tol)
+    low = np.flatnonzero(log_mod < log_mod[top] - 2.0 * gap)
+    right, left = low[low > top], low[low < top]
+    y_hi = y[right[0]] if right.size else y[-1]
+    y_lo = y[left[-1]] if left.size else y[0]
+    half = 0.5 * (y_hi - y_lo)
+
+    if fixed_nodes is not None:
+        start = cap = _checked_fixed_nodes(fixed_nodes)
+    else:
+        cap = cq.LINE_NODE_CAP
+        log_ratio = 2.0 * gap + max(log_edge - log_mod[top], 0.0)  # log(edge / the first level's error)
+        start = min(max(cq.MIN_NODES, 2 * math.ceil(half * log_ratio / (2.0 * math.pi * bend))), cap // 2)
+
+    def integrand(xi):
+        out = np.exp(exponent(xi)) / xi
+        if delta_mode:
+            out = out * (1j * legs.zeta(0, (xi,), (0,)) / spot)  # see ``delta``
+        return out
+
+    res = cq.integrate_line(integrand, cq.sinh_contour(b, theta, scale, 0.5 * (y_hi + y_lo)), half, raw_tol,
+                            start_nodes=start, max_nodes=cap)
+    return _scaled_price(res, prefactor, raw_tol, offsets, (1, m), stalled_raises=fixed_nodes is None)
+
+
 def _one_spot_price(legs, spot, d_vec, b, truncations, raw_tol, prefactor, offsets,
                     fixed_nodes, delta_mode) -> PriceResult:
-    """One spot's price for ``_price_core``: on the line, the chain (``_chain_plan``) or the tensor rule."""
+    """One spot's N >= 2 price for ``_price_core``: on the chain (``_chain_plan``) or the tensor rule."""
     n, m = legs.cmat.shape
     weight = (lambda xs, axes: 1j * legs.zeta(0, xs, axes) / spot) if delta_mode else None  # see ``delta``
 
     # Chain form: integrate over eta_k = flips_k * xi_k.  The flipped grid holds
     # the same points, and 1/prod(xi) = prod(flips) / prod(eta).
     chain = None
-    plan = None if n == 1 else _chain_plan(legs.cmat)
+    plan = _chain_plan(legs.cmat)
     if plan is not None:
         flips, supports = plan
         legs.cmat = legs.cmat * flips[:, None]
@@ -677,9 +776,9 @@ def _contour_price(integrand, b, truncations, d_vec, raw_tol, prefactor, dims,
                    offsets=None, fixed_nodes=None, chain=None) -> PriceResult:
     """prefactor / (2 pi i)^N times the N-fold contour integral of ``integrand``.
 
-    The driver of every single-spot contour price: the digitals of
-    ``_price_core`` (the normal-CDF identity among them) and the continuous
-    Asian.  Axis k runs along Im(xi_k) = b[k] out to |Re| <= truncations[k];
+    Serves the single-spot prices on horizontal lines: the N >= 2 digitals
+    of ``_price_core`` (the normal-CDF identity among them) and the
+    continuous Asian.  Axis k runs along Im(xi_k) = b[k] out to |Re| <= truncations[k];
     its ladder starts at a node count that resolves the phase exp(i d_k xi_k)
     over the window.  N = 1 goes to the line quadrature; N >= 2 goes to the
     chain rule when ``chain`` holds the integrand's (factors, stages)
@@ -693,10 +792,8 @@ def _contour_price(integrand, b, truncations, d_vec, raw_tol, prefactor, dims,
     """
     n = len(b)
     if fixed_nodes is not None:
-        if fixed_nodes < cq.MIN_NODES or fixed_nodes % 2:
-            raise ValueError(f"fixed_nodes must be even and at least {cq.MIN_NODES}, got {fixed_nodes}")
-        starts = [int(fixed_nodes)] * n
-        cap = int(fixed_nodes)
+        cap = _checked_fixed_nodes(fixed_nodes)
+        starts = [cap] * n
     else:
         cap = cq._node_cap(n if chain is None else 1, None)
         starts = [_start_count(truncations[k], d_vec[k], cap) for k in range(n)]
@@ -711,6 +808,13 @@ def _contour_price(integrand, b, truncations, d_vec, raw_tol, prefactor, dims,
         else:
             res = cq._integrate_chain(integrand, spec, *chain, raw_tol, max_nodes_per_axis=cap)
     return _scaled_price(res, prefactor, raw_tol, offsets, dims, stalled_raises=fixed_nodes is None)
+
+
+def _checked_fixed_nodes(fixed_nodes) -> int:
+    """``fixed_nodes`` as an int; ValueError unless it is even and at least ``MIN_NODES``."""
+    if fixed_nodes < cq.MIN_NODES or fixed_nodes % 2:
+        raise ValueError(f"fixed_nodes must be even and at least {cq.MIN_NODES}, got {fixed_nodes}")
+    return int(fixed_nodes)
 
 
 def _scaled_price(res, prefactor, raw_tol, offsets, dims, stalled_raises=True) -> PriceResult:

@@ -3,8 +3,13 @@
 The log-price process X satisfies E[exp(i xi X_t)] = exp(-t psi(xi)), where
 psi(xi) = -i mu xi + phi(xi) extends holomorphically to the horizontal strip
 lambda_minus < Im(xi) < lambda_plus and grows like c*|xi|**order along it.
-Every pricing contour in this package lives inside that strip, and the
-risk-neutral drift mu is pinned by the martingale condition r + psi(-i) = 0.
+The principal branches of phi continue psi holomorphically to the whole plane
+but its cuts, the parts of the imaginary axis outside the strip, and Re psi
+still grows inside each model's ``growth_cone``.  The horizontal contours of
+this package live inside the strip; the sinh-deformed contours of the
+one-condition digitals leave it, away from the imaginary axis and inside the
+cone.  The risk-neutral drift mu is pinned by the martingale condition
+r + psi(-i) = 0.
 """
 from __future__ import annotations
 
@@ -99,6 +104,16 @@ class LevyModel:
         raise NotImplementedError
 
     @property
+    def growth_cone(self) -> float:
+        """Half-angle of the double cone |arg(+-zeta)| < angle in which Re psi(zeta) grows without bound.
+
+        Off the strip psi is holomorphic except on its cuts (``check_cuts``),
+        and inside this cone Re psi(zeta) ~ c |zeta|**order cos(order arg zeta)
+        still grows, so a contour may bend out of the strip along it.
+        """
+        raise NotImplementedError
+
+    @property
     def decay_shift(self) -> float:
         """Constant offset per unit time: Re psi(x) >= c*|x|**order - shift."""
         return 0.0
@@ -116,6 +131,12 @@ class LevyModel:
         raise NotImplementedError
 
     def check_strip(self, xi) -> None:
+        """Raise StripViolation unless every point of ``xi`` lies in the open strip.
+
+        The guard of the closed-form averages (``phi_average``), whose
+        segment [0, xi] must stay in the strip; psi itself needs only
+        ``check_cuts``.
+        """
         lo, hi = self.strip
         arr, _ = _as_complex(xi)
         im = arr.imag
@@ -127,10 +148,33 @@ class LevyModel:
                 f"({lo:g}, {hi:g}) of the {self.kind} model"
             )
 
+    def check_cuts(self, arr) -> None:
+        """Raise StripViolation if a point of the complex array ``arr`` lies on a cut of psi.
+
+        The cuts are the parts of the imaginary axis outside the open strip.
+        Everywhere else the principal branches of ``phi`` continue psi
+        holomorphically, so points off the strip but off the axis pass.  An
+        array with no point on the axis costs one count of its nonzero real
+        parts; one whose points all lie inside the strip, two reductions
+        more.
+        """
+        if np.count_nonzero(arr.real) == arr.size:
+            return
+        lo, hi = self.strip
+        im = arr.imag
+        if lo < im.min() and im.max() < hi:
+            return
+        axis = im[arr.real == 0]
+        if axis.min() <= lo or axis.max() >= hi:
+            raise StripViolation(
+                f"Im(xi) in [{axis.min():g}, {axis.max():g}] on the imaginary axis leaves the open strip "
+                f"({lo:g}, {hi:g}) of the {self.kind} model: a branch cut"
+            )
+
     def psi(self, xi):
-        """Characteristic exponent; raises StripViolation off the strip."""
+        """Characteristic exponent; raises StripViolation on a cut (``check_cuts``)."""
         arr, scalar = _as_complex(xi)
-        self.check_strip(arr)
+        self.check_cuts(arr)
         out = -1j * self.mu * arr + self.phi(arr)
         return complex(out) if scalar else out
 
@@ -162,6 +206,11 @@ class GaussianModel(LevyModel):
     @property
     def decay_coefficient(self):
         return 0.5 * self.sigma**2
+
+    @property
+    def growth_cone(self):
+        # Re zeta**2 > 0
+        return math.pi / 4
 
     def phi(self, xi):
         return 0.5 * self.sigma**2 * xi * xi
@@ -203,14 +252,18 @@ class NIGModel(LevyModel):
         return self.delta
 
     @property
+    def growth_cone(self):
+        # the radicand's root grows like +-(zeta - i beta): Re psi ~ delta |Re zeta|
+        return math.pi / 2
+
+    @property
     def decay_shift(self):
         return self.delta * math.sqrt(self.alpha**2 - self.beta**2)
 
     def phi(self, xi):
+        # The radicand meets the principal cut (-inf, 0] only on psi's cuts,
+        # which ``psi`` rejects.
         root = self.alpha**2 - (self.beta + 1j * xi) ** 2
-        # Holomorphy on the strip keeps the radicand in the right half plane.
-        if np.min(np.real(root)) <= 0:
-            raise StripViolation("NIG radicand left the right half plane")
         return self.delta * (np.sqrt(root) - math.sqrt(self.alpha**2 - self.beta**2))
 
     def phi_average(self, xi):
@@ -277,6 +330,11 @@ class CGMYModel(LevyModel):
         return -2.0 * self.c * _gamma_fn(-self.y) * math.cos(math.pi * self.y / 2)
 
     @property
+    def growth_cone(self):
+        # (m - i zeta)**y + (g + i zeta)**y ~ 2 cos(pi y / 2) |zeta|**y e^{i y arg zeta}: cos(y arg zeta) > 0
+        return math.pi / (2.0 * self.y)
+
+    @property
     def decay_shift(self):
         # the subtracted m^y + g^y constants delay the asymptotic decay
         return max(0.0, -self.c * _gamma_fn(-self.y) * (self.m**self.y + self.g**self.y))
@@ -287,13 +345,12 @@ class CGMYModel(LevyModel):
         Both powers come from one stacked base as exp(y log z): bit for bit
         ``np.power``, which takes the same route through the C library's
         cpow, at a lower cost per point.  -c Gamma(-y), m**y and g**y are
-        computed once per model, in ``__post_init__``.
+        computed once per model, in ``__post_init__``.  The bases meet the
+        principal cut (-inf, 0] only on psi's cuts, which ``psi`` rejects.
         """
         base = np.empty((2, *np.shape(xi)), dtype=complex)
         base[0] = self.m - 1j * xi
         base[1] = self.g + 1j * xi
-        if base.real.min() <= 0:
-            raise StripViolation("CGMY power base left the right half plane")
         np.log(base, out=base)
         base *= self.y
         powers = np.exp(base, out=base)

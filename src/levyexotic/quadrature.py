@@ -1,12 +1,15 @@
-"""Error-controlled trapezoid quadrature along horizontal complex contours.
+"""Error-controlled trapezoid quadrature along complex contours.
 
-All integrands here are analytic in a neighbourhood of the integration lines
-and decay like exp(-c*tau*|x|**order) at the truncation edge, which makes the
-uniform trapezoid rule spectrally accurate.  One refinement ladder
+All integrands here are analytic in a neighbourhood of the integration
+contours and decay fast at the truncation edge, which makes the uniform
+trapezoid rule spectrally accurate.  The contours are horizontal lines,
+except the curves xi(y) of ``integrate_line`` (``sinh_contour``), on which
+the integrand decays double-exponentially in y.  One refinement ladder
 (``_refine``) doubles the nodes of every axis up to its cap and serves four
 level rules:
 
-- the line rule of ``integrate_line``, for one axis;
+- the line rule of ``integrate_line``, for one axis, along a curve or a
+  horizontal line;
 - the strip rule of ``_integrate_strip``, for the line integrals of
   exp(i d_s xi + log_f(xi)) over phase coefficients d_s, all from one store
   of samples of log_f (``_Samples``) that callers may keep across strips;
@@ -184,36 +187,63 @@ def _refine(level, starts, cap, tol, tail) -> QuadratureResult:
     )
 
 
-def integrate_line(f, offset: float, truncation: float, tol: float,
-                   start_nodes: int = 64, max_nodes: int = LINE_NODE_CAP) -> QuadratureResult:
-    """Trapezoid value of the contour integral of f over Im(xi) = offset.
+def sinh_contour(crossing: float, angle: float, scale: float, centre: float = 0.0):
+    """The curve xi(y) = i (crossing - scale sin(angle)) + scale sinh(i angle + centre + y) and its derivative.
 
-    ``f`` must accept a complex ndarray and evaluate elementwise; it is called
-    once per level.  Nodes are doubled until two successive refinements agree
-    to ``tol`` (absolute, on the raw integral) or ``max_nodes`` is reached, in
-    which case the best value is returned with ``converged=False``.  A level
-    that doubles the previous one keeps its samples and evaluates ``f`` only
-    at the new odd nodes; every sample point is bit-identical to a full
-    ``np.linspace`` grid, so the value is that of the full trapezoid sum.
+    It crosses the imaginary axis once, at i crossing (y = -centre), and its
+    ends run off along the rays of argument ``angle`` and pi - ``angle``: up
+    for a positive angle, down for a negative one (Boyarchenko and
+    Levendorskii's sinh-acceleration).  Returns the pair (xi, dxi) of
+    ``integrate_line``.
     """
-    if offset == 0.0:
-        raise ValueError("contour offset must avoid the pole on the real axis")
+    shift = 1j * (crossing - scale * math.sin(angle))
+    return (lambda y: shift + scale * np.sinh(1j * angle + (centre + y)),
+            lambda y: scale * np.cosh(1j * angle + (centre + y)))
+
+
+def integrate_line(f, contour, truncation: float, tol: float,
+                   start_nodes: int = 64, max_nodes: int = LINE_NODE_CAP) -> QuadratureResult:
+    """Trapezoid value of the contour integral of f along a curve xi(y), |y| <= truncation.
+
+    ``contour`` is the pair (xi, dxi) of the curve and its derivative, both
+    elementwise on real ndarrays (``sinh_contour``), and the rule sums
+    f(xi(y)) xi'(y) over the nodes y; or it is a float b, the horizontal line
+    xi(y) = y + i b, whose rule sums f(y + i b).  ``f`` must accept a complex
+    ndarray and evaluate elementwise; it is called once per level.  Nodes
+    are doubled until two successive refinements agree to ``tol`` (absolute,
+    on the raw integral) or ``max_nodes`` is reached, in which case the best
+    value is returned with ``converged=False``.  A level that doubles the
+    previous one keeps its samples and evaluates ``f`` only at the new odd
+    nodes; every node is bit-identical to a full ``np.linspace`` grid, so
+    the value is that of the full trapezoid sum.
+    """
+    if isinstance(contour, tuple):
+        point, slope = contour
+
+        def sample(y):
+            return f(point(y)) * slope(y)
+    else:
+        if contour == 0.0:
+            raise ValueError("contour offset must avoid the pole on the real axis")
+
+        def sample(y):
+            return f(y + 1j * contour)
     if truncation <= 0 or tol < 0:
         raise NonPositiveInput("truncation must be positive and tol nonnegative")
-    edges = []  # |f| at the last level's two outermost nodes on each side
-    samples = None  # f at the last level's nodes
+    edges = []  # |f xi'| at the last level's two outermost nodes on each side
+    samples = None  # f xi' at the last level's nodes
 
     def level(nodes):
         nonlocal samples
         (p,) = nodes
         h = 2.0 * truncation / p
         if samples is not None and 2 * (samples.size - 1) == p:
-            new = _finite(f(-truncation + h * np.arange(1, p, 2) + 1j * offset))
+            new = _finite(sample(-truncation + h * np.arange(1, p, 2)))
             vals = np.empty(p + 1, dtype=np.result_type(samples, new))
             vals[0::2] = samples
             vals[1::2] = new
         else:
-            new = vals = _finite(f(np.linspace(-truncation, truncation, p + 1) + 1j * offset))
+            new = vals = _finite(sample(np.linspace(-truncation, truncation, p + 1)))
         samples = vals
         total = vals.sum() - 0.5 * (vals[0] + vals[-1])
         edges[:] = abs(vals[0]), abs(vals[1]), abs(vals[-1]), abs(vals[-2])
@@ -333,25 +363,31 @@ def _tensor_level(f, offsets, truncations, nodes):
 
 
 def _face_tail_estimate(f, offsets, truncations, nodes):
-    """Order-of-magnitude estimate of the mass outside the truncation box."""
+    """Order-of-magnitude estimate of the mass outside the truncation box.
+
+    Per face, the mean |f| over a coarse grid of the other axes, at the face
+    and one step inside it (one call of ``f``), is extrapolated geometrically
+    outwards, as ``_tail_estimate`` does for the line rule.
+    """
     ndim = len(offsets)
     coarse = [np.linspace(-ell, ell, 9) + 1j * b for b, ell in zip(offsets, truncations)]
     est = 0.0
     for axis in range(ndim):
         h = 2.0 * truncations[axis] / nodes[axis]
+        others = tuple(k for k in range(ndim) if k != axis)
+        measure = math.prod(2.0 * truncations[k] for k in others)
         for sign in (-1.0, 1.0):
             args = []
             for k in range(ndim):
                 shape = [1] * ndim
                 if k == axis:
-                    vals = np.array([sign * truncations[axis] + 1j * offsets[axis]])
+                    vals = sign * (truncations[axis] - np.array([0.0, h])) + 1j * offsets[axis]
                 else:
                     vals = coarse[k]
                 shape[k] = vals.shape[0]
                 args.append(vals.reshape(shape))
-            face = np.abs(f(*args))
-            measure = math.prod(2.0 * truncations[k] for k in range(ndim) if k != axis)
-            est += float(face.mean()) * measure * h
+            edge, inner = np.abs(f(*args)).mean(axis=others).ravel()
+            est += _tail_estimate(float(edge), float(inner), 0.0, 0.0, h) * measure
     return est
 
 

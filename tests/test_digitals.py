@@ -1,15 +1,20 @@
 import math
 from collections import Counter
+from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import ndtr
 
 from levyexotic import (
+    AsianGeometric,
     BarrierDownOutCall,
     ContourOffsets,
+    ForwardStart,
     MonitoringSchedule,
     PayoffParameterSet,
+    closed_form_price,
     default_offsets,
     delta,
     make_cgmy,
@@ -23,7 +28,17 @@ from levyexotic import (
 )
 from levyexotic import quadrature as cq
 from levyexotic.contracts import Digital, to_portfolio
-from levyexotic.digitals import _price_core
+from levyexotic.digitals import (
+    _contour_price,
+    _equal_offset_interval,
+    _group_setup,
+    _halved_offsets,
+    _Legs,
+    _log_moneyness,
+    _prefactor,
+    _price_core,
+    _truncations,
+)
 from levyexotic.errors import DimensionTooLarge, NoFeasibleOffsets, StripViolation
 
 GAUSS = make_gaussian(0.2, 0.05)
@@ -34,6 +49,30 @@ ATM_LOG = math.log(100.0)
 
 def plain_digital(k_log, w=1, gamma=0.0):
     return PayoffParameterSet((gamma,), (k_log,), (w,), ((1.0,),))
+
+
+def line_oracle(model, sched, p, spot, tol=1e-8):
+    """The horizontal line rule's price of a one-condition digital: the oracle of the sinh contour and the strips.
+
+    The offset of ``default_offsets``, the truncation of ``_truncations`` and
+    the line ladder of ``_contour_price``; a spot with w*d > 12 is the certain
+    claim minus its flipped condition, as in ``_price_core``.
+    """
+    d = _log_moneyness(p, spot)
+    if p.w[0] * d[0] > 12.0:
+        flipped = line_oracle(model, sched, PayoffParameterSet(p.gamma, p.k_log, (-p.w[0],), p.a), spot, tol)
+        whole = price_digital(model, sched, PayoffParameterSet(p.gamma, (), (), ()), spot)
+        return replace(flipped, value=whole.value - flipped.value)
+    legs = _Legs(model, sched, p)
+    omegas, peaks = _halved_offsets(legs, p, *_equal_offset_interval(model, p), d[None])
+    offs = ContourOffsets((float(omegas[0]),))
+    b, (prefactor,), (raw_tol,) = _group_setup(model, sched, p, offs, [spot], tol)
+    truncations = _truncations(legs, raw_tol, peaks[0])
+
+    def integrand(xi):
+        return np.exp(1j * d[0] * xi + legs.exponent(range(p.m), (xi,), (0,))) / xi
+
+    return _contour_price(integrand, b, truncations, d, raw_tol, prefactor, (1, p.m), offs)
 
 
 class TestPsiAggregate:
@@ -79,11 +118,13 @@ class TestPsiAggregate:
         assert np.all(batch == single)
 
     def test_strip_violation_names_its_leg(self):
-        # forward start: leg 1 couples no axis, leg 2 has argument xi - i
+        # forward start: leg 1 couples no axis, leg 2 has argument xi - i, here
+        # -21i on the cut below the strip; off the imaginary axis psi continues
         sched = MonitoringSchedule(0.0, (0.5, 1.0))
         p = PayoffParameterSet((0.0, 1.0), (0.0,), (1,), ((-1.0, 1.0),))
         with pytest.raises(StripViolation, match="leg 2"):
-            psi_aggregate(NIG, sched, p, np.array([0.3 - 20j]))
+            psi_aggregate(NIG, sched, p, np.array([-20j]))
+        assert np.isfinite(psi_aggregate(NIG, sched, p, np.array([0.3 - 20j])))
 
 
 class TestDefaultOffsets:
@@ -238,8 +279,8 @@ STRIP_MODELS = {
 
 
 class TestPriceStrip:
-    # ``_price_core`` at several spots prices a strip; the per-spot line ladder
-    # (price_single_period) is its oracle
+    # ``_price_core`` at several spots prices a strip; the per-spot horizontal
+    # line ladder (``line_oracle``) is its oracle
     SCHED = MonitoringSchedule(0.0, (1.0,))
     # ln S - k from -13 to 13: several offset groups, and w*d > 12 at both ends
     SPOTS = [SPOT * math.exp(x) for x in np.linspace(-13.0, 13.0, 40)]
@@ -253,7 +294,7 @@ class TestPriceStrip:
         assert len({res.offsets_used for res in strip}) >= 3
         flips = 0
         for spot, res in zip(self.SPOTS, strip):
-            ref = price_single_period(model, 1.0, gamma, 1.0, w, ATM_LOG, spot)
+            ref = line_oracle(model, self.SCHED, p, spot)
             assert abs(res.value - ref.value) <= ref.quadrature_error + 1e-12 * (1.0 + abs(ref.value))
             flipped = w * (math.log(spot) - ATM_LOG) > 12.0  # priced as its complement
             flips += flipped
@@ -267,7 +308,7 @@ class TestPriceStrip:
         spots = [SPOT * math.exp(x) for x in (-80.0, -40.0, 0.0)]
         strip = _price_core(model, self.SCHED, plain_digital(ATM_LOG), spots)
         for spot, res in zip(spots, strip):
-            ref = price_single_period(model, 1.0, 0.0, 1.0, 1, ATM_LOG, spot)
+            ref = line_oracle(model, self.SCHED, plain_digital(ATM_LOG), spot)
             assert abs(res.value - ref.value) <= ref.quadrature_error + 1e-12 * (1.0 + abs(ref.value))
 
     @pytest.mark.parametrize("w", [1, -1], ids=["call", "put"])
@@ -280,7 +321,7 @@ class TestPriceStrip:
         far = SPOT * math.exp(13.0 * w)
         for spot in (60.0, SPOT, 140.0):
             res, _ = _price_core(model, self.SCHED, p, [spot, far])
-            ref = price_digital(model, self.SCHED, p, spot)
+            ref = line_oracle(model, self.SCHED, p, spot)
             assert res.value == pytest.approx(ref.value, rel=1e-13, abs=0.0)
             assert (res.offsets_used, res.evaluations) == (ref.offsets_used, ref.evaluations)
 
@@ -315,6 +356,96 @@ class TestPriceStrip:
         assert calls["integrate_line"] == 0
         price_digital(model, self.SCHED, p, SPOT)
         assert calls["integrate_line"] == 1
+
+
+def sinh_grid_terms(model):
+    """(label, tolerance, schedule, payoff) of every one-condition term of the sinh acceptance grid.
+
+    Cash and asset digitals, calls and puts, K = 80..120; the terms of the
+    M = 4 and M = 12 geometric Asians, calls and puts at K = 80..120; the
+    forward starts.  Each term at the tolerance ``price_contract`` gives it.
+    """
+    one = MonitoringSchedule(0.0, (1.0,))
+    contracts = [(f"{gamma:g}/{w}/K{k:g}", Digital(one, plain_digital(math.log(k), w, gamma)))
+                 for gamma in (0.0, 1.0) for w in (1, -1) for k in range(80, 121, 5)]
+    for m in (4, 12):
+        sched = MonitoringSchedule(0.0, tuple((j + 1) / m for j in range(m)))
+        contracts += [(f"asian{m}/{w}/K{k}", AsianGeometric(sched, float(k), w))
+                      for w in (1, -1) for k in range(80, 121, 10)]
+    contracts += [(f"forward/{w}", ForwardStart(0.5, 1.0, w)) for w in (1, -1)]
+    return [(f"{label}#{i}", 1e-8 / max(1.0, abs(coef)), sched, p)
+            for label, c in contracts
+            for i, (coef, sched, p) in enumerate(to_portfolio(c, model).terms)]
+
+
+def gaussian_term_value(model, sched, p, spot):
+    """The Gaussian closed form of a one-condition term in 30 digits, on the engine's own rounded inputs.
+
+    The increments dX_j are N(mu Delta_j, sigma^2 Delta_j); with U = sum G_j dX_j
+    and V = sum C_j dX_j the term is prefactor * w * e^(m_U + v_U/2) *
+    Phi(w (m_V + cov(U, V) + d) / sd(V)).  C, Delta and G come from ``_Legs``
+    and d from ``_log_moneyness``, rounded as the engine rounds them:
+    ``closed_form_price`` rounds its own, and on the sinh grid that moves the
+    value by up to 2e-14 relative, more than some certificates.
+    """
+    legs = _Legs(model, sched, p)
+    w = p.w[0]
+    with mpmath.workdps(30):
+        dl, c, g = ([mpmath.mpf(float(v)) for v in arr] for arr in (legs.deltas, legs.cmat[0], legs.gsuf))
+        mu, var = mpmath.mpf(model.mu), mpmath.mpf(model.sigma) ** 2
+
+        def moment(x, y, scale):
+            return scale * mpmath.fsum(xj * yj * t for xj, yj, t in zip(x, y, dl))
+
+        ones = [1] * len(dl)
+        shift = moment(g, ones, mu) + moment(g, g, var) / 2
+        mean = moment(c, ones, mu) + moment(g, c, var) + float(_log_moneyness(p, spot)[0])
+        value = w * mpmath.exp(shift) * mpmath.ncdf(w * mean / mpmath.sqrt(moment(c, c, var)))
+        return float(_prefactor(model, sched, p, spot) * value)
+
+
+class TestSinhContour:
+    # every single-spot one-condition price runs the line rule on a sinh-deformed
+    # contour; the horizontal line rule (``line_oracle``) is its oracle
+
+    @pytest.mark.parametrize("model", STRIP_MODELS.values(), ids=STRIP_MODELS.keys())
+    def test_sinh_rule_matches_the_line_rule(self, model):
+        for label, tol, sched, p in sinh_grid_terms(model):
+            res = price_digital(model, sched, p, SPOT, tol=tol)
+            ref = line_oracle(model, sched, p, SPOT, tol)
+            assert abs(res.value - ref.value) <= res.quadrature_error + ref.quadrature_error, label
+            assert res.offsets_used == ref.offsets_used, label
+
+    def test_claimed_error_bounds_the_gaussian_closed_form(self):
+        for label, tol, sched, p in sinh_grid_terms(GAUSS):
+            res = price_digital(GAUSS, sched, p, SPOT, tol=tol)
+            exact = gaussian_term_value(GAUSS, sched, p, SPOT)
+            assert abs(res.value - exact) <= res.quadrature_error, label
+            # the closed form of the contract, from its own rounded legs
+            assert closed_form_price(Digital(sched, p), 0.2, 0.05, SPOT) == pytest.approx(exact, rel=1e-13)
+
+    def test_cgmy_call_against_a_wide_window(self):
+        # ROADMAP item 1: on the line rule this call is 3.0e-6 off at tolerance 1e-8;
+        # the reference runs each term's horizontal line out to |x| = 200 at 1e-13
+        model = STRIP_MODELS["cgmy15"]
+        call = AsianGeometric(MonitoringSchedule(0.0, (1.0,)), 100.0)
+        res = price_contract(call, model, SPOT)
+        port = to_portfolio(call, model)
+        value = err = port.cash
+        for coef, sched, p in port.terms:
+            legs = _Legs(model, sched, p)
+            d = _log_moneyness(p, SPOT)
+            offs = default_offsets(model, p, sched, SPOT)
+            b, (prefactor,), (raw_tol,) = _group_setup(model, sched, p, offs, [SPOT], 1.0)
+
+            def integrand(xi):
+                return np.exp(1j * d[0] * xi + legs.exponent(range(p.m), (xi,), (0,))) / xi
+
+            line = cq.integrate_line(integrand, b[0], 200.0, 1e-13, start_nodes=4096)
+            assert line.converged
+            value += coef * (prefactor * line.value / (2j * math.pi)).real
+            err += abs(coef * prefactor / (2.0 * math.pi)) * line.error_estimate
+        assert abs(res.value - value) <= res.quadrature_error + err
 
 
 class TestGaussianReduction:

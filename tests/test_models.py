@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from levyexotic import (
     make_gaussian,
     make_nig,
 )
+from levyexotic.digitals import MonitoringSchedule, PayoffParameterSet, _Legs
 from levyexotic.errors import InvalidModel, NoRoot, StripTooNarrow, StripViolation
 
 EMM_TOL = 1e-12
@@ -80,6 +83,42 @@ def test_strip_violation_raises():
         model.psi(7j)  # Im = 7 > lambda_plus = 6
     with pytest.raises(StripViolation):
         model.psi(-11j)
+
+
+BENCHMARK_MODELS = {
+    "gaussian": make_gaussian(0.2, 0.05),
+    "nig": make_nig(8.0, -2.0, 0.3, 0.05),
+    "cgmy05": make_cgmy(1.0, 5.0, 5.0, 0.5, 0.05),
+    "cgmy15": make_cgmy(1.0, 5.0, 5.0, 1.5, 0.05),
+}
+
+
+@pytest.mark.parametrize("model", BENCHMARK_MODELS.values(), ids=BENCHMARK_MODELS.keys())
+def test_psi_is_holomorphic_across_the_strip_edges(model):
+    # Mean value property on circles centred on a strip edge, left and right of
+    # the imaginary axis at half the growth cone's angle; each radius is half
+    # the distance to the axis, so the 64-point mean errs by about 2**-64.
+    ring = np.exp(2j * math.pi * np.arange(64) / 64)
+    reach = math.tan(0.5 * min(model.growth_cone, 0.5 * math.pi))
+    for edge in model.strip:
+        for side in (-1.0, 1.0):
+            centre = side * abs(edge) / reach + 1j * edge
+            radius = 0.5 * abs(centre.real)
+            mean = model.psi(centre + radius * ring).mean()
+            assert abs(mean - model.psi(centre)) <= 1e-12 * abs(model.psi(centre))
+
+
+@pytest.mark.parametrize("model", BENCHMARK_MODELS.values(), ids=BENCHMARK_MODELS.keys())
+def test_only_a_cut_raises(model):
+    # forward start: leg 1 couples no axis, leg 2 has argument xi - i
+    legs = _Legs(model, MonitoringSchedule(0.0, (0.5, 1.0)),
+                 PayoffParameterSet((0.0, 1.0), (0.0,), (1,), ((-1.0, 1.0),)))
+    lo, hi = model.strip
+    off_strip = np.array([0.5 + 1j * (hi + 2.0), -0.5 + 1j * (lo - 1.0)])
+    assert np.all(np.isfinite(legs.exponent(range(2), (off_strip,), (0,))))
+    for im in (hi + 2.0, lo - 1.0):
+        with pytest.raises(StripViolation, match=r"^leg 2: .*cut"):
+            legs.exponent(range(2), (np.array([0.5, 1j * im]),), (0,))
 
 
 @pytest.mark.parametrize("model", all_models(), ids=lambda m: m.kind + str(m.order))
