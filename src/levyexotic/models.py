@@ -133,9 +133,9 @@ class LevyModel:
     def check_strip(self, xi) -> None:
         """Raise StripViolation unless every point of ``xi`` lies in the open strip.
 
-        The guard of the closed-form averages (``phi_average``), whose
-        segment [0, xi] must stay in the strip; psi itself needs only
-        ``check_cuts``.
+        The guard of the continuous Asian's averaged exponent
+        (``contracts.continuous_asian_psi``), whose segment [0, xi] must stay
+        in the strip; psi itself needs only ``check_cuts``.
         """
         lo, hi = self.strip
         arr, _ = _as_complex(xi)
