@@ -15,7 +15,10 @@ spot's one-condition digital runs the line rule along a sinh-deformed curve
 through its offset (``_sinh_price``), on which the integrand decays
 double-exponentially.  Spot strips, kept samples and the N >= 2 chain and
 tensor axes stay on horizontal lines, and the horizontal line rule stays
-the curve's tested oracle.
+the curve's tested oracle.  One-condition terms take the offset of the
+halving rule (``_halved_offsets``).  A single spot's N >= 2 term at default
+offsets takes the offset, and each axis the start level, that one trapezoid
+error model predicts to cost the fewest nodes (``_costed_offset``).
 
 The exponent E is a sum over the monitoring legs j = 1..M of
 -Delta_j psi(zeta_j), at zeta_j = sum_k C[k, j] xi_k - i G_j, where C and G
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import product as _iter_product
 
 import numpy as np
@@ -54,6 +58,8 @@ _SINH_ROOM = 0.9  # the share of the room to the ends of the offset interval its
 _PROBE_STEP = 0.5  # y-spacing of the probes that pick a sinh contour's window
 _PROBE_COUNT = 24  # probes on either side of y = 0: |y| <= 12, where |xi| passes 8e4 times the scale
 _PSI_POINTS = 1 << 16  # leg arguments one stacked psi call holds (``_Legs.exponent``)
+_OFFSET_PARTS = 16  # the N >= 2 cost rule's candidates split the equal-offset interval into this many parts
+_ROUNDOFF_ROOM = 100.0  # a candidate's central magnitude times this many eps must stay within the raw tolerance
 
 
 def _whole(value, name: str = "value") -> int:
@@ -184,6 +190,11 @@ class _Legs:
         self.cmat = p.condition_weights()
         self.deltas = sched.intervals()
         self.gsuf = p.gamma_suffix()
+
+    @cached_property
+    def taus(self) -> list[float]:
+        """The per-axis decay strengths of ``_corner_tau``, computed once per term."""
+        return _corner_tau(self.cmat, self.deltas, self.model.order)
 
     def zeta(self, j, xs, axes):
         """Leg j's argument at values ``xs`` of ``axes``; the other axes count as 0."""
@@ -369,20 +380,28 @@ def default_offsets(
     spot: float | None = None,
     position: float | None = None,
 ) -> ContourOffsets:
-    """Equal offsets from the scalar feasible interval, midpoint-with-shrink.
+    """Equal offsets from the scalar feasible interval: the offsets a price at ``spot`` uses by default.
 
     The equal-offset reduction turns the N-dimensional feasibility region
-    into a single interval for omega.  The midpoint is the starting guess;
-    when a schedule and spot are supplied the offset is halved while that
-    improves the integrand's central magnitude (better conditioning), never
-    dropping below a floor.  ``position`` in ]0, 1[ overrides the heuristic
-    and picks that relative point of the interval directly.
+    into a single interval for omega.  Without a schedule and spot the
+    offset is its midpoint.  With them, N = 1 starts at the midpoint and
+    halves the offset while that improves the integrand's central magnitude
+    (better conditioning), never dropping below a floor; N >= 2 takes the
+    offset with the fewest predicted nodes at the default tolerance
+    ``DEFAULT_TOL_ND`` (``_costed_offset``).  ``position`` in ]0, 1[
+    overrides both rules and picks that relative point of the interval
+    directly.
     """
     if p.n == 0:
         return ContourOffsets(())
     lo, hi = _equal_offset_interval(model, p)
     if position is None and sched is not None and spot is not None:
-        omega = float(_halved_offsets(_Legs(model, sched, p), p, lo, hi, _log_moneyness(p, spot)[None])[0][0])
+        legs, d_vec = _Legs(model, sched, p), _log_moneyness(p, spot)
+        if p.n == 1:
+            omega = float(_halved_offsets(legs, p, lo, hi, d_vec[None])[0][0])
+        else:
+            raw_tol = _raw_tol(DEFAULT_TOL_ND, p.n, _prefactor(model, sched, p, spot))
+            omega = _costed_offset(legs, p, lo, hi, d_vec, raw_tol)[0]
     else:
         omega = _interval_point(lo, hi, 0.5 if position is None else position)
     chosen = ContourOffsets((omega,) * p.n)
@@ -416,8 +435,9 @@ def _corner_tau(cmat: np.ndarray, deltas: np.ndarray, order: float) -> list[floa
     decay_c * sum_j Delta_j |(C^T v)_j|**order * L**order; the minimum over
     directions with v_axis = 1 governs how far the truncation box must reach
     on that axis.  For order 2 the minimum of the quadratic form v'Qv under
-    v_axis = 1 is 1/(Q^-1)_axis,axis; for fractional orders a direction
-    lattice with a safety factor stands in.
+    v_axis = 1 is 1/(Q^-1)_axis,axis; for other orders a direction lattice
+    (steps of 1/4 in [-1, 1] on the other axes) with a safety factor stands
+    in, scanned for all axes and directions in one array expression.
     """
     n = cmat.shape[0]
     if order == 2.0:
@@ -434,19 +454,14 @@ def _corner_tau(cmat: np.ndarray, deltas: np.ndarray, order: float) -> list[floa
         return [float(1.0 / d) for d in diag]
 
     grid = np.arange(-1.0, 1.0 + 1e-9, 0.25)
-    taus = []
-    for axis in range(n):
-        best = math.inf
-        for direction in _iter_product(grid, repeat=n - 1):
-            v = np.array(direction[:axis] + (1.0,) + direction[axis:])
-            leg = np.abs(v @ cmat)
-            best = min(best, float(np.sum(deltas * leg**order)))
-        if best <= 0.0:
-            raise PricingError(
-                "degenerate exercise matrix: a direction escapes every leg's decay"
-            )
-        taus.append(0.9 * best)  # lattice may miss the exact interior minimum
-    return taus
+    lattice = np.array(list(_iter_product(grid, repeat=n - 1))).reshape(grid.size ** (n - 1), n - 1)
+    directions = np.stack([np.insert(lattice, axis, 1.0, axis=1) for axis in range(n)])  # (axis, v, N)
+    best = np.sum(deltas * np.abs(directions @ cmat) ** order, axis=-1).min(axis=1)
+    if np.any(best <= 0.0):
+        raise PricingError(
+            "degenerate exercise matrix: a direction escapes every leg's decay"
+        )
+    return (0.9 * best).tolist()  # lattice may miss the exact interior minimum
 
 
 def _start_count(truncation: float, d: float, cap: int) -> int:
@@ -467,8 +482,60 @@ def _truncations(legs: _Legs, raw_tol, log_peak) -> list[float]:
     trunc_tol = max(raw_tol * math.exp(-max(log_peak, 0.0) - shift) * 0.1, 1e-280)
     return [
         cq.truncation_radius(legs.model.decay_coefficient, legs.model.order, tau_n, trunc_tol)
-        for tau_n in _corner_tau(legs.cmat, legs.deltas, legs.model.order)
+        for tau_n in legs.taus
     ]
+
+
+def _predicted_radii(legs: _Legs, raw_tol, log_peaks) -> np.ndarray:
+    """The radii of ``_truncations`` for each of ``log_peaks`` at once, shape (len(log_peaks), N), without a root solve.
+
+    Four fixed-point steps of L = (log((1 + L) / tol) / (c tau))**(1 / order)
+    from L = 1 on the bound ``_truncations`` solves, clamped as
+    ``quadrature.truncation_radius`` clamps.
+    """
+    model = legs.model
+    shift = model.decay_shift * float(legs.deltas.sum())
+    tols = np.maximum(raw_tol * np.exp(-np.maximum(log_peaks, 0.0) - shift) * 0.1, 1e-280)[:, None]
+    rate = model.decay_coefficient * np.array(legs.taus)
+    radii = np.ones((tols.size, rate.size))
+    for _ in range(4):
+        radii = (np.log(np.maximum((1.0 + radii) / tols, 1.0)) / rate) ** (1.0 / model.order)
+    return np.clip(radii, cq.TRUNCATION_MIN, cq.TRUNCATION_MAX)
+
+
+def _costed_offset(legs: _Legs, p: PayoffParameterSet, lo: float, hi: float, d_vec,
+                   raw_tol) -> tuple[float, float, float | None]:
+    """One spot's equal offset for an N >= 2 term, chosen by predicted cost; with its ``_log_peak`` and step h.
+
+    The candidates split ]lo, hi[ into ``_OFFSET_PARTS`` equal parts.  The
+    trapezoid rule on a line at distance a from another line on which the
+    integrand is about e^l errs by about e^l * 2L * e^(-2 pi a / h)
+    (Trefethen & Weideman, SIAM Review 56(3), 2014).  So each candidate i
+    with radii L_ik (``_predicted_radii``) and l_j = ``_log_peak`` at
+    candidate j admits, on each side, the largest step any candidate j there
+    allows for raw_tol / 2; its step h_i is the smaller of the two sides'.
+    The end candidates, with no candidate on one side, are never chosen.  A
+    candidate whose central magnitude puts the float floor (``_ROUNDOFF_ROOM``
+    eps) above raw_tol is rejected.  Of the rest the one with the fewest
+    predicted nodes sum_k L_ik / h_i wins.  If none is left, the term keeps
+    the halving rule's offset (``_halved_offsets``), which reaches below the
+    lowest candidate, and the step is None: its ladders start as an explicit
+    offset's do.
+    """
+    omegas = lo + (hi - lo) * np.arange(1, _OFFSET_PARTS) / _OFFSET_PARTS
+    peaks = _log_peak(legs, p, np.repeat(omegas[:, None, None], p.n, axis=2), d_vec[None])[:, 0]
+    radii = _predicted_radii(legs, raw_tol, peaks)
+    # (candidate i, line j): log(e^l_j 2 max_k L_ik / (raw_tol / 2)), and the step line j allows candidate i
+    needed = np.maximum(peaks + np.log(2.0 * radii.max(axis=1))[:, None] - math.log(0.5 * raw_tol), 1.0)
+    allowed = 2.0 * math.pi * np.abs(omegas - omegas[:, None]) / needed
+    steps = np.minimum(np.tril(allowed, -1).max(axis=1), np.triu(allowed, 1).max(axis=1))
+    interior = np.arange(1, omegas.size - 1)
+    kept = interior[peaks[interior] + math.log(_ROUNDOFF_ROOM * np.finfo(float).eps) <= math.log(raw_tol)]
+    if not kept.size:
+        omega, peak = _halved_offsets(legs, p, lo, hi, d_vec[None])
+        return float(omega[0]), float(peak[0]), None
+    i = kept[np.argmin(radii[kept].sum(axis=1) / steps[kept])]
+    return float(omegas[i]), float(peaks[i]), float(steps[i])
 
 
 def _price_core(model, sched, p, spots, offsets=None, tol=None, fixed_nodes=None,
@@ -480,7 +547,10 @@ def _price_core(model, sched, p, spots, offsets=None, tol=None, fixed_nodes=None
     flipped condition.  Spots of one payoff and offset form a group.  One
     spot with N = 1 runs the line rule along a sinh-deformed contour through
     the group's offset (``_sinh_price``); one spot with N >= 2 runs the
-    chain or tensor rule, whose truncation serves its ``_log_peak``.
+    chain or tensor rule, whose truncation serves its ``_log_peak``.  Its
+    default offset comes from the cost rule (``_costed_offset``) at ``tol``,
+    whose predicted step h also raises each axis's start level
+    (``_contour_price``); given offsets keep the phase-resolving start.
     Several spots form a strip (N = 1, prices at default offsets and nodes):
     the spot enters only through the phase exp(i d xi), so each group, even
     of one spot, runs one ladder of the strip rule
@@ -512,14 +582,19 @@ def _price_core(model, sched, p, spots, offsets=None, tol=None, fixed_nodes=None
         part = [i for i, f in enumerate(flips) if f == flipped]
         interval = None  # of the equal offset; known once it is needed
         if offsets is not None:
-            groups = [(offsets, part, None)]
+            groups = [(offsets, part, None, None)]
+        elif n >= 2:
+            (i,) = part
+            raw_tol = _raw_tol(tol, n, _prefactor(model, sched, q, spots[i]))
+            omega, peak, step = _costed_offset(q_legs, q, *_equal_offset_interval(model, q), d_rows[i], raw_tol)
+            groups = [(ContourOffsets((omega,) * n), part, [peak], step)]
         else:
             interval = _equal_offset_interval(model, q)
             omegas, peaks = _halved_offsets(q_legs, q, *interval, d_rows[part])
             omegas = omegas.tolist()
             groups = [(ContourOffsets((omega,) * n), [i for i, o in zip(part, omegas) if o == omega],
-                       [pk for pk, o in zip(peaks, omegas) if o == omega]) for omega in sorted(set(omegas))]
-        for offs, group, log_peaks in groups:
+                       [pk for pk, o in zip(peaks, omegas) if o == omega], None) for omega in sorted(set(omegas))]
+        for offs, group, log_peaks, step in groups:
             b, prefactors, raw_tols = _group_setup(model, sched, q, offs, [spots[i] for i in group], tol)
             if n == 1 and not strip:
                 (i,) = group
@@ -537,7 +612,7 @@ def _price_core(model, sched, p, spots, offsets=None, tol=None, fixed_nodes=None
             else:
                 (i,) = group
                 out[i] = _one_spot_price(q_legs, spots[i], d_rows[i], b, truncations, raw_tols[0],
-                                         prefactors[0], offs, fixed_nodes, delta_mode)
+                                         prefactors[0], offs, fixed_nodes, delta_mode, step)
     for i, flipped in enumerate(flips):
         if flipped:  # S^gamma for certain minus the flipped price
             whole = _certain_price(model, sched, PayoffParameterSet(p.gamma, (), (), ()), spots[i], delta_mode)
@@ -549,8 +624,13 @@ def _group_setup(model, sched, q, offs, spots, tol):
     """An offset group's b = Im xi of its contour's crossing, prefactors and raw tolerances."""
     check_offsets(model, q, offs)
     prefactors = [_prefactor(model, sched, q, spot) for spot in spots]
-    raw_tols = [tol * (2.0 * math.pi) ** q.n / abs(pf) for pf in prefactors]
+    raw_tols = [_raw_tol(tol, q.n, pf) for pf in prefactors]
     return -np.array(q.w, dtype=float) * offs.omega, prefactors, raw_tols
+
+
+def _raw_tol(tol, n, prefactor) -> float:
+    """The tolerance on the raw N-fold integral of a price to ``tol`` with this ``prefactor``."""
+    return tol * (2.0 * math.pi) ** n / abs(prefactor)
 
 
 def _strip_pricer(legs, offs, b, truncations, d_rows):
@@ -670,7 +750,7 @@ def _sinh_price(legs, spot, d, b, interval, raw_tol, prefactor, offsets, fixed_n
 
 
 def _one_spot_price(legs, spot, d_vec, b, truncations, raw_tol, prefactor, offsets,
-                    fixed_nodes, delta_mode) -> PriceResult:
+                    fixed_nodes, delta_mode, step) -> PriceResult:
     """One spot's N >= 2 price for ``_price_core``: on the chain (``_chain_plan``) or the tensor rule."""
     n, m = legs.cmat.shape
     weight = (lambda xs, axes: 1j * legs.zeta(0, xs, axes) / spot) if delta_mode else None  # see ``delta``
@@ -699,7 +779,7 @@ def _one_spot_price(legs, spot, d_vec, b, truncations, raw_tol, prefactor, offse
         return out
 
     return _contour_price(integrand, b, truncations, d_vec, raw_tol, prefactor, (n, m),
-                          offsets, fixed_nodes, chain)
+                          offsets, fixed_nodes, chain, step)
 
 
 def _chain_plan(cmat: np.ndarray):
@@ -773,15 +853,17 @@ def _chain_factors(legs: _Legs, d_vec, supports, weight):
 
 
 def _contour_price(integrand, b, truncations, d_vec, raw_tol, prefactor, dims,
-                   offsets=None, fixed_nodes=None, chain=None) -> PriceResult:
+                   offsets=None, fixed_nodes=None, chain=None, step=None) -> PriceResult:
     """prefactor / (2 pi i)^N times the N-fold contour integral of ``integrand``.
 
     Serves the single-spot prices on horizontal lines: the N >= 2 digitals
     of ``_price_core`` (the normal-CDF identity among them) and the
     continuous Asian.  Axis k runs along Im(xi_k) = b[k] out to |Re| <= truncations[k];
     its ladder starts at a node count that resolves the phase exp(i d_k xi_k)
-    over the window.  N = 1 goes to the line quadrature; N >= 2 goes to the
-    chain rule when ``chain`` holds the integrand's (factors, stages)
+    over the window (``_start_count``); given the cost rule's predicted
+    ``step`` h (``_costed_offset``), at the larger of that count and
+    2^floor(log2(2 L_k / h)).  N = 1 goes to the line quadrature; N >= 2 goes
+    to the chain rule when ``chain`` holds the integrand's (factors, stages)
     (``_chain_factors``), else to the tensor ladder.  Line and chain axes
     share the line rule's node cap; only the tensor ladder reads the tensor
     caps.  A start count is at most half the cap.  ``raw_tol`` bounds the raw
@@ -797,6 +879,9 @@ def _contour_price(integrand, b, truncations, d_vec, raw_tol, prefactor, dims,
     else:
         cap = cq._node_cap(n if chain is None else 1, None)
         starts = [_start_count(truncations[k], d_vec[k], cap) for k in range(n)]
+        if step is not None:
+            starts = [min(max(start, 1 << max(math.floor(math.log2(2.0 * ell / step)), 0)), cap // 2)
+                      for start, ell in zip(starts, truncations)]
 
     if n == 1:
         res = cq.integrate_line(integrand, b[0], truncations[0], raw_tol,

@@ -366,16 +366,15 @@ def _face_tail_estimate(f, offsets, truncations, nodes):
     """Order-of-magnitude estimate of the mass outside the truncation box.
 
     Per face, the mean |f| over a coarse grid of the other axes, at the face
-    and one step inside it (one call of ``f``), is extrapolated geometrically
-    outwards, as ``_tail_estimate`` does for the line rule.
+    and one step inside it, is extrapolated geometrically outwards, as
+    ``_tail_estimate`` does for the line rule.  The points of all 2N faces
+    go to ``f`` in one call, as flat arrays.
     """
     ndim = len(offsets)
     coarse = [np.linspace(-ell, ell, 9) + 1j * b for b, ell in zip(offsets, truncations)]
-    est = 0.0
+    faces = []  # (axis, step, the face's grid, each axis broadcast to its full shape)
     for axis in range(ndim):
         h = 2.0 * truncations[axis] / nodes[axis]
-        others = tuple(k for k in range(ndim) if k != axis)
-        measure = math.prod(2.0 * truncations[k] for k in others)
         for sign in (-1.0, 1.0):
             args = []
             for k in range(ndim):
@@ -386,8 +385,15 @@ def _face_tail_estimate(f, offsets, truncations, nodes):
                     vals = coarse[k]
                 shape[k] = vals.shape[0]
                 args.append(vals.reshape(shape))
-            edge, inner = np.abs(f(*args)).mean(axis=others).ravel()
-            est += _tail_estimate(float(edge), float(inner), 0.0, 0.0, h) * measure
+            faces.append((axis, h, np.broadcast_arrays(*args)))
+    moduli = np.abs(f(*(np.concatenate([grid[k].ravel() for _, _, grid in faces]) for k in range(ndim))))
+    est, start = 0.0, 0
+    for axis, h, grid in faces:
+        others = tuple(k for k in range(ndim) if k != axis)
+        size = grid[0].size
+        edge, inner = moduli[start:start + size].reshape(grid[0].shape).mean(axis=others).ravel()
+        start += size
+        est += _tail_estimate(float(edge), float(inner), 0.0, 0.0, h) * math.prod(2.0 * truncations[k] for k in others)
     return est
 
 

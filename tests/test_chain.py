@@ -323,3 +323,66 @@ class TestRoundoff:
             # a level whose stages all went to np.convolve charges no FFT term
             assert (fft_error > 0.0) == ran_fft
             assert gap <= charged
+
+
+def face_tail_oracle(f, offsets, truncations, nodes):
+    """``quadrature._face_tail_estimate`` as a loop over the 2N faces, one call of ``f`` each."""
+    ndim = len(offsets)
+    coarse = [np.linspace(-ell, ell, 9) + 1j * b for b, ell in zip(offsets, truncations)]
+    est = 0.0
+    for axis in range(ndim):
+        h = 2.0 * truncations[axis] / nodes[axis]
+        others = tuple(k for k in range(ndim) if k != axis)
+        measure = math.prod(2.0 * truncations[k] for k in others)
+        for sign in (-1.0, 1.0):
+            args = []
+            for k in range(ndim):
+                shape = [1] * ndim
+                if k == axis:
+                    vals = sign * (truncations[axis] - np.array([0.0, h])) + 1j * offsets[axis]
+                else:
+                    vals = coarse[k]
+                shape[k] = vals.shape[0]
+                args.append(vals.reshape(shape))
+            edge, inner = np.abs(f(*args)).mean(axis=others).ravel()
+            est += cq._tail_estimate(float(edge), float(inner), 0.0, 0.0, h) * measure
+    return est
+
+
+class TestFaceTail:
+    """The one-call face tail is the per-face loop, bit for bit, on the multidate-exotics terms."""
+
+    CONTRACTS = dict(TWO_DATE, **{"barrier-3date": GAUSS_CELLS["barrier-3date"],
+                                  "lookback-3date": GAUSS_CELLS["lookback-3date"]})
+    del CONTRACTS["call-on-call"]
+
+    @pytest.mark.parametrize("rule", ["chain", "tensor"])
+    @pytest.mark.parametrize("name", list(DELTA_MODELS))
+    def test_one_call_is_the_loop(self, monkeypatch, name, rule):
+        model = DELTA_MODELS[name]
+        captured = []
+
+        def capture(f, spec, *args, **kwargs):
+            captured.append((f, spec))
+            raise Captured
+
+        if rule == "chain":
+            monkeypatch.setattr(cq, "_integrate_chain", capture)
+        else:
+            monkeypatch.setattr(digitals, "_chain_plan", lambda cmat: None)
+            monkeypatch.setattr(cq, "integrate_tensor", capture)
+        for contract in self.CONTRACTS.values():
+            for _, sched, p in to_portfolio(contract, model).terms:
+                if p.n >= 2:
+                    with pytest.raises(Captured):
+                        price_digital(model, sched, p, SPOT)
+        assert len(captured) == 18
+        for f, spec in captured:
+            for level in (1, 2):
+                nodes = [start * level for start in spec.start_nodes]
+                if rule == "chain":  # as ``_integrate_chain`` calls it
+                    h, reach = cq._chain_grid(spec.truncations, nodes)
+                    args = (f, spec.offsets, [n * h for n in reach], [2 * n for n in reach])
+                else:
+                    args = (f, spec.offsets, spec.truncations, nodes)
+                assert cq._face_tail_estimate(*args) == face_tail_oracle(*args)
