@@ -7,6 +7,10 @@ Paths live in fixed-size blocks keyed by (seed, block index) on a
 counter-based generator.  The blocks of one price are drawn on a thread pool
 sized by the usable CPUs and merged in block order, so path i and every
 estimate depend neither on the total path count nor on the CPU count.
+Each block's sampling and payoff run as numpy loops thousands of elements
+long, whatever the number of dates, and a compound's inner value curve is
+evaluated on the pool as well; every path and estimate stays bit-identical to
+the straightforward broadcast formulas that ``tests/test_mc.py`` keeps.
 
 The pool is created on first use, one per process, and its threads then live
 as long as the process.  A child forked with no price in flight gets a pool of
@@ -16,6 +20,7 @@ the child may inherit a lock held by one of the pool's workers.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -45,6 +50,15 @@ _CONTINUOUS_STEPS = 256
 # so each thread adds that much to the peak.  Two is the only pool size whose
 # time and memory have been measured (BENCH_12.json, 2 vCPUs).
 _MAX_THREADS = 2
+# Width of the flat rows the sampler works on (``_row_repeats``); widths from
+# 256 to 4096 timed the same.
+_FLAT_WIDTH = 4096
+# Columns from which ``_cumulate`` and ``_row_extreme`` leave their loop of
+# one numpy call per column for numpy's row reductions.  On a (BLOCK, M)
+# block at M = 31 the column loop took 1.2 ms against np.cumsum's 2.3 ms and
+# 0.8 ms against min(axis=1)'s 1.8 ms, but at M = 32, whose power-of-two
+# stride collides in the cache, 4.3 and 3.9 ms; above 32 it wins or loses by M.
+_COLUMNWISE_BELOW = 32
 _POOLS: dict[int, ThreadPoolExecutor] = {}  # pid -> that process's block pool
 SAMPLED_MODELS = (GaussianModel, NIGModel)  # the models with an exact path sampler
 
@@ -61,22 +75,53 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, block))))
 
 
+def _row_repeats(m: int) -> int:
+    """Rows of a (BLOCK, m) block that one flat row holds: the largest power
+    of two R with R * m <= ``_FLAT_WIDTH`` (1 when m is wider)."""
+    reps = 1
+    while 2 * reps * m <= _FLAT_WIDTH:
+        reps *= 2
+    return reps
+
+
+def _cumulate(steps: np.ndarray) -> np.ndarray:
+    """Cumulative sums along each row of ``steps``, in place.
+
+    Below ``_COLUMNWISE_BELOW`` columns, one add per column (each a BLOCK-long
+    loop) beats ``np.cumsum``, whose inner loop is one row long; both add
+    x[j - 1] + x[j] left to right, so the sums are the same to the bit.
+    """
+    m = steps.shape[1]
+    if m >= _COLUMNWISE_BELOW:
+        return np.cumsum(steps, axis=1, out=steps)
+    for j in range(1, m):
+        np.add(steps[:, j - 1], steps[:, j], out=steps[:, j])
+    return steps
+
+
 def _simulate_block(model: LevyModel, deltas: np.ndarray, seed: int, block: int) -> np.ndarray:
     """One block of cumulative log-price paths, shape (BLOCK, M), X_t = 0 base.
 
     The model is one of ``SAMPLED_MODELS`` (``_iter_blocks`` rejects the
-    others).  The work is done in place on at most four (BLOCK, M) buffers
-    with per-column constants, and every floating-point operation keeps the
-    order of the broadcast formula, so paths are bit-identical to it
-    (``tests/test_mc.py`` keeps that formula as the oracle).
+    others).  The draws and the arithmetic run in place on at most four
+    buffers of BLOCK * M floats, each seen as (BLOCK / R, R * M) rows of
+    ``_row_repeats(M)`` = R paths, against the per-date constants tiled R
+    times, so every numpy loop is thousands of elements long however few the
+    dates.  The draws come in the same order and every floating-point
+    operation keeps the order of the broadcast formula, so paths are
+    bit-identical to it (``tests/test_mc.py`` keeps that formula as the
+    oracle).
     """
     rng = _block_rng(seed, block)
-    shape = (BLOCK, deltas.shape[0])
+    m = deltas.shape[0]
+    reps = _row_repeats(m)
+    shape = (BLOCK // reps, reps * m)
+    deltas = np.tile(deltas, reps)
     steps = rng.standard_normal(shape)
     if isinstance(model, GaussianModel):
         steps *= model.sigma * np.sqrt(deltas)
         steps += model.mu * deltas
-        return np.cumsum(steps, axis=1, out=steps)
+        return _cumulate(steps.reshape(BLOCK, m))
     gam = math.sqrt(model.alpha**2 - model.beta**2)
     mean = model.delta * deltas / gam  # inverse-Gaussian mean and shape per column
     shape_ig = (model.delta * deltas) ** 2
@@ -104,7 +149,7 @@ def _simulate_block(model: LevyModel, deltas: np.ndarray, seed: int, block: int)
     drift += model.mu * deltas
     steps *= np.sqrt(mixing, out=mixing)
     steps += drift
-    return np.cumsum(steps, axis=1, out=steps)
+    return _cumulate(steps.reshape(BLOCK, m))
 
 
 def _usable_cpus() -> int:
@@ -131,16 +176,27 @@ def _pool() -> ThreadPoolExecutor:
     return pool
 
 
+def _integer(value, name: str) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _iter_blocks(model, sched: MonitoringSchedule, n_paths: int, seed: int, fn):
     """``fn`` of each path block of at most BLOCK rows, in block order.
 
     Blocks are drawn concurrently on a thread pool sized by the usable CPUs
     (numpy releases the interpreter lock while it fills and combines arrays)
     and yielded in block order, so results never depend on the CPU count.
-    ``n_paths`` < 1 or a model without a sampler raises at the call.
+    A bad ``n_paths`` or ``seed``, or a model without a sampler, raises at
+    the call, before any block is drawn.
     """
+    n_paths, seed = _integer(n_paths, "n_paths"), _integer(seed, "seed")
     if n_paths < 1:
         raise ValueError("need at least one path")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     if not isinstance(model, SAMPLED_MODELS):
         raise UnsupportedModel(f"no exact path sampler for the {model.kind} model")
     deltas = sched.intervals()
@@ -200,6 +256,49 @@ def _vanilla_curve(model, t1, leg, x_lo, x_hi):
     return CubicSpline(grid, w * (asset - K * cash))
 
 
+def _row_extreme(x: np.ndarray, largest: bool) -> np.ndarray:
+    """Largest or least entry of each row of x; below ``_COLUMNWISE_BELOW``
+    columns one np.maximum or np.minimum per column, as in ``_cumulate``."""
+    if x.shape[1] >= _COLUMNWISE_BELOW:
+        return x.max(axis=1) if largest else x.min(axis=1)
+    pick = np.maximum if largest else np.minimum
+    out = x[:, 0].copy()
+    for j in range(1, x.shape[1]):
+        pick(out, x[:, j], out=out)
+    return out
+
+
+def _spline_values(curve: CubicSpline):
+    """``curve``'s values as a numpy function, bit for bit ``curve(x)`` at finite x.
+
+    ``CubicSpline.__call__`` holds the interpreter lock, so the compound's
+    blocks could not be valued on the pool.  The grid must be uniform, as
+    ``_vanilla_curve`` builds it: a point's piece is floor((x - g0) / h),
+    clipped to the pieces and moved by at most one so that
+    grid[i] <= x < grid[i + 1], as scipy's search places it (the last piece
+    also takes the right end, the end pieces everything beyond).  The power
+    sum runs in scipy's order, starting from 0.0 + c3.
+    """
+    grid = curve.x
+    last = grid.shape[0] - 2  # the last piece
+    scale = (last + 1) / (grid[-1] - grid[0])
+    c0, c1, c2, c3 = curve.c
+    coef = np.stack((c0, c1, c2, 0.0 + c3), axis=1)  # one row per piece
+
+    def values(x):
+        piece = np.floor((x - grid[0]) * scale)
+        np.clip(piece, 0, last, out=piece)
+        piece = piece.astype(np.intp)
+        piece -= (x < grid[piece]) & (piece > 0)
+        piece += (x >= grid[piece + 1]) & (piece < last)
+        s = x - grid[piece]
+        a0, a1, a2, a3 = coef[piece].T
+        s2 = s * s
+        return a3 + a2 * s + a1 * s2 + a0 * (s2 * s)
+
+    return values
+
+
 def _pathwise_payoff(c, model, spot, x):
     """Payoff per path (paid at the contract's last relevant date)."""
     log_s = math.log(spot)
@@ -220,9 +319,9 @@ def _pathwise_payoff(c, model, spot, x):
         avg = np.exp(log_s + mean_x)
         return np.maximum(c.w * (avg - c.strike), 0.0)
     if isinstance(c, LookbackFixed):
-        s = np.exp(log_s + x)
+        # rounding and exp are monotone: the extreme price is exp of the extreme log path
         w = c.w
-        best = np.max(w * s, axis=1)
+        best = w * np.exp(log_s + _row_extreme(x, largest=w > 0))
         return np.maximum(best, w * c.strike) - w * c.strike
     if isinstance(c, Chooser):
         s1 = np.exp(log_s + x[:, 0])
@@ -232,9 +331,10 @@ def _pathwise_payoff(c, model, spot, x):
         put = np.maximum(c.strike - s_T, 0.0)
         return np.where(s1 > early, call, put)
     if isinstance(c, BarrierDownOutCall):
-        s = np.exp(log_s + x)
-        alive = np.all(s[:, :-1] > c.barrier, axis=1) if s.shape[1] > 1 else True
-        return np.maximum(s[:, -1] - c.strike, 0.0) * alive
+        alive = True
+        if x.shape[1] > 1:  # as for the lookback: every early price is above B when the least one is
+            alive = np.exp(log_s + _row_extreme(x[:, :-1], largest=False)) > c.barrier
+        return np.maximum(np.exp(log_s + x[:, -1]) - c.strike, 0.0) * alive
     raise UnsupportedContract(f"no pathwise payoff for {type(c).__name__}")
 
 
@@ -298,5 +398,7 @@ def _mc_compound(c: Compound, model, spot, n_paths, seed):
     x_hi = max(float(x.max()) for x in blocks) + log_s
     curve = _vanilla_curve(model, t1, inner, x_lo, x_hi)
 
-    payoffs = (discount * np.maximum(w1 * (curve(x + log_s) - k1), 0.0) for x in blocks)
+    values = _spline_values(curve)
+    payoffs = _pool().map(lambda x: discount * np.maximum(w1 * (values(x + log_s) - k1), 0.0),
+                          blocks)
     return _accumulate(payoffs, seed)

@@ -71,6 +71,8 @@ class RunSpec:
             raise SchemaError(f"unknown method '{self.method}' in pricing.method")
         if self.paths < 1:
             raise SchemaError("field 'paths' in pricing must be at least 1")
+        if self.seed < 0:
+            raise SchemaError("field 'seed' in pricing must be non-negative")
 
 
 def _need(obj: dict, field: str, context: str):

@@ -140,7 +140,8 @@ class TestPriceCommand:
         ("paths", {"pricing": {"paths": "many"}}),
         ("paths", {"pricing": {"method": "mc", "paths": 0}}),
         ("seed", {"pricing": {"seed": "lucky"}}),
-    ], ids=["r", "sigma", "tol", "paths", "paths-zero", "seed"])
+        ("seed", {"pricing": {"method": "mc", "seed": -1}}),
+    ], ids=["r", "sigma", "tol", "paths", "paths-zero", "seed", "seed-negative"])
     def test_malformed_value_names_field(self, tmp_path, capsys, field, patch):
         payload = {"model": GAUSS_MODEL, "spot": 100.0, "contract": digital_contract(), **patch}
         rc = main(["price", "--spec", spec_file(tmp_path, payload)])

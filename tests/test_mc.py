@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from levyexotic import (
     AsianContinuous,
@@ -61,6 +62,21 @@ def broadcast_block(model, deltas, seed, block):
         mixing = np.where(u <= mean / (mean + x), x, mean * mean / x)
         steps = model.mu * deltas + model.beta * mixing + np.sqrt(mixing) * eps
     return steps.cumsum(axis=1)
+
+
+def exp_then_reduce_payoff(c, spot, x):
+    """Reference lookback and barrier payoffs: every monitored price, then the reduction."""
+    s = np.exp(math.log(spot) + x)
+    if isinstance(c, LookbackFixed):
+        best = np.max(c.w * s, axis=1)
+        return np.maximum(best, c.w * c.strike) - c.w * c.strike
+    alive = np.all(s[:, :-1] > c.barrier, axis=1) if s.shape[1] > 1 else True
+    return np.maximum(s[:, -1] - c.strike, 0.0) * alive
+
+
+def scipy_spline(curve, x):
+    """Reference inner-curve values: ``CubicSpline.__call__``."""
+    return curve(x)
 
 
 def count_blocks(monkeypatch):
@@ -127,12 +143,59 @@ class TestSimulation:
     @pytest.mark.parametrize("model", [GAUSS, NIG], ids=["gaussian", "nig"])
     @pytest.mark.parametrize("sched", [
         MonitoringSchedule(0.0, (0.7,)), SCHED2, MonitoringSchedule(0.0, (0.1, 0.25, 0.9)), SCHED12,
-    ], ids=["M1", "M2", "M3", "M12"])
+        # either side of the cumulative-sum crossover, and the continuous Asian's dates
+        *(MonitoringSchedule(0.0, tuple((k + 1) / m for k in range(m)))
+          for m in (mc._COLUMNWISE_BELOW - 1, mc._COLUMNWISE_BELOW)),
+        mc._contract_schedule(AsianContinuous(0.0, 1.0, 100.0)),
+    ], ids=["M1", "M2", "M3", "M12", "M31", "M32", "M256"])
     def test_sampler_bit_identical_to_broadcast_formula(self, model, sched):
         deltas = sched.intervals()
         for seed, block in ((0, 0), (3, 1), (2**32 + 7, 31)):
             expected = broadcast_block(model, deltas, seed, block)
             assert np.array_equal(mc._simulate_block(model, deltas, seed, block), expected)
+
+    @pytest.mark.parametrize("model", [GAUSS, NIG], ids=["gaussian", "nig"])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 12])
+    def test_payoffs_bit_identical_to_exp_then_reduce(self, model, m):
+        # the payoffs read the paths' columns, not the contract's dates, so a
+        # 3-date contract prices paths of any width
+        sched = MonitoringSchedule(0.0, tuple((k + 1) / m for k in range(m)))
+        contracts = [LookbackFixed(SCHED3, 100.0), LookbackFixed(SCHED3, 95.0, -1),
+                     BarrierDownOutCall(SCHED3, 97.0, 100.0), BarrierDownOutCall(SCHED3, 103.0, 100.0)]
+
+        def both(x):  # the second block is partial
+            return [(mc._pathwise_payoff(c, model, SPOT, x), exp_then_reduce_payoff(c, SPOT, x))
+                    for c in contracts]
+
+        blocks = list(mc._iter_blocks(model, sched, mc.BLOCK + 1_234, 8, both))
+        assert [len(pairs[0][0]) for pairs in blocks] == [mc.BLOCK, 1_234]
+        for pairs in blocks:
+            for fast, reference in pairs:
+                assert np.array_equal(fast, reference)
+
+    @pytest.mark.parametrize("model", [GAUSS, NIG], ids=["gaussian", "nig"])
+    def test_inner_curve_values_bit_identical_to_scipy(self, model):
+        curve = mc._vanilla_curve(model, 0.5, (1.0, 100.0, 1), math.log(40.0), math.log(250.0))
+        grid = curve.x
+        x = np.concatenate([
+            grid, np.nextafter(grid, -np.inf), np.nextafter(grid, np.inf),
+            [grid[0] - 1.0, grid[-1] + 1.0],
+            np.random.default_rng(1).uniform(grid[0] - 0.1, grid[-1] + 0.1, 100_000),
+        ])
+        assert mc._spline_values(curve)(x).tobytes() == scipy_spline(curve, x).tobytes()
+
+    @pytest.mark.parametrize("lo, hi, n", [(-37.3, 12.9, 320), (4.1, 4.7, 320), (-1.0, 1.0, 7)])
+    def test_spline_values_bit_identical_to_scipy(self, lo, hi, n):
+        rng = np.random.default_rng(n)
+        grid = np.linspace(lo, hi, n)
+        x = np.concatenate([grid, np.nextafter(grid, -np.inf), np.nextafter(grid, np.inf),
+                            rng.uniform(lo - 1.0, hi + 1.0, 20_000)])
+        # a falling cubic from -0.0: at x = lo every term of the power sum is
+        # -0.0, and scipy's sum, which starts from 0.0, is 0.0
+        t = grid - lo
+        for y in (rng.standard_normal(n), -(t + t * t + t * t * t)):
+            curve = CubicSpline(grid, y)
+            assert mc._spline_values(curve)(x).tobytes() == scipy_spline(curve, x).tobytes()
 
     def test_independent_of_cpu_count(self, monkeypatch):
         drawn = count_blocks(monkeypatch)
@@ -257,7 +320,17 @@ class TestMcPrice:
     @pytest.mark.parametrize("contract, model, pinned", [
         (AsianGeometric(SCHED12, 100.0), NIG, (5.713211821562299, 0.021623393163874908)),
         (BarrierDownOutCall(SCHED3, 90.0, 100.0), GAUSS, (10.081894429719743, 0.04070534433700345)),
-    ], ids=["nig-asian-M12", "gaussian-barrier-M3"])
+        (BarrierDownOutCall(SCHED3, 90.0, 100.0), NIG, (10.033744823740781, 0.039014315840859605)),
+        (LookbackFixed(SCHED3, 100.0), NIG, (12.474881768857411, 0.038720194270900954)),
+        (LookbackFixed(SCHED3, 100.0, -1), NIG, (7.114961712866209, 0.02713855415493934)),
+        (LookbackFixed(SCHED3, 100.0), GAUSS, (13.147692845731713, 0.040635573134667646)),
+        (LookbackFixed(SCHED3, 100.0, -1), GAUSS, (7.72690915076336, 0.024673175611604762)),
+        (Chooser(0.5, 1.0, 100.0), GAUSS, (13.841103261577171, 0.039891489184491834)),
+        (Compound(((0.5, 3.0, 1), (1.0, 100.0, 1))), GAUSS, (7.8868459074355, 0.025706309791468006)),
+        (Compound(((0.5, 3.0, 1), (1.0, 100.0, 1))), NIG, (7.641755845557432, 0.024751510595359596)),
+    ], ids=["nig-asian-M12", "gaussian-barrier-M3", "nig-barrier-M3", "nig-lookback-call-M3",
+            "nig-lookback-put-M3", "gaussian-lookback-call-M3", "gaussian-lookback-put-M3",
+            "gaussian-chooser", "gaussian-compound", "nig-compound"])
     def test_estimates_pinned(self, contract, model, pinned):
         # pinned to the last bit: the broadcast sampler's values, its blocks drawn in turn
         res = mc_price(contract, model, SPOT, 1 << 17, 3)
@@ -317,16 +390,20 @@ class TestMcPrice:
         with pytest.raises(UnsupportedContract):
             mc_price(object(), GAUSS, SPOT, 1000, 0)
 
-    @pytest.mark.parametrize("n_paths", [0, -5])
+    @pytest.mark.parametrize("n_paths", [0, -5, 1e5])
     @pytest.mark.parametrize("contract", [
         ForwardStart(0.5, 1.0),
         Compound(((0.5, 5.0, 1), (1.0, 100.0, 1))),
     ], ids=["forward_start", "compound"])
-    def test_no_paths_rejected(self, contract, n_paths):
-        with pytest.raises(ValueError, match="at least one path"):
-            mc_price(contract, GAUSS, SPOT, n_paths, 0)
-        with pytest.raises(ValueError, match="at least one path"):
-            simulate_monitoring(GAUSS, SCHED2, n_paths, 0)
+    def test_no_paths_rejected(self, contract, n_paths, monkeypatch):
+        drawn = count_blocks(monkeypatch)
+        message = "at least one path" if isinstance(n_paths, int) else "n_paths must be an integer"
+        for n, seed, match in ((n_paths, 0, message), (1_000, -1, "seed must be non-negative")):
+            with pytest.raises(ValueError, match=match):
+                mc_price(contract, GAUSS, SPOT, n, seed)
+            with pytest.raises(ValueError, match=match):
+                simulate_monitoring(GAUSS, SCHED2, n, seed)
+        assert drawn == []
 
     def test_continuous_asian_near_closed_form(self):
         contract = AsianContinuous(0.0, 1.0, 100.0)
