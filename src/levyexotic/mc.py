@@ -8,9 +8,9 @@ counter-based generator.  The blocks of one price are drawn on a thread pool
 sized by the usable CPUs and merged in block order, so path i and every
 estimate depend neither on the total path count nor on the CPU count.
 Each block's sampling and payoff run as numpy loops thousands of elements
-long, whatever the number of dates, and a compound's inner value curve is
-evaluated on the pool as well; every path and estimate stays bit-identical to
-the straightforward broadcast formulas that ``tests/test_mc.py`` keeps.
+long, whatever the number of dates; every path and estimate stays
+bit-identical to the straightforward broadcast formulas that
+``tests/test_mc.py`` keeps.
 
 The pool is created on first use, one per process, and its threads then live
 as long as the process.  A child forked with no price in flight gets a pool of
@@ -53,11 +53,10 @@ _MAX_THREADS = 2
 # Width of the flat rows the sampler works on (``_row_repeats``); widths from
 # 256 to 4096 timed the same.
 _FLAT_WIDTH = 4096
-# Columns from which ``_cumulate`` and ``_row_extreme`` leave their loop of
-# one numpy call per column for numpy's row reductions.  On a (BLOCK, M)
-# block at M = 31 the column loop took 1.2 ms against np.cumsum's 2.3 ms and
-# 0.8 ms against min(axis=1)'s 1.8 ms, but at M = 32, whose power-of-two
-# stride collides in the cache, 4.3 and 3.9 ms; above 32 it wins or loses by M.
+# Columns from which ``_cumulate`` leaves its loop of one add per column for
+# np.cumsum.  On a (BLOCK, M) block at M = 31 the column loop took 1.2 ms
+# against np.cumsum's 2.3 ms, but at M = 32, whose power-of-two stride
+# collides in the cache, 4.3 ms; above 32 it wins or loses by M.
 _COLUMNWISE_BELOW = 32
 _POOLS: dict[int, ThreadPoolExecutor] = {}  # pid -> that process's block pool
 SAMPLED_MODELS = (GaussianModel, NIGModel)  # the models with an exact path sampler
@@ -257,46 +256,13 @@ def _vanilla_curve(model, t1, leg, x_lo, x_hi):
 
 
 def _row_extreme(x: np.ndarray, largest: bool) -> np.ndarray:
-    """Largest or least entry of each row of x; below ``_COLUMNWISE_BELOW``
-    columns one np.maximum or np.minimum per column, as in ``_cumulate``."""
-    if x.shape[1] >= _COLUMNWISE_BELOW:
-        return x.max(axis=1) if largest else x.min(axis=1)
+    """Largest or least entry of each row of x, by one np.maximum or
+    np.minimum per column, each a BLOCK-long loop as in ``_cumulate``."""
     pick = np.maximum if largest else np.minimum
     out = x[:, 0].copy()
     for j in range(1, x.shape[1]):
         pick(out, x[:, j], out=out)
     return out
-
-
-def _spline_values(curve: CubicSpline):
-    """``curve``'s values as a numpy function, bit for bit ``curve(x)`` at finite x.
-
-    ``CubicSpline.__call__`` holds the interpreter lock, so the compound's
-    blocks could not be valued on the pool.  The grid must be uniform, as
-    ``_vanilla_curve`` builds it: a point's piece is floor((x - g0) / h),
-    clipped to the pieces and moved by at most one so that
-    grid[i] <= x < grid[i + 1], as scipy's search places it (the last piece
-    also takes the right end, the end pieces everything beyond).  The power
-    sum runs in scipy's order, starting from 0.0 + c3.
-    """
-    grid = curve.x
-    last = grid.shape[0] - 2  # the last piece
-    scale = (last + 1) / (grid[-1] - grid[0])
-    c0, c1, c2, c3 = curve.c
-    coef = np.stack((c0, c1, c2, 0.0 + c3), axis=1)  # one row per piece
-
-    def values(x):
-        piece = np.floor((x - grid[0]) * scale)
-        np.clip(piece, 0, last, out=piece)
-        piece = piece.astype(np.intp)
-        piece -= (x < grid[piece]) & (piece > 0)
-        piece += (x >= grid[piece + 1]) & (piece < last)
-        s = x - grid[piece]
-        a0, a1, a2, a3 = coef[piece].T
-        s2 = s * s
-        return a3 + a2 * s + a1 * s2 + a0 * (s2 * s)
-
-    return values
 
 
 def _pathwise_payoff(c, model, spot, x):
@@ -319,7 +285,9 @@ def _pathwise_payoff(c, model, spot, x):
         avg = np.exp(log_s + mean_x)
         return np.maximum(c.w * (avg - c.strike), 0.0)
     if isinstance(c, LookbackFixed):
-        # rounding and exp are monotone: the extreme price is exp of the extreme log path
+        # the extreme price is exp of the extreme log path for any exp that
+        # never decreases; bit-identity with exp-then-reduce is tested, not
+        # promised by numpy, whose SIMD exp is only within about 1 ulp
         w = c.w
         best = w * np.exp(log_s + _row_extreme(x, largest=w > 0))
         return np.maximum(best, w * c.strike) - w * c.strike
@@ -332,7 +300,7 @@ def _pathwise_payoff(c, model, spot, x):
         return np.where(s1 > early, call, put)
     if isinstance(c, BarrierDownOutCall):
         alive = True
-        if x.shape[1] > 1:  # as for the lookback: every early price is above B when the least one is
+        if x.shape[1] > 1:  # as for the lookback, exact for any exp that never decreases
             alive = np.exp(log_s + _row_extreme(x[:, :-1], largest=False)) > c.barrier
         return np.maximum(np.exp(log_s + x[:, -1]) - c.strike, 0.0) * alive
     raise UnsupportedContract(f"no pathwise payoff for {type(c).__name__}")
@@ -398,7 +366,5 @@ def _mc_compound(c: Compound, model, spot, n_paths, seed):
     x_hi = max(float(x.max()) for x in blocks) + log_s
     curve = _vanilla_curve(model, t1, inner, x_lo, x_hi)
 
-    values = _spline_values(curve)
-    payoffs = _pool().map(lambda x: discount * np.maximum(w1 * (values(x + log_s) - k1), 0.0),
-                          blocks)
+    payoffs = (discount * np.maximum(w1 * (curve(x + log_s) - k1), 0.0) for x in blocks)
     return _accumulate(payoffs, seed)

@@ -9,7 +9,6 @@ import time
 
 import numpy as np
 import pytest
-from scipy.interpolate import CubicSpline
 
 from levyexotic import (
     AsianContinuous,
@@ -72,11 +71,6 @@ def exp_then_reduce_payoff(c, spot, x):
         return np.maximum(best, c.w * c.strike) - c.w * c.strike
     alive = np.all(s[:, :-1] > c.barrier, axis=1) if s.shape[1] > 1 else True
     return np.maximum(s[:, -1] - c.strike, 0.0) * alive
-
-
-def scipy_spline(curve, x):
-    """Reference inner-curve values: ``CubicSpline.__call__``."""
-    return curve(x)
 
 
 def count_blocks(monkeypatch):
@@ -172,30 +166,6 @@ class TestSimulation:
         for pairs in blocks:
             for fast, reference in pairs:
                 assert np.array_equal(fast, reference)
-
-    @pytest.mark.parametrize("model", [GAUSS, NIG], ids=["gaussian", "nig"])
-    def test_inner_curve_values_bit_identical_to_scipy(self, model):
-        curve = mc._vanilla_curve(model, 0.5, (1.0, 100.0, 1), math.log(40.0), math.log(250.0))
-        grid = curve.x
-        x = np.concatenate([
-            grid, np.nextafter(grid, -np.inf), np.nextafter(grid, np.inf),
-            [grid[0] - 1.0, grid[-1] + 1.0],
-            np.random.default_rng(1).uniform(grid[0] - 0.1, grid[-1] + 0.1, 100_000),
-        ])
-        assert mc._spline_values(curve)(x).tobytes() == scipy_spline(curve, x).tobytes()
-
-    @pytest.mark.parametrize("lo, hi, n", [(-37.3, 12.9, 320), (4.1, 4.7, 320), (-1.0, 1.0, 7)])
-    def test_spline_values_bit_identical_to_scipy(self, lo, hi, n):
-        rng = np.random.default_rng(n)
-        grid = np.linspace(lo, hi, n)
-        x = np.concatenate([grid, np.nextafter(grid, -np.inf), np.nextafter(grid, np.inf),
-                            rng.uniform(lo - 1.0, hi + 1.0, 20_000)])
-        # a falling cubic from -0.0: at x = lo every term of the power sum is
-        # -0.0, and scipy's sum, which starts from 0.0, is 0.0
-        t = grid - lo
-        for y in (rng.standard_normal(n), -(t + t * t + t * t * t)):
-            curve = CubicSpline(grid, y)
-            assert mc._spline_values(curve)(x).tobytes() == scipy_spline(curve, x).tobytes()
 
     def test_independent_of_cpu_count(self, monkeypatch):
         drawn = count_blocks(monkeypatch)
