@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import quadrature as cq
 from .digitals import (
@@ -435,6 +434,8 @@ def _bracket_root(objective, x0: float, xtol: float) -> float:
     brentq.  After 60 steps without one, NoRoot.  No spot is evaluated
     twice: brentq reuses the values at the bracket ends.
     """
+    from scipy.optimize import brentq
+
     values = {}
 
     def f(x):

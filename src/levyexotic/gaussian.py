@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import ndtr
 
 from .contracts import (
     AsianContinuous,
@@ -35,6 +34,12 @@ MVN_MAX_DIM = 4
 _CLIP = 38.0  # ndtr saturates in double precision beyond this
 
 _GL48_X, _GL48_W = np.polynomial.legendre.leggauss(48)
+
+
+def ndtr(x):
+    """The standard normal CDF, ``scipy.special.ndtr``, imported on first use."""
+    from scipy.special import ndtr as cdf
+    return cdf(x)
 
 
 def _panel_nodes(lo, hi, n_panels: int, gl_x, gl_w):

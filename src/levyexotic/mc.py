@@ -26,7 +26,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .contracts import (
     AsianContinuous,
@@ -143,7 +142,7 @@ def _simulate_block(model: LevyModel, deltas: np.ndarray, seed: int, block: int)
     np.divide(mean, y, out=y)
     take_x = u <= y
     mixing = np.divide(mean_sq, x, out=y)  # the larger root, mean^2 / x
-    np.copyto(mixing, x, where=take_x)
+    np.putmask(mixing, take_x, x)
     drift = np.multiply(model.beta, mixing, out=x)
     drift += model.mu * deltas
     steps *= np.sqrt(mixing, out=mixing)
@@ -243,6 +242,8 @@ def _contract_schedule(c: ContractSpec) -> MonitoringSchedule:
 
 def _vanilla_curve(model, t1, leg, x_lo, x_hi):
     """Value of a vanilla (T, K, w) at time t1 as a spline in log spot, from two 320-spot strips."""
+    from scipy.interpolate import CubicSpline
+
     T, K, w = leg
     grid = np.linspace(x_lo - 0.5, x_hi + 0.5, 320)
     sched = MonitoringSchedule(t1, (T,))

@@ -17,8 +17,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import gamma as _gamma_fn
 
 from .errors import InvalidModel, NoRoot, StripTooNarrow, StripViolation
 
@@ -36,6 +34,12 @@ EMM_TOL = 1e-12
 # tail near SERIES_RATIO**SERIES_TERMS = 1.4e-17 relative to the first term.
 SERIES_RATIO = 0.5
 SERIES_TERMS = 56
+
+
+def _gamma_fn(x):
+    """``scipy.special.gamma``, imported on first use; ``math.gamma`` differs from it in the last bit."""
+    from scipy.special import gamma
+    return gamma(x)
 
 
 def _as_complex(xi):
@@ -464,6 +468,8 @@ def esscher_calibrate(historic: LevyModel, r: float) -> LevyModel:
     elif len(sign_change) == 0:
         raise NoRoot("Esscher equation has no root inside the strip")
     else:
+        from scipy.optimize import brentq
+
         k = int(sign_change[0])
         h_star = brentq(residual, grid[k], grid[k + 1], xtol=1e-14, rtol=8.9e-16)
     if abs(residual(h_star)) > EMM_TOL:

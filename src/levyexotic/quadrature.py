@@ -27,7 +27,10 @@ new samples.  The reported (not guaranteed) error estimate is the difference
 between the two finest levels plus a truncation-tail estimate and a
 float-roundoff floor.  A ladder that starts at its cap first runs a level at
 half the nodes, so a single capped level is still measured against a coarser
-one; no level runs fewer than ``MIN_NODES`` nodes per axis.
+one; no level runs fewer than ``MIN_NODES`` nodes per axis.  The first level
+is therefore never final and its roundoff is never read: when the second
+level doubles it, the line, strip and chain rules sample both levels in one
+integrand call, and the chain rule computes no roundoff bound for it.
 """
 from __future__ import annotations
 
@@ -35,7 +38,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DimensionTooLarge, NaNEncountered, NonPositiveInput
 
@@ -99,6 +101,7 @@ def truncation_radius(decay_c: float, order: float, tau: float, tol: float) -> f
         raise NonPositiveInput("order must lie in ]0, 2]")
     if tol >= 1.0:
         return TRUNCATION_MIN  # degenerate tolerance: no decay needed
+    from scipy.optimize import brentq
 
     def gap(ell: float) -> float:
         return decay_c * tau * ell**order - math.log((1.0 + ell) / tol)
@@ -122,6 +125,11 @@ def _finite(vals):
     return vals
 
 
+def _odd_nodes(truncation: float, p: int):
+    """The nodes that level p of a line on [-truncation, truncation] adds to level p / 2."""
+    return -truncation + 2.0 * truncation / p * np.arange(1, p, 2)
+
+
 def _tail_estimate(abs_lo: float, abs_next_lo: float, abs_hi: float, abs_next_hi: float, h: float) -> float:
     """Geometric extrapolation of the neglected tails from the edge samples."""
     est = 0.0
@@ -136,13 +144,16 @@ def _tail_estimate(abs_lo: float, abs_next_lo: float, abs_hi: float, abs_next_hi
 def _refine(level, starts, cap, tol, tail) -> QuadratureResult:
     """The refinement ladder behind the line, the strip, the chain and the tensor rule.
 
-    ``level(nodes)`` evaluates one trapezoid level at per-axis node counts
-    ``nodes`` and returns (value, roundoff bound of its sum, new integrand
-    evaluations); ``tail(nodes)`` estimates the mass outside the truncation
-    box at the final nodes.  Each axis starts at its even start count (at
-    least ``MIN_NODES``, at most ``cap``) and doubles until two successive
-    levels agree to ``tol`` or every axis sits at ``cap``, in which case the
-    best value is returned with ``converged=False``.  When every axis starts
+    ``level(nodes, ahead)`` evaluates one trapezoid level at per-axis node
+    counts ``nodes`` and returns (value, roundoff bound of its sum, new
+    integrand evaluations); ``tail(nodes)`` estimates the mass outside the
+    truncation box at the final nodes.  At the first level, which is never
+    final and whose roundoff is never read (it may return None), ``ahead``
+    is the second level's node counts; at every later level it is None.
+    Each axis starts at its even start count (at least ``MIN_NODES``, at
+    most ``cap``) and doubles until two successive levels agree to ``tol``
+    or every axis sits at ``cap``, in which case the best value is returned
+    with ``converged=False``.  When every axis starts
     at ``cap`` the ladder first runs a level at half the nodes (rounded up
     to even), so the capped level's refinement error is measured rather than
     taken as 0; a cap whose half level falls below ``MIN_NODES`` (a cap
@@ -161,8 +172,9 @@ def _refine(level, starts, cap, tol, tail) -> QuadratureResult:
     err = math.inf
     evaluations = 0
     converged = False
+    ahead = [min(p * 2, cap) for p in nodes]
     while True:
-        level_value, roundoff, level_evals = level(nodes)
+        level_value, roundoff, level_evals = level(nodes, ahead)
         evaluations += level_evals
         prev, value = value, level_value
         if prev is not None:
@@ -173,7 +185,7 @@ def _refine(level, starts, cap, tol, tail) -> QuadratureResult:
                 break
         if all(p >= cap for p in nodes):
             break
-        nodes = [min(p * 2, cap) for p in nodes]
+        nodes, ahead = [min(p * 2, cap) for p in nodes], None
 
     if np.ndim(err):
         err = np.where(np.isfinite(err), err, 0.0)
@@ -209,13 +221,14 @@ def integrate_line(f, contour, truncation: float, tol: float,
     elementwise on real ndarrays (``sinh_contour``), and the rule sums
     f(xi(y)) xi'(y) over the nodes y; or it is a float b, the horizontal line
     xi(y) = y + i b, whose rule sums f(y + i b).  ``f`` must accept a complex
-    ndarray and evaluate elementwise; it is called once per level.  Nodes
-    are doubled until two successive refinements agree to ``tol`` (absolute,
-    on the raw integral) or ``max_nodes`` is reached, in which case the best
-    value is returned with ``converged=False``.  A level that doubles the
-    previous one keeps its samples and evaluates ``f`` only at the new odd
-    nodes; every node is bit-identical to a full ``np.linspace`` grid, so
-    the value is that of the full trapezoid sum.
+    ndarray and evaluate elementwise; it is called once per level, except
+    that a first level doubled by the second takes that level's new nodes in
+    the same call.  Nodes are doubled until two successive refinements agree
+    to ``tol`` (absolute, on the raw integral) or ``max_nodes`` is reached,
+    in which case the best value is returned with ``converged=False``.  A
+    level that doubles the previous one keeps its samples and evaluates ``f``
+    only at the new odd nodes; every node is bit-identical to a full
+    ``np.linspace`` grid, so the value is that of the full trapezoid sum.
     """
     if isinstance(contour, tuple):
         point, slope = contour
@@ -231,19 +244,24 @@ def integrate_line(f, contour, truncation: float, tol: float,
     if truncation <= 0 or tol < 0:
         raise NonPositiveInput("truncation must be positive and tol nonnegative")
     edges = []  # |f xi'| at the last level's two outermost nodes on each side
-    samples = None  # f xi' at the last level's nodes
+    samples = odd = None  # f xi' at the last level's nodes; at the next level's new nodes, if taken
 
-    def level(nodes):
-        nonlocal samples
+    def level(nodes, ahead):
+        nonlocal samples, odd
         (p,) = nodes
         h = 2.0 * truncation / p
         if samples is not None and 2 * (samples.size - 1) == p:
-            new = _finite(sample(-truncation + h * np.arange(1, p, 2)))
+            new = _finite(sample(_odd_nodes(truncation, p))) if odd is None else odd
+            odd = None
             vals = np.empty(p + 1, dtype=np.result_type(samples, new))
             vals[0::2] = samples
             vals[1::2] = new
         else:
-            new = vals = _finite(sample(np.linspace(-truncation, truncation, p + 1)))
+            y = np.linspace(-truncation, truncation, p + 1)
+            both = ahead == [2 * p]  # the second level's new nodes join this call
+            taken = _finite(sample(np.concatenate([y, _odd_nodes(truncation, 2 * p)]) if both else y))
+            new = vals = taken[:p + 1]
+            odd = taken[p + 1:] if both else None
         samples = vals
         total = vals.sum() - 0.5 * (vals[0] + vals[-1])
         edges[:] = abs(vals[0]), abs(vals[1]), abs(vals[-1]), abs(vals[-2])
@@ -256,8 +274,10 @@ def integrate_line(f, contour, truncation: float, tol: float,
 class _Samples:
     """Ladder samples of exp(log_f(xi) - c) on Im(xi) = offset, |Re| <= truncation, c = Re log_f at the centre.
 
-    ``level(p, refine)`` gives level p's (Re xi, samples) at its new odd
-    nodes if ``refine``, else at all p + 1; each is evaluated once and kept.
+    ``level(p, refine, doubled)`` gives level p's (Re xi, samples) at its
+    new odd nodes if ``refine``, else at all p + 1; each is evaluated once
+    and kept.  A full level whose next level ``doubled`` it takes that
+    level's new odd nodes, (2p, True), in the same call of ``log_f``.
     """
 
     def __init__(self, log_f, offset: float, truncation: float):
@@ -265,11 +285,16 @@ class _Samples:
         self.centre = float(log_f(np.array([1j * offset]))[0].real)
         self._held = {}
 
-    def level(self, p: int, refine: bool):
+    def level(self, p: int, refine: bool, doubled: bool):
         if (p, refine) not in self._held:
             ell = self.truncation
-            x = -ell + 2.0 * ell / p * np.arange(1, p, 2) if refine else np.linspace(-ell, ell, p + 1)
-            self._held[p, refine] = x, _finite(np.exp(self.log_f(x + 1j * self.offset) - self.centre))
+            keys = [(p, refine)]
+            if doubled and not refine and (2 * p, True) not in self._held:
+                keys.append((2 * p, True))
+            xs = [_odd_nodes(ell, q) if odd else np.linspace(-ell, ell, q + 1) for q, odd in keys]
+            vals = _finite(np.exp(self.log_f(np.concatenate(xs) + 1j * self.offset) - self.centre))
+            for key, x, v in zip(keys, xs, np.split(vals, [xs[0].size])):
+                self._held[key] = x, v
         return self._held[p, refine]
 
 
@@ -295,12 +320,12 @@ def _integrate_strip(samples: _Samples, d, tol, start_nodes: int) -> QuadratureR
             out[lo:lo + rows] = np.exp(1j * np.multiply.outer(d[lo:lo + rows], x)) @ vals
         return out
 
-    def level(nodes):
+    def level(nodes, ahead):
         nonlocal sums, last, mass
         (p,) = nodes
         h = 2.0 * samples.truncation / p
         refine = last is not None and 2 * last == p
-        x, new = samples.level(p, refine)
+        x, new = samples.level(p, refine, ahead == [2 * p])
         if refine:
             sums = sums + phased(x, new)
             mass += float(np.abs(new).sum())
@@ -410,7 +435,7 @@ def integrate_tensor(f, spec: ContourSpec, tol: float,
         raise DimensionTooLarge(
             f"tensor quadrature supports N <= {max(TENSOR_NODE_CAPS)}, got {ndim}")
 
-    def level(nodes):
+    def level(nodes, ahead):
         total, abs_mass, evaluations = _tensor_level(f, spec.offsets, spec.truncations, nodes)
         return total, _roundoff_estimate(abs_mass, evaluations), evaluations
 
@@ -451,45 +476,43 @@ def _chain_grid(truncations, nodes):
     return h, [math.ceil(ell / h * (1.0 - 1e-12)) for ell in truncations]
 
 
-def _chain_level(factors, stages, offsets, truncations, nodes):
+def _chain_level(samples, stages, h, bounded):
     """One trapezoid level of a chain-form integrand, as nested 1-D convolutions.
 
-    Axis k is sampled at h*m + i*offsets[k], |m| <= n_k, on the common step of
-    ``_chain_grid``; its trapezoid-weighted factor is convolved into V, whose
-    index s then stands for the sum of the indices of the axes taken so far.
-    After each stage's axes, V is multiplied by that stage's leg factor at
-    h*s + i*(sum of their offsets).  The level's value is sum V, which equals
-    the tensor trapezoid sum on the same grid.  The same recursion on |factors|
-    gives the absolute mass, and a third one carries each FFT's roundoff bound
-    to the total.
+    ``samples`` holds each axis factor at h*m + i*offsets[k], |m| <= n_k, on
+    the common step of ``_chain_grid``, then each leg factor at
+    h*s + i*(sum of the offsets of its axes and those before), |s| <= the sum
+    of their reaches.  Axis k's trapezoid-weighted factor is convolved into
+    V, whose index s then stands for the sum of the indices of the axes taken
+    so far; after each stage's axes, V is multiplied by that stage's leg
+    factor.  Returns sum V, which equals the tensor trapezoid sum
+    on the same grid, and, if ``bounded``, the same recursion's sum on
+    |factors| (the absolute mass) and each FFT's roundoff bound carried to
+    the total; else None twice.
     """
-    h, reach = _chain_grid(truncations, nodes)
-    weighted = []
-    for f, b, n in zip(factors, offsets, reach):
-        vals = _finite(f(h * np.arange(-n, n + 1) + 1j * b)) * h
-        vals[0] *= 0.5
-        vals[-1] *= 0.5
-        weighted.append(vals)
-    evaluations = sum(vals.size for vals in weighted)
+    legs = iter(samples[sum(len(axes) for axes, _ in stages):])
     value = np.ones(1, dtype=complex)
     mass = np.ones(1)
     fft_error = np.zeros(1)
-    width, shift = 0, 0.0
     for axes, leg in stages:
         for k in axes:
-            value, bound = _convolve(value, weighted[k])
-            abs_k = np.abs(weighted[k])
-            mass = _convolve(mass, abs_k)[0]
-            fft_error = _convolve(fft_error, abs_k)[0] + bound
-            width += reach[k]
-            shift += offsets[k]
+            weighted = samples[k] * h
+            weighted[0] *= 0.5
+            weighted[-1] *= 0.5
+            value, bound = _convolve(value, weighted)
+            if bounded:
+                abs_k = np.abs(weighted)
+                mass = _convolve(mass, abs_k)[0]
+                fft_error = _convolve(fft_error, abs_k)[0] + bound
         if leg is not None:
-            g = _finite(leg(h * np.arange(-width, width + 1) + 1j * shift))
-            evaluations += g.size
+            g = next(legs)
             value = value * g
-            mass = mass * np.abs(g)
-            fft_error = fft_error * np.abs(g)
-    return complex(value.sum()), float(mass.sum()), evaluations, float(fft_error.sum())
+            if bounded:
+                mass = mass * np.abs(g)
+                fft_error = fft_error * np.abs(g)
+    if not bounded:
+        return complex(value.sum()), None, None
+    return complex(value.sum()), float(mass.sum()), float(fft_error.sum())
 
 
 def _integrate_chain(f, spec: ContourSpec, factors, stages, tol: float,
@@ -505,16 +528,48 @@ def _integrate_chain(f, spec: ContourSpec, factors, stages, tol: float,
     couples.  Each level puts every axis on the common step of
     ``_chain_grid``, so an axis's window only grows past its truncation, and
     costs O(N * P log P) instead of the (P + 1)^N points of the tensor rule.
-    ``f`` itself only serves the tail estimate.  Axes are capped at the line
-    rule's node count.
+    When every axis of the second level doubles the first, its step is
+    exactly h / 2 and (h / 2) * 2m rounds as h * m: one call of each factor
+    on the second level's grid, widened to the first level's reach, holds
+    both levels' samples, the first level's at its even entries.
+    ``evaluations`` counts the samples computed.  ``f`` itself only serves
+    the tail estimate.  Axes are capped at the line rule's node count.
     """
+    # each factor, the Im of its argument and the axes whose reaches sum to its half-width
+    lines = [(fn, b, (k,)) for k, (fn, b) in enumerate(zip(factors, spec.offsets))]
+    shift, taken = 0.0, ()
+    for axes, leg in stages:
+        for k in axes:
+            shift += spec.offsets[k]
+        taken += tuple(axes)
+        if leg is not None:
+            lines.append((leg, shift, taken))
+    held = None  # the first level's call: the second level's grid, widened to the first level's reach
+
+    def sampled(h, widths):
+        return [_finite(fn(h * np.arange(-n, n + 1) + 1j * b)) for (fn, b, _), n in zip(lines, widths)]
+
     def tail(nodes):
         h, reach = _chain_grid(spec.truncations, nodes)
         return _face_tail_estimate(f, spec.offsets, [n * h for n in reach], [2 * n for n in reach])
 
-    def level(nodes):
-        value, abs_mass, evaluations, fft_error = _chain_level(
-            factors, stages, spec.offsets, spec.truncations, nodes)
-        return value, _roundoff_estimate(abs_mass, evaluations) + fft_error, evaluations
+    def level(nodes, ahead):
+        nonlocal held
+        h, reach = _chain_grid(spec.truncations, nodes)
+        widths = [sum(reach[k] for k in axes) for _, _, axes in lines]
+        if held is not None:
+            samples = [vals[vals.size // 2 - n:vals.size // 2 + n + 1] for vals, n in zip(held, widths)]
+            held, evaluations = None, 0
+        elif ahead is not None and all(q == 2 * p for p, q in zip(nodes, ahead)):
+            held = sampled(h / 2, [2 * n for n in widths])
+            samples = [vals[::2] for vals in held]
+            evaluations = sum(vals.size for vals in held)
+        else:
+            samples = sampled(h, widths)
+            evaluations = sum(vals.size for vals in samples)
+        value, abs_mass, fft_error = _chain_level(samples, stages, h, bounded=ahead is None)
+        if ahead is not None:
+            return value, None, evaluations
+        return value, _roundoff_estimate(abs_mass, sum(vals.size for vals in samples)) + fft_error, evaluations
 
     return _refine(level, spec.start_nodes, _node_cap(1, max_nodes_per_axis), tol, tail)

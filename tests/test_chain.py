@@ -291,34 +291,47 @@ class TestRoundoff:
         (GAUSS, Chooser(0.5, 1.0, 100.0)),
     ], ids=["nig-barrier3", "cgmy05-lookback3", "gaussian-chooser"])
     def test_fft_error_within_charged_roundoff(self, monkeypatch, model, contract):
-        convolve, chain_level = cq._convolve, cq._chain_level
-        stages, levels = [], []
+        convolve, chain_level, integrate_chain = cq._convolve, cq._chain_level, cq._integrate_chain
+        stages, levels, first_levels, ladders = [], [], [], []
 
         def checked_convolve(a, b):
             out, bound = convolve(a, b)
-            if bound > 0.0:
-                stages.append((float(np.abs(out - np.convolve(a, b)).max()), bound))
+            stages.append((float(np.abs(out - np.convolve(a, b)).max()), bound) if bound > 0.0 else None)
             return out, bound
 
-        def checked_level(*args):
-            fft_stages = len(stages)
-            value, mass, evaluations, fft_error = chain_level(*args)
-            ran_fft = len(stages) > fft_stages
+        def checked_level(samples, chain_stages, h, bounded):
+            before = len(stages)
+            value, mass, fft_error = chain_level(samples, chain_stages, h, bounded)
+            if not bounded:
+                # the first level, whose roundoff _refine never reads: only V's own convolutions run
+                first_levels.append((mass, fft_error, len(stages) - before, sum(len(a) for a, _ in chain_stages)))
+                return value, mass, fft_error
+            ran_fft = any(stage is not None for stage in stages[before:])
             limit, cq._DIRECT_CONVOLVE = cq._DIRECT_CONVOLVE, math.inf
             try:
-                direct = chain_level(*args)[0]  # np.convolve at every stage
+                direct = chain_level(samples, chain_stages, h, bounded)[0]  # np.convolve at every stage
             finally:
                 cq._DIRECT_CONVOLVE = limit
-            charged = cq._roundoff_estimate(mass, evaluations) + fft_error
+            charged = cq._roundoff_estimate(mass, sum(vals.size for vals in samples)) + fft_error
             levels.append((abs(value - direct), fft_error, charged, ran_fft))
-            return value, mass, evaluations, fft_error
+            return value, mass, fft_error
+
+        def counted_chain(*args, **kwargs):
+            ladders.append(args)
+            return integrate_chain(*args, **kwargs)
 
         monkeypatch.setattr(cq, "_convolve", checked_convolve)
         monkeypatch.setattr(cq, "_chain_level", checked_level)
+        monkeypatch.setattr(cq, "_integrate_chain", counted_chain)
         price_contract(contract, model, SPOT)
-        assert stages, "no stage went through the FFT"
-        for err, bound in stages:
+        checked = [stage for stage in stages if stage is not None]
+        assert checked, "no stage went through the FFT"
+        for err, bound in checked:
             assert err <= bound
+        # every ladder runs one first level and at least one level whose roundoff is read
+        assert len(first_levels) == len(ladders) and len(levels) >= len(ladders)
+        for mass, fft_error, convolutions, axes in first_levels:
+            assert (mass, fft_error, convolutions) == (None, None, axes)
         for gap, fft_error, charged, ran_fft in levels:
             # a level whose stages all went to np.convolve charges no FFT term
             assert (fft_error > 0.0) == ran_fft

@@ -336,3 +336,14 @@ def test_import_does_not_load_scipy_signal():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, timeout=120)
     assert out.stdout.strip() == "False"
+
+
+def test_import_loads_no_scipy():
+    # scipy is imported by the functions that use it (brentq, gamma, ndtr,
+    # CubicSpline) on their first call, so a bare import pays none of it
+    src = str(Path(levyexotic.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import levyexotic.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert out.stdout.strip() == "[]"

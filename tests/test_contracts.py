@@ -508,7 +508,7 @@ class TestPortfolioError:
         seen = []
         refine = cq._refine
         monkeypatch.setattr(cq, "_refine", lambda level, *args: refine(
-            lambda nodes: seen.append(*nodes) or level(nodes), *args))
+            lambda nodes, ahead: seen.append(*nodes) or level(nodes, ahead), *args))
         try:
             price_contract(AsianContinuous(0.0, 1.0, 100.0), GAUSS, SPOT, **kwargs)
         except NoConvergence:

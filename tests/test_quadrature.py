@@ -4,7 +4,24 @@ import numpy as np
 import pytest
 from scipy.special import log_ndtr, ndtr
 
-from levyexotic import make_gaussian, make_nig, mc
+from levyexotic import (
+    AsianContinuous,
+    AsianGeometric,
+    BarrierDownOutCall,
+    Chooser,
+    Digital,
+    ForwardStart,
+    LookbackFixed,
+    MonitoringSchedule,
+    PayoffParameterSet,
+    digitals,
+    make_cgmy,
+    make_gaussian,
+    make_nig,
+    mc,
+    price_contract,
+    to_portfolio,
+)
 from levyexotic import quadrature as cq
 from levyexotic.errors import DimensionTooLarge, NaNEncountered, NonPositiveInput
 from levyexotic.quadrature import (
@@ -118,7 +135,9 @@ class TestLine:
 def sampling_strip(log_f, d, offset, truncation, tol, start_nodes):
     """The strip rule as it was before it read a sample store: every ladder evaluates its own samples.
 
-    The reference of ``_integrate_strip``, whose arithmetic the store must not change.
+    The reference of ``_integrate_strip``, whose arithmetic the store must not change.  It calls
+    ``log_f`` once per level, so it also stands for the strip rule before its first level took the
+    second level's new nodes in the same call.
     """
     d = np.asarray(d, dtype=float)
     centre = float(log_f(np.array([1j * offset]))[0].real)
@@ -133,19 +152,19 @@ def sampling_strip(log_f, d, offset, truncation, tol, start_nodes):
             out[lo:lo + rows] = np.exp(1j * np.multiply.outer(d[lo:lo + rows], x)) @ vals
         return out
 
-    def level(nodes):
+    def level(nodes, ahead):
         nonlocal sums, last, mass
         (p,) = nodes
         h = 2.0 * truncation / p
         if last is not None and 2 * last == p:
             x = -truncation + h * np.arange(1, p, 2)
-            new = np.exp(log_f(x + 1j * offset) - centre)
+            new = cq._finite(np.exp(log_f(x + 1j * offset) - centre))
             sums = sums + phased(x, new)
             mass += float(np.abs(new).sum())
             edges[1], edges[3] = abs(new[0]), abs(new[-1])
         else:
             x = np.linspace(-truncation, truncation, p + 1)
-            new = np.exp(log_f(x + 1j * offset) - centre)
+            new = cq._finite(np.exp(log_f(x + 1j * offset) - centre))
             sums = phased(x, new) - 0.5 * phased(x[[0, -1]], new[[0, -1]])
             mass = float(np.abs(new).sum())
             edges[:] = abs(new[0]), abs(new[1]), abs(new[-1]), abs(new[-2])
@@ -234,7 +253,7 @@ class TestStrip:
 
     def test_convergence_is_reported_per_entry(self):
         # entry 0 settles at once; entry 1 changes at every level up to the cap
-        res = cq._refine(lambda nodes: (np.array([1.0, float(nodes[0])]), np.zeros(2), 1),
+        res = cq._refine(lambda nodes, ahead: (np.array([1.0, float(nodes[0])]), np.zeros(2), 1),
                          (16,), 64, np.array([1e-3, 1e-3]), lambda nodes: 0.0)
         assert res.converged.tolist() == [True, False]
 
@@ -336,7 +355,7 @@ class TestLadder:
         """``integrate_line`` with every level evaluated at all of its nodes."""
         edges, sizes = [], []
 
-        def level(nodes):
+        def level(nodes, ahead):
             (p,) = nodes
             vals = f(np.linspace(-truncation, truncation, p + 1) + 1j * offset)
             h = 2.0 * truncation / p
@@ -367,7 +386,11 @@ class TestLadder:
         ref, sizes = self.full_line_ladder(f, -1.0, 8.0, tol, start, cap)
         for field in ("value", "error_estimate", "converged"):
             assert getattr(res, field) == getattr(ref, field)  # bit-equal
-        assert len(calls) == len(sizes)  # one call of f per level
+        if sizes[1] - 1 == 2 * (sizes[0] - 1):
+            assert len(calls) == len(sizes) - 1  # one call of f for the first two levels
+            assert calls[0].size == sizes[1]
+        else:
+            assert len(calls) == len(sizes)  # one call of f per level
         points = np.concatenate(calls)
         if sizes[-1] - 1 == 2 * (sizes[-2] - 1):
             assert np.unique(points).size == points.size  # no point is evaluated twice
@@ -375,3 +398,239 @@ class TestLadder:
         else:
             assert calls[-1].size == sizes[-1]  # a non-doubling level is evaluated in full
             assert res.evaluations == sizes[-2] + sizes[-1]
+
+
+# --- the first two levels in one integrand call -------------------------------
+
+
+def line_oracle(f, contour, truncation, tol, start_nodes=64, max_nodes=cq.LINE_NODE_CAP):
+    """``integrate_line`` with one call of ``f`` per level.
+
+    The line rule as it was before its first level took the second level's
+    new nodes: the reference whose values, errors, convergence and
+    evaluations the one-call ladder must keep.
+    """
+    if isinstance(contour, tuple):
+        point, slope = contour
+
+        def sample(y):
+            return f(point(y)) * slope(y)
+    else:
+        def sample(y):
+            return f(y + 1j * contour)
+    edges = []
+    samples = None
+
+    def level(nodes, ahead):
+        nonlocal samples
+        (p,) = nodes
+        h = 2.0 * truncation / p
+        if samples is not None and 2 * (samples.size - 1) == p:
+            new = cq._finite(sample(-truncation + h * np.arange(1, p, 2)))
+            vals = np.empty(p + 1, dtype=np.result_type(samples, new))
+            vals[0::2] = samples
+            vals[1::2] = new
+        else:
+            new = vals = cq._finite(sample(np.linspace(-truncation, truncation, p + 1)))
+        samples = vals
+        total = vals.sum() - 0.5 * (vals[0] + vals[-1])
+        edges[:] = abs(vals[0]), abs(vals[1]), abs(vals[-1]), abs(vals[-2])
+        return complex(total * h), cq._roundoff_estimate(float(np.abs(vals).sum()) * h, p + 1), new.size
+
+    return cq._refine(level, (start_nodes,), max_nodes, tol,
+                      lambda nodes: cq._tail_estimate(*edges, 2.0 * truncation / nodes[0]))
+
+
+def strip_oracle(samples, d, tol, start_nodes):
+    """``_integrate_strip`` with one call of ``log_f`` per level: ``sampling_strip`` on the store's line."""
+    return sampling_strip(samples.log_f, d, samples.offset, samples.truncation, tol, start_nodes)
+
+
+def chain_oracle(f, spec, factors, stages, tol, max_nodes_per_axis=None):
+    """``_integrate_chain`` with every factor sampled and the roundoff bound carried at every level.
+
+    The chain rule as it was before its first level took the second level's
+    samples and dropped its unread roundoff bound.
+    """
+    def level(nodes, ahead):
+        h, reach = cq._chain_grid(spec.truncations, nodes)
+        weighted = []
+        for fn, b, n in zip(factors, spec.offsets, reach):
+            vals = cq._finite(fn(h * np.arange(-n, n + 1) + 1j * b)) * h
+            vals[0] *= 0.5
+            vals[-1] *= 0.5
+            weighted.append(vals)
+        evaluations = sum(vals.size for vals in weighted)
+        value, mass, fft_error = np.ones(1, dtype=complex), np.ones(1), np.zeros(1)
+        width, shift = 0, 0.0
+        for axes, leg in stages:
+            for k in axes:
+                value, bound = cq._convolve(value, weighted[k])
+                abs_k = np.abs(weighted[k])
+                mass = cq._convolve(mass, abs_k)[0]
+                fft_error = cq._convolve(fft_error, abs_k)[0] + bound
+                width += reach[k]
+                shift += spec.offsets[k]
+            if leg is not None:
+                g = cq._finite(leg(h * np.arange(-width, width + 1) + 1j * shift))
+                evaluations += g.size
+                value = value * g
+                mass = mass * np.abs(g)
+                fft_error = fft_error * np.abs(g)
+        roundoff = cq._roundoff_estimate(float(mass.sum()), evaluations) + float(fft_error.sum())
+        return complex(value.sum()), roundoff, evaluations
+
+    def tail(nodes):
+        h, reach = cq._chain_grid(spec.truncations, nodes)
+        return cq._face_tail_estimate(f, spec.offsets, [n * h for n in reach], [2 * n for n in reach])
+
+    return cq._refine(level, spec.start_nodes, cq._node_cap(1, max_nodes_per_axis), tol, tail)
+
+
+GAUSS = make_gaussian(0.2, 0.05)
+NIG = make_nig(8.0, -2.0, 0.3, 0.05)
+MODELS = {"gaussian": GAUSS, "nig": NIG, "cgmy05": make_cgmy(1.0, 5.0, 5.0, 0.5, 0.05),
+          "cgmy15": make_cgmy(1.0, 5.0, 5.0, 1.5, 0.05)}
+SPOT = 100.0
+SCHED2 = MonitoringSchedule(0.0, (0.5, 1.0))
+SCHED3 = MonitoringSchedule(0.0, (1.0 / 3.0, 2.0 / 3.0, 1.0))
+# the multidate-exotics workload's contracts: 18 terms with N >= 2
+MULTIDATE = (Chooser(0.5, 1.0, 100.0), BarrierDownOutCall(SCHED2, 90.0, 100.0), LookbackFixed(SCHED2, 100.0),
+             BarrierDownOutCall(SCHED3, 90.0, 100.0), LookbackFixed(SCHED3, 100.0))
+
+
+def vanilla_book():
+    """The vanilla-book workload's contracts: one-date digitals, forward starts and Asians, all N = 1."""
+    s1 = MonitoringSchedule(0.0, (1.0,))
+    s4 = MonitoringSchedule(0.0, (0.25, 0.5, 0.75, 1.0))
+    s12 = MonitoringSchedule(0.0, tuple((k + 1) / 12 for k in range(12)))
+    book = [Digital(s1, PayoffParameterSet((gamma,), (math.log(80.0 + 5.0 * i),), (w,), ((1.0,),)))
+            for gamma in (0.0, 1.0) for i in range(9) for w in (1, -1)]
+    book += [ForwardStart(0.5, 1.0, w) for w in (1, -1)]
+    for K in (90.0, 95.0, 100.0, 105.0, 110.0):
+        for w in (1, -1):
+            book += [AsianGeometric(s4, K, w), AsianGeometric(s12, K, w), AsianContinuous(0.0, 1.0, K, w)]
+    return book
+
+
+def assert_same_ladder(res, ref, same_evaluations):
+    """Value, error and convergence bit for bit; evaluations equal, or for the chain rule never more."""
+    for field in ("value", "error_estimate", "converged"):
+        a, b = np.asarray(getattr(res, field)), np.asarray(getattr(ref, field))
+        assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes()), field
+    if same_evaluations:
+        assert res.evaluations == ref.evaluations
+    else:
+        assert res.evaluations <= ref.evaluations
+
+
+def checked(monkeypatch, name, oracle):
+    """Route every call of ``quadrature.<name>`` through it and ``oracle`` alike; returns the (result, oracle) pairs."""
+    rule = getattr(cq, name)
+    pairs = []
+
+    def both(*args, **kwargs):
+        res, ref = rule(*args, **kwargs), oracle(*args, **kwargs)
+        assert_same_ladder(res, ref, name != "_integrate_chain")
+        pairs.append((res, ref))
+        return res
+
+    monkeypatch.setattr(cq, name, both)
+    return pairs
+
+
+def chain_args(contract, model, ndim):
+    """The arguments (f, spec, factors, stages, raw tol) of the first chain term of ``contract`` with ``ndim`` axes."""
+    captured = []
+    rule = cq._integrate_chain
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cq, "_integrate_chain", lambda *args, **kwargs: captured.append(args) or rule(*args, **kwargs))
+        price_contract(contract, model, SPOT)
+    return next(args for args in captured if args[1].ndim == ndim)
+
+
+class TestFirstTwoLevelsInOneCall:
+    @pytest.mark.parametrize("model", list(MODELS))
+    def test_vanilla_book_terms(self, monkeypatch, model):
+        lines = checked(monkeypatch, "integrate_line", line_oracle)
+        strips = checked(monkeypatch, "_integrate_strip", strip_oracle)
+        book = vanilla_book()
+        for c in book:
+            price_contract(c, MODELS[model], SPOT)
+        assert len(lines) >= len(book)
+        terms = {(sched, p) for c in book if not isinstance(c, AsianContinuous)
+                 for _, sched, p in to_portfolio(c, MODELS[model], tol=1e-8).terms if p.n == 1}
+        for sched, p in terms:  # each N = 1 term as a strip of two spots
+            digitals._price_core(MODELS[model], sched, p, [SPOT, 1.25 * SPOT])
+        assert len(strips) >= len(terms)
+
+    @pytest.mark.parametrize("model", list(MODELS))
+    def test_multidate_exotics_terms(self, monkeypatch, model):
+        chains = checked(monkeypatch, "_integrate_chain", chain_oracle)
+        lines = checked(monkeypatch, "integrate_line", line_oracle)
+        for c in MULTIDATE:
+            price_contract(c, MODELS[model], SPOT)
+        assert len(chains) == 18 and lines
+        # every chain ladder starts below its cap, so its first two levels take one call
+        assert all(res.evaluations < ref.evaluations for res, ref in chains)
+
+    @pytest.mark.parametrize("contract", [MULTIDATE[0], MULTIDATE[4], vanilla_book()[0], vanilla_book()[-1]],
+                             ids=["chooser", "lookback-3date", "digital", "asian-continuous"])
+    def test_fixed_nodes(self, monkeypatch, contract):
+        # a fixed_nodes ladder starts at its cap: a half level, then the cap
+        chains = checked(monkeypatch, "_integrate_chain", chain_oracle)
+        lines = checked(monkeypatch, "integrate_line", line_oracle)
+        price_contract(contract, NIG, SPOT, fixed_nodes=64)
+        assert chains or lines
+
+    @pytest.mark.parametrize("start, cap", [(64, 64), (32, 48), (16, 2**14)],
+                             ids=["start-at-cap", "non-doubling-final-step", "converges"])
+    def test_line_starts_and_caps(self, start, cap):
+        for tol in (0.0, 1e-10):
+            res = integrate_line(gaussian_pole_integrand(0.5), -1.0, 8.0, tol, start_nodes=start, max_nodes=cap)
+            ref = line_oracle(gaussian_pole_integrand(0.5), -1.0, 8.0, tol, start_nodes=start, max_nodes=cap)
+            assert_same_ladder(res, ref, True)
+
+    @pytest.mark.parametrize("start", [cq.LINE_NODE_CAP, 48, 64], ids=["start-at-cap", "non-doubling-final-step", "doubling"])
+    def test_strip_starts(self, start):
+        d = TestStrip.D
+        for tol in (0.0, 1e-12):
+            res = cq._integrate_strip(cq._Samples(TestStrip.log_gaussian_pole, -1.0, 40.0), d, np.full(d.size, tol), start)
+            ref = sampling_strip(TestStrip.log_gaussian_pole, d, -1.0, 40.0, np.full(d.size, tol), start)
+            assert_same_ladder(res, ref, True)
+
+    @pytest.mark.parametrize("starts, cap, doubled", [
+        ((64, 64, 64), 64, True),  # levels 32 and 64
+        ((32, 32, 32), 48, False),  # levels 32 and 48
+        ((64, 32, 32), 64, False),  # axis 0 stays at the cap
+    ], ids=["start-at-cap", "non-doubling-final-step", "one-axis-at-cap"])
+    def test_chain_starts_and_caps(self, starts, cap, doubled):
+        f, spec, factors, stages, tol = chain_args(MULTIDATE[4], NIG, 3)
+        spec = ContourSpec(spec.offsets, spec.truncations, starts)
+        res = cq._integrate_chain(f, spec, factors, stages, tol, max_nodes_per_axis=cap)
+        ref = chain_oracle(f, spec, factors, stages, tol, max_nodes_per_axis=cap)
+        assert_same_ladder(res, ref, False)
+        # only a first level that every axis doubles takes the second level's samples
+        assert (res.evaluations < ref.evaluations) == doubled
+
+    def test_nan_at_a_second_level_node_raises(self):
+        # y = -7.5 is the first node that 32 nodes on [-8, 8] add to 16
+        def line_f(xi):
+            return np.where(xi.real == -7.5, np.nan, gaussian_pole_integrand(0.5)(xi))
+
+        def log_f(xi):
+            return np.where(xi.real == -7.5, np.nan, TestStrip.log_gaussian_pole(xi))
+
+        for rule in (integrate_line, line_oracle):
+            with pytest.raises(NaNEncountered):
+                rule(line_f, -1.0, 8.0, 1e-10, start_nodes=16)
+        for strip in (lambda: cq._integrate_strip(cq._Samples(log_f, -1.0, 8.0), [0.5], np.array([1e-10]), 16),
+                      lambda: sampling_strip(log_f, [0.5], -1.0, 8.0, np.array([1e-10]), 16)):
+            with pytest.raises(NaNEncountered):
+                strip()
+        f, spec, factors, stages, tol = chain_args(MULTIDATE[0], GAUSS, 2)
+        half_step = 0.5 * cq._chain_grid(spec.truncations, spec.start_nodes)[0]
+        broken = [lambda x: np.where(x.real == half_step, np.nan, factors[0](x))] + list(factors[1:])
+        for rule in (cq._integrate_chain, chain_oracle):
+            with pytest.raises(NaNEncountered):
+                rule(f, spec, broken, stages, tol)
