@@ -68,13 +68,14 @@ slope = delta(gauss, sched, cash_call, spot)
 bump = 1e-4 * spot
 fd = (price_digital(gauss, sched, cash_call, spot + bump).value
       - price_digital(gauss, sched, cash_call, spot - bump).value) / (2 * bump)
-print(f"\ndigital delta: analytic {slope:.8f}  finite difference {fd:.8f}")
+print(f"\ndigital delta: analytic {slope.value:.8f} (error estimate {slope.quadrature_error:.1e})  "
+      f"finite difference {fd:.8f}")
 
 # the same weight on a 3-date NIG down-and-out barrier's first term: the
 # delta runs on the price's own chain-rule grid
 sched3 = MonitoringSchedule(0.0, (1.0 / 3.0, 2.0 / 3.0, 1.0))
 _, _, barrier = to_portfolio(BarrierDownOutCall(sched3, 90.0, 100.0)).terms[0]
-slope = delta(nig, sched3, barrier, spot)
+slope = delta(nig, sched3, barrier, spot).value
 
 
 def central(h):

@@ -2,8 +2,9 @@
 
 Each builder returns an exact decomposition: pricing the portfolio equals
 pricing the contract.  Compound options additionally need their critical
-exercise prices, found by root bracketing on the engine's own sub-option
-values, with one set-up per term per search and each spot priced from kept samples.
+exercise prices, found by safeguarded Newton steps on the engine's own
+sub-option values and deltas, with one set-up per term per search and each
+spot priced from kept samples.
 """
 from __future__ import annotations
 
@@ -419,23 +420,31 @@ def to_portfolio(c: ContractSpec, model: LevyModel | None = None,
 
 
 def _compound_value(port, prices, spot):
-    """A critical-price search's objective: sub-compound ``port`` at ``spot``, term k priced by ``prices[k]``."""
-    return port.cash + sum(coef * price(spot).value for (coef, _, _), price in zip(port.terms, prices))
+    """A critical-price search's objective: sub-compound ``port`` at ``spot`` and its slope in the spot.
 
-
-def _bracket_root(objective, x0: float, xtol: float) -> float:
-    """Root of ``objective`` bracketed geometrically around ``x0``, then brentq.
-
-    Each step moves the lower end down and the upper end up by a ratio that
-    starts at 1.25 and grows by that factor every step; the side whose value
-    is nearer zero moves first (the lower side on the first step).  The
-    first new end whose value differs in sign from the previous end on its
-    side (or is zero) closes a bracket holding just that step, which goes to
-    brentq.  After 60 steps without one, NoRoot.  No spot is evaluated
-    twice: brentq reuses the values at the bracket ends.
+    Term k is priced by ``prices[k]``, which returns its PriceResult and delta.
     """
-    from scipy.optimize import brentq
+    value, slope = port.cash, 0.0
+    for (coef, _, _), price in zip(port.terms, prices):
+        res, delta = price(spot)
+        value += coef * res.value
+        slope += coef * delta
+    return value, slope
 
+
+def _newton_root(objective, x0: float, xtol: float) -> float:
+    """Root of ``objective``, which returns (value, slope), by safeguarded Newton steps from ``x0``.
+
+    Until two spots with values of opposite sign bracket the root, each step
+    is the Newton step, moving x by no more than a ratio that starts at 1.25
+    and grows by that factor every step; a zero slope takes the whole ratio
+    upward.  Once a bracket holds, a Newton step that leaves it, or that is
+    more than half the step before last, is replaced by bisection, and each
+    new spot replaces the end of its sign.  The search stops when a step is
+    at most ``xtol``, returning the point it reaches unevaluated, or when the
+    bracket is, returning the end nearer zero.  After 60 steps, NoRoot.  No
+    spot is evaluated twice.
+    """
     values = {}
 
     def f(x):
@@ -443,28 +452,45 @@ def _bracket_root(objective, x0: float, xtol: float) -> float:
             values[x] = objective(x)
         return values[x]
 
-    ends = {-1: x0, 1: x0}  # the last end on each side
-    ratio = 1.25
+    x, ratio = x0, 1.25
+    ends = {}  # the latest spot with a positive value and with a negative one, keyed by value > 0
+    moves = [math.inf, math.inf]  # the sizes of the last two steps
     for _ in range(60):
-        for side in sorted(ends, key=lambda k: abs(f(ends[k]))):
-            a = ends[side]
-            b = a * ratio**side
-            if min(f(a), f(b)) <= 0.0 <= max(f(a), f(b)):
-                return float(brentq(f, min(a, b), max(a, b), xtol=xtol, rtol=8.9e-16))
-            ends[side] = b
-        ratio *= 1.25
-    raise NoRoot(f"no sign change between {ends[-1]:g} and {ends[1]:g} around {x0:g}")
+        value, slope = f(x)
+        if value == 0.0:
+            return float(x)
+        ends[value > 0.0] = x
+        step = -value / slope if slope else math.inf
+        if len(ends) < 2:
+            target = min(max(x + step, x / ratio), x * ratio)
+            ratio *= 1.25
+        else:
+            lo, hi = sorted(ends.values())
+            if hi - lo <= xtol:
+                return float(min(ends.values(), key=lambda end: abs(values[end][0])))
+            target = x + step
+            if not lo < target < hi or abs(step) > 0.5 * moves[-2]:
+                target = 0.5 * (lo + hi)
+        moves.append(abs(target - x))
+        if moves[-1] <= xtol:
+            return float(target)
+        x = float(target)
+    if len(ends) < 2:
+        raise NoRoot(f"no sign change between {min(values):g} and {max(values):g} around {x0:g}")
+    raise NoRoot(f"bracket [{min(ends.values()):g}, {max(ends.values()):g}] around {x0:g} "
+                 f"still wider than {xtol:g} after 60 steps")
 
 
 def _solve_thresholds(legs, value, rel_tol: float) -> list:
     """Critical prices S_j* of compound ``legs``, solved innermost-outward.
 
     ``value(j, inner_thresholds, s)`` prices ``legs[j + 1:]`` at T_j and spot
-    s, given their own thresholds; S_j* is where it equals K_j.  The root is
-    a spot, so ``_bracket_root`` starts at the nearest solved inner critical
-    price (the innermost strike for depth 2) and stops at ``rel_tol`` times
-    that start.  The innermost threshold is its strike, and a zero strike
-    yields ``None`` (the exercise condition degenerates).
+    s, given their own thresholds, and returns that value and its slope in
+    s; S_j* is where the value equals K_j.  The root is a spot, so
+    ``_newton_root`` starts at the nearest solved inner critical price (the
+    innermost strike for depth 2) and stops at ``rel_tol`` times that start.
+    The innermost threshold is its strike, and a zero strike yields ``None``
+    (the exercise condition degenerates).
     """
     thresholds: list = [None] * len(legs)
     K_n = legs[-1][1]
@@ -475,7 +501,11 @@ def _solve_thresholds(legs, value, rel_tol: float) -> list:
             continue
         inner = thresholds[j + 1:]
         x0 = next(s for s in inner if s is not None)
-        thresholds[j] = _bracket_root(lambda s: value(j, inner, s) - K_j, x0, x0 * rel_tol)
+
+        def objective(s):
+            v, slope = value(j, inner, s)
+            return v - K_j, slope
+        thresholds[j] = _newton_root(objective, x0, x0 * rel_tol)
     return thresholds
 
 
@@ -485,10 +515,13 @@ def solve_compound_thresholds(c: Compound, model: LevyModel,
 
     Each is solved on the engine's own sub-compound prices
     (``_solve_thresholds``), to relative accuracy ``rel_tol``, with each
-    inner price asked for max(K_j * rel_tol / 100, 1e-13).  Brackets grow
-    outward from the nearest solved inner critical price (``_bracket_root``).
-    A search builds its sub-compound portfolio once and gives each term one
-    set-up (``digitals._kept_sample_prices``); its samples die with it.
+    inner price asked for max(K_j * rel_tol / 100, 1e-13).  Safeguarded
+    Newton steps (``_newton_root``) start at the nearest solved inner
+    critical price; each step's slope is the sum of the terms' deltas.  A
+    search builds its sub-compound portfolio once and gives each term one
+    set-up per spot window (``digitals._kept_sample_prices``), which prices
+    one- and two-condition terms and their deltas from kept samples; its
+    samples die with it.
     An inner price that stalls raises NoConvergence naming the leg whose
     critical price failed, with no result: no compound value was formed.
     """

@@ -32,6 +32,7 @@ names its leg.
 from __future__ import annotations
 
 import math
+from copy import copy
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import product as _iter_product
@@ -634,44 +635,136 @@ def _raw_tol(tol, n, prefactor) -> float:
 
 
 def _strip_pricer(legs, offs, b, truncations, d_rows):
-    """Strip-rule prices of an N = 1 set-up at log moneyness d, from samples kept across calls; start for ``d_rows``."""
+    """Strip-rule prices of an N = 1 set-up at log moneyness d, from samples kept across calls; start for ``d_rows``.
+
+    With ``spots``, one per entry of d, each price comes paired with its
+    delta: the twin integral (``quadrature._integrate_strip``) weighted by
+    i zeta_1 / spot, as ``delta`` weights it.
+    """
     m = legs.cmat.shape[1]
     samples = cq._Samples(lambda xi: legs.exponent(range(m), (xi,), (0,)) - np.log(xi), b[0], truncations[0])
     start = _start_count(truncations[0], np.abs(d_rows).max(), cq.LINE_NODE_CAP)
 
-    def prices(d, prefactors, raw_tols) -> list[PriceResult]:
-        res = cq._integrate_strip(samples, d, np.array(raw_tols), start)
-        return [_scaled_price(cq.QuadratureResult(res.value[s], res.error_estimate[s], res.evaluations,
-                                                  bool(res.converged[s])), prefactors[s], raw_tols[s], offs, (1, m))
-                for s in range(d.size)]
+    def prices(d, prefactors, raw_tols, spots=None):
+        if spots is None:
+            res = cq._integrate_strip(samples, d, np.array(raw_tols), start)
+        else:
+            res = cq._integrate_strip(samples, d, np.array(raw_tols), start, lambda xi: 1j * legs.zeta(0, (xi,), (0,)))
+        out = [_scaled_price(cq.QuadratureResult(res.value[s], res.error_estimate[s], res.evaluations,
+                                                 bool(res.converged[s])), prefactors[s], raw_tols[s], offs, (1, m))
+               for s in range(d.size)]
+        if spots is None:
+            return out
+        return [(price, (prefactors[s] / (2.0j * math.pi) * res.twin[s]).real / spots[s])
+                for s, price in enumerate(out)]
     return prices
 
 
-def _kept_sample_prices(model, sched, p, tol):
-    """``price_digital`` of ``p`` to ``tol`` as a function of the spot, for N = 1 from kept samples.
+def _chain_pricer(legs, offs, b, truncations, d_rows, step):
+    """Chain-rule prices and deltas of an N >= 2 set-up, from samples kept across calls; start for ``d_rows``.
 
-    A spot x0 sets up the window [x0/2, 2 x0] once: an offset group at the offset of ``default_offsets`` at x0,
-    its truncation and start count serving both ends.  Spots in the window reuse its samples (``_strip_pricer``)
-    on the horizontal line; a spot outside it sets up a fresh window.  N >= 2 and spots with w*d > 12
-    (complements) go to ``price_digital``.
+    The set-up is ``_one_spot_price``'s without the spot: the plan's flips
+    (``_chain_plan``), the axis and leg factors at d = 0 (``_chain_factors``)
+    in one ``quadrature._ChainSamples`` store, the face tail of the d = 0
+    integrand per final level, and start counts that resolve the largest
+    |d_k| of ``d_rows``, raised by the cost rule's ``step`` (``_start_counts``).
+    ``price(d, prefactor, raw_tol, spot)`` multiplies each axis factor's
+    samples by its phases exp(i d_k h m) and takes their modulus
+    exp(-sum_k d_k b_k) out of the ladder, as ``quadrature._integrate_strip``
+    does.  It returns the price and its delta: the final level's chain sum
+    with the leg factor that holds leg 1 weighted by i zeta_1 / spot, as
+    ``delta`` weights it (``_chain_factors``).  Leg 1 must couple more than
+    one axis, as it does in every compound term.
+    """
+    n, m = legs.cmat.shape
+    flips, supports = _chain_plan(legs.cmat)
+    legs = copy(legs)  # the caller's leg list stays unflipped
+    legs.cmat = legs.cmat * flips[:, None]
+    b = b * flips
+    factors, stages = _chain_factors(legs, np.zeros(n), supports, None)
+    store = cq._ChainSamples(factors, stages, b, truncations)
+    flat = _integrand(legs, np.zeros(n))
+    starts = _start_counts(truncations, np.abs(d_rows).max(axis=0), cq.LINE_NODE_CAP, step)
+    tails = {}
+    # each condition row of a compound term sums to 1, so leg 1 couples every axis
+    # and its support's leg factor holds it (``_chain_factors``)
+    axes_1 = tuple(np.flatnonzero(legs.cmat[:, 0]).tolist())
+    holder = n + [axes for axes, _ in supports].index(axes_1)
+    coupling = legs.cmat[axes_1[0], 0]
+
+    def tail(nodes):
+        if tuple(nodes) not in tails:
+            h, reach = cq._chain_grid(truncations, nodes)
+            tails[tuple(nodes)] = cq._face_tail_estimate(flat, b, [r * h for r in reach], [2 * r for r in reach])
+        return tails[tuple(nodes)]
+
+    def price(d, prefactor, raw_tol, spot):
+        d = d * flips
+        modulus = math.exp(-float(d @ b))
+        final = {}
+
+        def phased(h, samples):
+            out = [vals * np.exp(1j * d[k] * h * np.arange(-(vals.size // 2), vals.size // 2 + 1))
+                   for k, vals in enumerate(samples[:n])] + samples[n:]
+            final.update(h=h, samples=out)
+            return out
+
+        res = cq._chain_ladder(store, stages, starts, cq.LINE_NODE_CAP, raw_tol / modulus, tail, phased)
+        res = replace(res, value=res.value * modulus, error_estimate=res.error_estimate * modulus)
+        scale = prefactor * math.prod(flips)
+        h, samples = final["h"], list(final["samples"])
+        width = samples[holder].size // 2
+        z = h * np.arange(-width, width + 1) + 1j * store.lines[holder][1]
+        samples[holder] = samples[holder] * (1j * coupling * z + legs.gsuf[0])
+        twin = cq._chain_level(samples, stages, h, False)[0] * modulus
+        return (_scaled_price(res, scale, raw_tol, offs, (n, m)),
+                (scale / (2.0j * math.pi) ** n * twin).real / spot)
+    return price
+
+
+def _kept_sample_prices(model, sched, p, tol):
+    """``price_digital`` of ``p`` to ``tol`` and its ``delta`` as a function of the spot, from kept samples.
+
+    ``price(spot)`` returns the PriceResult and the delta's value, which
+    steers a search and carries no claim.  A spot x0 sets up the window
+    [x0/2, 2 x0] once, its truncations and start counts serving both ends;
+    spots in the window reuse its samples, and a spot outside it sets up a
+    fresh window.  N = 1 takes the offset of ``default_offsets`` at x0 and
+    the strip rule on the horizontal line (``_strip_pricer``).  N >= 2 in
+    chain form takes the offset and step of the cost rule at x0
+    (``_costed_offset``) and the chain rule (``_chain_pricer``); every
+    compound term's conditions are in chain form.  Each delta is its price's
+    twin, from the same samples.  N = 1 spots with w*d > 12 (complements) go
+    to ``price_digital`` and ``delta``.
     """
     legs = _Legs(model, sched, p)
-    window = None  # (x0, its strip pricer)
+    window = None  # (x0, its pricer)
+
+    def setup(spot, d):
+        ends = [spot / 2, 2 * spot]
+        d_ends = np.array([_log_moneyness(p, x) for x in ends])
+        if p.n == 1:
+            offs = default_offsets(model, p, sched, spot)
+        else:
+            raw_tol = _raw_tol(tol, p.n, _prefactor(model, sched, p, spot))
+            omega, _, step = _costed_offset(legs, p, *_equal_offset_interval(model, p), d, raw_tol)
+            offs = ContourOffsets((omega,) * p.n)
+        b, _, raw_tols = _group_setup(model, sched, p, offs, ends, tol)
+        truncations = _truncations(legs, min(raw_tols), _log_peak(legs, p, offs.omega, d_ends).max())
+        if p.n >= 2:
+            return _chain_pricer(legs, offs, b, truncations, d_ends, step)
+        strip = _strip_pricer(legs, offs, b, truncations, d_ends)
+        return lambda d, prefactor, raw_tol, x: strip(d, [prefactor], [raw_tol], [x])[0]
 
     def price(spot):
         nonlocal window
         d = _log_moneyness(p, spot)
-        if p.n != 1 or p.w[0] * d[0] > 12.0:
-            return price_digital(model, sched, p, spot, tol=tol)
+        if p.n == 1 and p.w[0] * d[0] > 12.0:
+            return price_digital(model, sched, p, spot, tol=tol), delta(model, sched, p, spot, tol).value
         if window is None or not window[0] / 2 <= spot <= 2 * window[0]:
-            ends = [spot / 2, 2 * spot]
-            d_ends = np.array([_log_moneyness(p, x) for x in ends])
-            offs = default_offsets(model, p, sched, spot)
-            b, _, raw_tols = _group_setup(model, sched, p, offs, ends, tol)
-            truncations = _truncations(legs, min(raw_tols), _log_peak(legs, p, offs.omega, d_ends).max())
-            window = spot, _strip_pricer(legs, offs, b, truncations, d_ends)
+            window = spot, setup(spot, d)
         pf = _prefactor(model, sched, p, spot)
-        return window[1](d, [pf], [tol * 2.0 * math.pi / abs(pf)])[0]
+        return window[1](d, pf, _raw_tol(tol, p.n, pf), spot)
     return price
 
 
@@ -767,6 +860,14 @@ def _one_spot_price(legs, spot, d_vec, b, truncations, raw_tol, prefactor, offse
         prefactor *= math.prod(flips)
         chain = _chain_factors(legs, d_vec, supports, weight)
 
+    return _contour_price(_integrand(legs, d_vec, weight), b, truncations, d_vec, raw_tol, prefactor, (n, m),
+                          offsets, fixed_nodes, chain, step)
+
+
+def _integrand(legs: _Legs, d_vec, weight=None):
+    """The N >= 2 digital integrand exp(i d.xi + E(xi)) / prod(xi), times ``weight`` if given."""
+    n, m = legs.cmat.shape
+
     def integrand(*xs):
         phase = 0.0
         denom = 1.0
@@ -777,9 +878,7 @@ def _one_spot_price(legs, spot, d_vec, b, truncations, raw_tol, prefactor, offse
         if weight is not None:
             out = out * weight(xs, range(n))
         return out
-
-    return _contour_price(integrand, b, truncations, d_vec, raw_tol, prefactor, (n, m),
-                          offsets, fixed_nodes, chain, step)
+    return integrand
 
 
 def _chain_plan(cmat: np.ndarray):
@@ -878,10 +977,7 @@ def _contour_price(integrand, b, truncations, d_vec, raw_tol, prefactor, dims,
         starts = [cap] * n
     else:
         cap = cq._node_cap(n if chain is None else 1, None)
-        starts = [_start_count(truncations[k], d_vec[k], cap) for k in range(n)]
-        if step is not None:
-            starts = [min(max(start, 1 << max(math.floor(math.log2(2.0 * ell / step)), 0)), cap // 2)
-                      for start, ell in zip(starts, truncations)]
+        starts = _start_counts(truncations, d_vec, cap, step)
 
     if n == 1:
         res = cq.integrate_line(integrand, b[0], truncations[0], raw_tol,
@@ -893,6 +989,18 @@ def _contour_price(integrand, b, truncations, d_vec, raw_tol, prefactor, dims,
         else:
             res = cq._integrate_chain(integrand, spec, *chain, raw_tol, max_nodes_per_axis=cap)
     return _scaled_price(res, prefactor, raw_tol, offsets, dims, stalled_raises=fixed_nodes is None)
+
+
+def _start_counts(truncations, d_vec, cap, step) -> list[int]:
+    """Each axis's ``_start_count``, raised to 2^floor(log2(2 L_k / step)) given the cost rule's ``step``.
+
+    A start count is at most half ``cap``.
+    """
+    starts = [_start_count(ell, d, cap) for ell, d in zip(truncations, d_vec)]
+    if step is None:
+        return starts
+    return [min(max(start, 1 << max(math.floor(math.log2(2.0 * ell / step)), 0)), cap // 2)
+            for start, ell in zip(starts, truncations)]
 
 
 def _checked_fixed_nodes(fixed_nodes) -> int:
@@ -960,10 +1068,11 @@ def delta(
     p: PayoffParameterSet,
     spot: float,
     tol: float | None = None,
-) -> float:
+) -> PriceResult:
     """dPrice/dSpot: the price's own integral, on its own grid, weighted by i zeta_1 / spot.
 
     The spot enters only through spot**G_0 * exp(i d.xi) = exp(i ln(spot) zeta_1),
-    zeta_1 being leg 1's argument (``_Legs.zeta``).
+    zeta_1 being leg 1's argument (``_Legs.zeta``).  The result's
+    ``quadrature_error`` is the delta's own claimed error.
     """
-    return _price_core(model, sched, p, [spot], None, tol, None, True)[0].value
+    return _price_core(model, sched, p, [spot], None, tol, None, True)[0]

@@ -316,16 +316,21 @@ def _chooser_cf(c: Chooser, sigma, r, spot):
 
 
 def _compound_cf(legs, t, sigma, r, spot, thresholds=None):
-    """Geske-style compound price; ``thresholds`` skips the critical-price solve."""
+    """Geske-style compound price and delta; ``thresholds`` skips the critical-price solve.
+
+    The delta is the leading MVN term without the spot: the terms' slopes in
+    their critical prices cancel (Geske 1979, J. Financial Economics 7).
+    """
     cash = _cash_compound(legs, t, r)
     if cash is not None:
-        return cash
+        return cash, 0.0
     n_legs = len(legs)
     dates = np.array([T for T, _, _ in legs])
     signs = [w for _, _, w in legs]
     if n_legs == 1:
         T, K, w = legs[0]
-        return _bs_price(spot, K, T - t, sigma, r, w)
+        d1 = (math.log(spot / K) + (r + 0.5 * sigma**2) * (T - t)) / (sigma * math.sqrt(T - t))
+        return _bs_price(spot, K, T - t, sigma, r, w), w * ndtr(w * d1)
 
     if thresholds is None:
         thresholds = _compound_cf_thresholds(legs, t, sigma, r)
@@ -344,7 +349,8 @@ def _compound_cf(legs, t, sigma, r, spot, thresholds=None):
     corr = base * np.outer(ws, ws)
     np.fill_diagonal(corr, 1.0)
 
-    price = spot * math.prod(signs) * mvn_cdf(ws * d_plus, corr)
+    delta = math.prod(signs) * mvn_cdf(ws * d_plus, corr)
+    price = spot * delta
     for j in range(n_legs):
         K_j = legs[j][1]
         if K_j == 0.0:
@@ -356,7 +362,7 @@ def _compound_cf(legs, t, sigma, r, spot, thresholds=None):
             * math.exp(-r * (dates[j] - t))
             * mvn_cdf((ws * d_minus)[sub], corr[sub, sub])
         )
-    return price
+    return price, delta
 
 
 def _compound_cf_thresholds(legs, t, sigma, r):
@@ -428,7 +434,7 @@ def closed_form_price(c: ContractSpec, sigma: float, r: float, spot: float) -> f
     if isinstance(c, Chooser):
         return _chooser_cf(c, sigma, r, spot)
     if isinstance(c, Compound):
-        return _compound_cf(c.legs, c.t, sigma, r, spot)
+        return _compound_cf(c.legs, c.t, sigma, r, spot)[0]
     if isinstance(c, LookbackFixed):
         return _lookback_cf(c, sigma, r, spot)
     if isinstance(c, BarrierDownOutCall):

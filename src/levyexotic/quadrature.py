@@ -87,6 +87,7 @@ class QuadratureResult:
     error_estimate: float
     evaluations: int
     converged: bool = True
+    twin: np.ndarray | None = None  # a weighted strip's twin integrals (``_integrate_strip``)
 
 
 def truncation_radius(decay_c: float, order: float, tau: float, tol: float) -> float:
@@ -298,7 +299,7 @@ class _Samples:
         return self._held[p, refine]
 
 
-def _integrate_strip(samples: _Samples, d, tol, start_nodes: int) -> QuadratureResult:
+def _integrate_strip(samples: _Samples, d, tol, start_nodes: int, weight=None) -> QuadratureResult:
     """Line-rule values of the integrals of exp(i d_s xi + log_f(xi)) over the line of ``samples``, one per d_s.
 
     The strip rule: each level reads exp(log_f - c) at its new odd nodes
@@ -306,15 +307,18 @@ def _integrate_strip(samples: _Samples, d, tol, start_nodes: int) -> QuadratureR
     d_s's sum of them times exp(i d_s Re xi), formed in chunks of
     ``_STRIP_PRODUCTS``.  Each entry's modulus exp(c - d_s offset) scales its
     sum, tail and roundoff, so a huge c that the phase cancels cannot
-    overflow.  ``tol`` and the result hold one entry per d_s.
+    overflow.  ``tol`` and the result hold one entry per d_s.  Given a
+    ``weight``, the result's ``twin`` holds each entry's integral with the
+    samples times weight(xi), on the final level's nodes: one phase matrix
+    serves both sums, and the twin's accuracy steers no level.
     """
     d = np.asarray(d, dtype=float)
     moduli = np.exp(samples.centre - d * samples.offset)
     edges = []  # |sample| at the last level's two outermost nodes on each side
-    sums = last = mass = None  # per entry the phased trapezoid sum / h; the level's p; sum |sample|
+    sums = last = mass = None  # per entry the phased trapezoid sum / h (and the twin's); the level's p; sum |sample|
 
     def phased(x, vals):
-        out = np.empty(d.size, dtype=complex)
+        out = np.empty((d.size, *vals.shape[1:]), dtype=complex)
         rows = max(1, _STRIP_PRODUCTS // x.size)
         for lo in range(0, d.size, rows):
             out[lo:lo + rows] = np.exp(1j * np.multiply.outer(d[lo:lo + rows], x)) @ vals
@@ -326,19 +330,28 @@ def _integrate_strip(samples: _Samples, d, tol, start_nodes: int) -> QuadratureR
         h = 2.0 * samples.truncation / p
         refine = last is not None and 2 * last == p
         x, new = samples.level(p, refine, ahead == [2 * p])
+        both = new
+        if weight is not None:
+            both = np.empty((new.size, 2), dtype=complex)
+            both[:, 0] = new
+            both[:, 1] = new * weight(x + 1j * samples.offset)
         if refine:
-            sums = sums + phased(x, new)
+            sums = sums + phased(x, both)
             mass += float(np.abs(new).sum())
             edges[1], edges[3] = abs(new[0]), abs(new[-1])
         else:
-            sums = phased(x, new) - 0.5 * phased(x[[0, -1]], new[[0, -1]])
+            sums = phased(x, both) - 0.5 * phased(x[[0, -1]], both[[0, -1]])
             mass = float(np.abs(new).sum())
             edges[:] = abs(new[0]), abs(new[1]), abs(new[-1]), abs(new[-2])
         last = p
-        return h * moduli * sums, moduli * _roundoff_estimate(mass * h, p + 1), new.size
+        value = h * moduli * (sums if weight is None else sums[:, 0])
+        return value, moduli * _roundoff_estimate(mass * h, p + 1), new.size
 
-    return _refine(level, (start_nodes,), LINE_NODE_CAP, tol,
-                   lambda nodes: moduli * _tail_estimate(*edges, 2.0 * samples.truncation / nodes[0]))
+    res = _refine(level, (start_nodes,), LINE_NODE_CAP, tol,
+                  lambda nodes: moduli * _tail_estimate(*edges, 2.0 * samples.truncation / nodes[0]))
+    if weight is not None:
+        res.twin = 2.0 * samples.truncation / last * moduli * sums[:, 1]
+    return res
 
 
 def _tensor_level(f, offsets, truncations, nodes):
@@ -476,6 +489,20 @@ def _chain_grid(truncations, nodes):
     return h, [math.ceil(ell / h * (1.0 - 1e-12)) for ell in truncations]
 
 
+def _convolve_rows(rows, b):
+    """Full linear convolution of each row of the real 2-D array ``rows`` with the real 1-D ``b``.
+
+    As ``_convolve`` on each row, bit for bit, without its bound: short
+    inputs go to ``np.convolve`` row by row, longer ones to one real
+    transform of all rows and one of ``b``.
+    """
+    size = rows.shape[1] + b.size - 1
+    if min(rows.shape[1], b.size) <= _DIRECT_CONVOLVE:
+        return np.array([np.convolve(row, b) for row in rows])
+    length = 1 << (size - 1).bit_length()
+    return np.fft.irfft(np.fft.rfft(rows, length) * np.fft.rfft(b, length), length)[:, :size]
+
+
 def _chain_level(samples, stages, h, bounded):
     """One trapezoid level of a chain-form integrand, as nested 1-D convolutions.
 
@@ -488,12 +515,12 @@ def _chain_level(samples, stages, h, bounded):
     factor.  Returns sum V, which equals the tensor trapezoid sum
     on the same grid, and, if ``bounded``, the same recursion's sum on
     |factors| (the absolute mass) and each FFT's roundoff bound carried to
-    the total; else None twice.
+    the total; else None twice.  The mass and the carried bounds are the two
+    rows of one real recursion (``_convolve_rows``).
     """
     legs = iter(samples[sum(len(axes) for axes, _ in stages):])
     value = np.ones(1, dtype=complex)
-    mass = np.ones(1)
-    fft_error = np.zeros(1)
+    bounds = np.array([[1.0], [0.0]])  # the absolute mass and the carried FFT roundoff
     for axes, leg in stages:
         for k in axes:
             weighted = samples[k] * h
@@ -501,18 +528,66 @@ def _chain_level(samples, stages, h, bounded):
             weighted[-1] *= 0.5
             value, bound = _convolve(value, weighted)
             if bounded:
-                abs_k = np.abs(weighted)
-                mass = _convolve(mass, abs_k)[0]
-                fft_error = _convolve(fft_error, abs_k)[0] + bound
+                bounds = _convolve_rows(bounds, np.abs(weighted))
+                bounds[1] += bound
         if leg is not None:
             g = next(legs)
             value = value * g
             if bounded:
-                mass = mass * np.abs(g)
-                fft_error = fft_error * np.abs(g)
+                bounds = bounds * np.abs(g)
     if not bounded:
         return complex(value.sum()), None, None
-    return complex(value.sum()), float(mass.sum()), float(fft_error.sum())
+    return complex(value.sum()), float(bounds[0].sum()), float(bounds[1].sum())
+
+
+class _ChainSamples:
+    """Each axis and leg factor of a chain-form integrand on a level's grid, evaluated once and kept.
+
+    ``lines`` holds each factor, the Im of its argument and the axes whose
+    reaches sum to its half-width: the axis factors, then the stages' leg
+    factors.  ``level(nodes, ahead)`` gives (h, samples, evaluations) of the
+    level at ``nodes`` on the common step of ``_chain_grid``, as
+    ``_chain_level`` reads them.  When every axis of the second level
+    ``ahead`` doubles the first, its step is exactly h / 2 and (h / 2) * 2m
+    rounds as h * m: one call of each factor on the second level's grid,
+    widened to the first level's reach, holds both levels' samples, the
+    first level's at its even entries.  ``evaluations`` counts the samples
+    computed, the second level's with the first.  A caller may keep the
+    store across ladders on the same contour.
+    """
+
+    def __init__(self, factors, stages, offsets, truncations):
+        lines = [(fn, b, (k,)) for k, (fn, b) in enumerate(zip(factors, offsets))]
+        shift, taken = 0.0, ()
+        for axes, leg in stages:
+            for k in axes:
+                shift += offsets[k]
+            taken += tuple(axes)
+            if leg is not None:
+                lines.append((leg, shift, taken))
+        self.lines, self.truncations, self._held = lines, truncations, {}
+
+    def _grid(self, nodes):
+        h, reach = _chain_grid(self.truncations, nodes)
+        return h, [sum(reach[k] for k in axes) for _, _, axes in self.lines]
+
+    def _sampled(self, h, widths):
+        return [_finite(fn(h * np.arange(-n, n + 1) + 1j * b)) for (fn, b, _), n in zip(self.lines, widths)]
+
+    def level(self, nodes, ahead):
+        key = tuple(nodes)
+        if key not in self._held:
+            h, widths = self._grid(nodes)
+            if ahead is not None and all(q == 2 * p for p, q in zip(nodes, ahead)):
+                fine = self._sampled(h / 2, [2 * n for n in widths])
+                h2, widths2 = self._grid(ahead)
+                centred = [v[v.size // 2 - n:v.size // 2 + n + 1] for v, n in zip(fine, widths2)]
+                self._held[tuple(ahead)] = h2, centred, 0
+                self._held[key] = h, [v[::2] for v in fine], sum(v.size for v in fine)
+            else:
+                samples = self._sampled(h, widths)
+                self._held[key] = h, samples, sum(v.size for v in samples)
+        return self._held[key]
 
 
 def _integrate_chain(f, spec: ContourSpec, factors, stages, tol: float,
@@ -528,48 +603,33 @@ def _integrate_chain(f, spec: ContourSpec, factors, stages, tol: float,
     couples.  Each level puts every axis on the common step of
     ``_chain_grid``, so an axis's window only grows past its truncation, and
     costs O(N * P log P) instead of the (P + 1)^N points of the tensor rule.
-    When every axis of the second level doubles the first, its step is
-    exactly h / 2 and (h / 2) * 2m rounds as h * m: one call of each factor
-    on the second level's grid, widened to the first level's reach, holds
-    both levels' samples, the first level's at its even entries.
-    ``evaluations`` counts the samples computed.  ``f`` itself only serves
-    the tail estimate.  Axes are capped at the line rule's node count.
+    Its samples come from a ``_ChainSamples`` store, which takes the first
+    two levels in one call of each factor.  ``f`` itself only serves the
+    tail estimate.  Axes are capped at the line rule's node count.
     """
-    # each factor, the Im of its argument and the axes whose reaches sum to its half-width
-    lines = [(fn, b, (k,)) for k, (fn, b) in enumerate(zip(factors, spec.offsets))]
-    shift, taken = 0.0, ()
-    for axes, leg in stages:
-        for k in axes:
-            shift += spec.offsets[k]
-        taken += tuple(axes)
-        if leg is not None:
-            lines.append((leg, shift, taken))
-    held = None  # the first level's call: the second level's grid, widened to the first level's reach
-
-    def sampled(h, widths):
-        return [_finite(fn(h * np.arange(-n, n + 1) + 1j * b)) for (fn, b, _), n in zip(lines, widths)]
+    store = _ChainSamples(factors, stages, spec.offsets, spec.truncations)
 
     def tail(nodes):
         h, reach = _chain_grid(spec.truncations, nodes)
         return _face_tail_estimate(f, spec.offsets, [n * h for n in reach], [2 * n for n in reach])
 
+    return _chain_ladder(store, stages, spec.start_nodes, _node_cap(1, max_nodes_per_axis), tol, tail)
+
+
+def _chain_ladder(store, stages, starts, cap, tol, tail, phased=None) -> QuadratureResult:
+    """The chain rule's refinement ladder on the samples of ``store`` (``_ChainSamples``).
+
+    ``phased(h, samples)``, if given, returns the samples a level sums in
+    place of the store's own (a kept store's spot phases).  The first level
+    computes no roundoff bound: ``_refine`` never reads it.
+    """
     def level(nodes, ahead):
-        nonlocal held
-        h, reach = _chain_grid(spec.truncations, nodes)
-        widths = [sum(reach[k] for k in axes) for _, _, axes in lines]
-        if held is not None:
-            samples = [vals[vals.size // 2 - n:vals.size // 2 + n + 1] for vals, n in zip(held, widths)]
-            held, evaluations = None, 0
-        elif ahead is not None and all(q == 2 * p for p, q in zip(nodes, ahead)):
-            held = sampled(h / 2, [2 * n for n in widths])
-            samples = [vals[::2] for vals in held]
-            evaluations = sum(vals.size for vals in held)
-        else:
-            samples = sampled(h, widths)
-            evaluations = sum(vals.size for vals in samples)
+        h, samples, evaluations = store.level(nodes, ahead)
+        if phased is not None:
+            samples = phased(h, samples)
         value, abs_mass, fft_error = _chain_level(samples, stages, h, bounded=ahead is None)
         if ahead is not None:
             return value, None, evaluations
         return value, _roundoff_estimate(abs_mass, sum(vals.size for vals in samples)) + fft_error, evaluations
 
-    return _refine(level, spec.start_nodes, _node_cap(1, max_nodes_per_axis), tol, tail)
+    return _refine(level, starts, cap, tol, tail)

@@ -146,7 +146,7 @@ class TestPlan:
         k = 1.5 * math.log(SPOT)
         p = PayoffParameterSet((0.0, 1.0), (k, k), (1, 1), ((1.0, 0.5), (0.5, 1.0)))
         assert digitals._chain_plan(p.condition_weights()) is None
-        assert delta(GAUSS, SCHED2, p, SPOT) == pytest.approx(3.0666748, abs=1e-7)
+        assert delta(GAUSS, SCHED2, p, SPOT).value == pytest.approx(3.0666748, abs=1e-7)
         assert calls.counts == {"integrate_line": 0, "integrate_tensor": 1, "_integrate_chain": 0}
 
 
@@ -213,17 +213,12 @@ class TestChainDelta:
     def test_every_multi_date_term_matches_the_difference(self, monkeypatch, name):
         model = DELTA_MODELS[name]
         calls = Calls(monkeypatch)
-        results = []
-        price_core = digitals._price_core
-        monkeypatch.setattr(digitals, "_price_core",
-                            lambda *args: results.extend(price_core(*args)) or results[-1:])
         for sched, p in multi_date_terms(model):
             before = dict(calls.counts)
-            slope = delta(model, sched, p, SPOT)
+            res = delta(model, sched, p, SPOT)
             assert calls.counts["_integrate_chain"] == before["_integrate_chain"] + 1
             assert calls.counts["integrate_tensor"] == 0
-            assert results[-1].value == slope
-            claimed = results[-1].quadrature_error
+            slope, claimed = res.value, res.quadrature_error
             (d1, e1), (d2, e2) = (self.central_difference(model, sched, p, h) for h in (0.1, 0.05))
             assert abs(slope - (4.0 * d2 - d1) / 3.0) <= e1 + e2 + abs(d2 - d1), (sched, p)
             if model is GAUSS:
@@ -399,3 +394,56 @@ class TestFaceTail:
                 else:
                     args = (f, spec.offsets, spec.truncations, nodes)
                 assert cq._face_tail_estimate(*args) == face_tail_oracle(*args)
+
+
+def chain_level_oracle(samples, stages, h, bounded):
+    """``quadrature._chain_level`` with the mass and the FFT-error recursion as two ``_convolve`` calls each."""
+    legs = iter(samples[sum(len(axes) for axes, _ in stages):])
+    value = np.ones(1, dtype=complex)
+    mass = np.ones(1)
+    fft_error = np.zeros(1)
+    for axes, leg in stages:
+        for k in axes:
+            weighted = samples[k] * h
+            weighted[0] *= 0.5
+            weighted[-1] *= 0.5
+            value, bound = cq._convolve(value, weighted)
+            if bounded:
+                abs_k = np.abs(weighted)
+                mass = cq._convolve(mass, abs_k)[0]
+                fft_error = cq._convolve(fft_error, abs_k)[0] + bound
+        if leg is not None:
+            g = next(legs)
+            value = value * g
+            if bounded:
+                mass = mass * np.abs(g)
+                fft_error = fft_error * np.abs(g)
+    if not bounded:
+        return complex(value.sum()), None, None
+    return complex(value.sum()), float(mass.sum()), float(fft_error.sum())
+
+
+class TestBoundsRecursion:
+    """The two-row mass and FFT-error recursion is the two-call form, bit for bit, on the multidate-exotics terms."""
+
+    @pytest.mark.parametrize("name", list(DELTA_MODELS))
+    def test_two_rows_are_the_two_calls(self, monkeypatch, name):
+        model = DELTA_MODELS[name]
+        chain_level = cq._chain_level
+        levels = []
+
+        def compared(samples, stages, h, bounded):
+            got = chain_level(samples, stages, h, bounded)
+            assert repr(got) == repr(chain_level_oracle(samples, stages, h, bounded))
+            if bounded:
+                levels.append(max(vals.size for vals in samples[:len(stages[0][0])]))
+            return got
+
+        monkeypatch.setattr(cq, "_chain_level", compared)
+        terms = [(sched, p) for contract in TestFaceTail.CONTRACTS.values()
+                 for _, sched, p in to_portfolio(contract, model).terms if p.n >= 2]
+        assert len(terms) == 18
+        for sched, p in terms:
+            price_digital(model, sched, p, SPOT)
+        # the rows went through the real transform; the first axis's, of length 1, through np.convolve
+        assert levels and min(levels) > cq._DIRECT_CONVOLVE

@@ -304,12 +304,14 @@ def _counting(monkeypatch, name):
     return calls
 
 
-# the depth-2 compounds of the compound-roots benchmark workload
+# the depth-2 and depth-3 compounds of the compound-roots benchmark workload
 DEPTH_TWO = [Compound(((0.5, K1, w1), (1.0, 100.0, w2)))
              for K1 in (3.0, 8.0) for w1 in (1, -1) for w2 in (1, -1)]
+DEPTH_THREE = [Compound(((0.25, 2.0, w0), (0.5, 4.0, 1), (1.0, 100.0, 1))) for w0 in (1, -1)]
 
 
 class TestThresholdSearch:
+    # contracts._newton_root, the root helper of the engine's and the closed form's critical-price searches
     @pytest.mark.parametrize("root", [0.37, 97.3, 104.0, 3e4])
     @pytest.mark.parametrize("slope", [1.0, -1.0])
     def test_bracket_root_evaluates_no_spot_twice(self, root, slope):
@@ -317,9 +319,9 @@ class TestThresholdSearch:
 
         def objective(x):
             spots.append(x)
-            return slope * math.log(x / root)
+            return slope * math.log(x / root), slope / x
 
-        found = contracts._bracket_root(objective, 100.0, 1e-9)
+        found = contracts._newton_root(objective, 100.0, 1e-9)
         assert found == pytest.approx(root, rel=1e-10)
         assert len(spots) == len(set(spots))
 
@@ -328,17 +330,34 @@ class TestThresholdSearch:
 
         def objective(x):
             spots.append(x)
-            return 1.0
+            return 1.0, 0.0
 
         with pytest.raises(NoRoot, match="no sign change"):
-            contracts._bracket_root(objective, 100.0, 1e-9)
-        assert len(spots) == 1 + 2 * 60
+            contracts._newton_root(objective, 100.0, 1e-9)
+        # 60 steps, each up by the whole ratio: x0 and the spots of the first 59
+        assert len(spots) == 60
+        assert spots[1:3] == [125.0, 125.0 * 1.25**2]
+
+    def test_newton_step_leaving_the_bracket_bisects(self):
+        # at 125 the slope of tanh((x - 104) / 2) is about 1.5e-9, so the Newton
+        # step from there leaves the bracket [100, 125] and bisection takes over
+        spots = []
+
+        def objective(x):
+            spots.append(x)
+            u = (x - 104.0) / 2.0
+            return math.tanh(u), 0.5 / math.cosh(u) ** 2
+
+        found = contracts._newton_root(objective, 100.0, 1e-9)
+        assert found == pytest.approx(104.0, abs=1e-9)
+        assert spots[:3] == [100.0, 125.0, 112.5]
+        assert len(spots) == len(set(spots))
 
     @pytest.mark.parametrize("comp, most", [
-        (Compound(((0.5, 3.0, 1), (1.0, 100.0, 1))), 12),
-        (Compound(((0.5, 8.0, -1), (1.0, 100.0, -1))), 12),
-        (Compound(((0.25, 2.0, 1), (0.5, 4.0, 1), (1.0, 100.0, 1))), 20),
-        (Compound(((0.25, 2.0, -1), (0.5, 4.0, 1), (1.0, 100.0, 1))), 20),
+        (Compound(((0.5, 3.0, 1), (1.0, 100.0, 1))), 4),
+        (Compound(((0.5, 8.0, -1), (1.0, 100.0, -1))), 4),
+        (DEPTH_THREE[0], 8),
+        (DEPTH_THREE[1], 8),
     ], ids=["depth2-call-on-call", "depth2-put-on-put", "depth3-call", "depth3-put"])
     def test_objective_calls(self, monkeypatch, comp, most):
         calls = _counting(monkeypatch, "_compound_value")
@@ -351,6 +370,21 @@ class TestThresholdSearch:
         price_contract(DEPTH_TWO[0], GAUSS, SPOT, tol=1e-8)
         to_portfolio(DEPTH_TWO[0], GAUSS)
         assert calls == [{"rel_tol": pytest.approx(1e-5)}, {"rel_tol": pytest.approx(1e-6)}, {}]
+
+    @pytest.mark.parametrize("model", [GAUSS, NIG, CGMY05], ids=["gaussian", "nig", "cgmy05"])
+    def test_critical_prices_within_xtol(self, model):
+        # each critical price at the default price tolerance lies within its
+        # search's xtol (rel_tol 1e-5 times its start) of the Gaussian closed
+        # form's, or of a rel_tol=1e-9 solve under the other models
+        for c in DEPTH_TWO + DEPTH_THREE:
+            default = solve_compound_thresholds(c, model, rel_tol=0.01 * math.sqrt(digitals.DEFAULT_TOL_ND))
+            if model is GAUSS:
+                reference = _compound_cf_thresholds(c.legs, 0.0, 0.2, 0.05)
+            else:
+                reference = solve_compound_thresholds(c, model, rel_tol=1e-9)
+            for j in range(len(c.legs) - 1):
+                start = next(s for s in default[j + 1:] if s is not None)
+                assert abs(default[j] - reference[j]) <= 1e-5 * start, (c.legs, j)
 
     @pytest.mark.parametrize("model", [GAUSS, CGMY15], ids=["gaussian", "cgmy15"])
     def test_default_price_matches_tight_thresholds(self, monkeypatch, model):
@@ -381,9 +415,9 @@ SEARCH_MODELS = {"gaussian": GAUSS, "nig": NIG, "cgmy05": CGMY05, "cgmy15": CGMY
 
 
 class TestKeptSamples:
-    # a critical-price search prices its one-condition terms from one set-up
-    # per term and spot window (digitals._kept_sample_prices); price_digital
-    # at each spot is the oracle
+    # a critical-price search prices its one- and two-condition terms and
+    # their deltas from one set-up per term and spot window
+    # (digitals._kept_sample_prices); price_digital at each spot is the oracle
     @pytest.mark.parametrize("model", SEARCH_MODELS.values(), ids=SEARCH_MODELS.keys())
     def test_objective_matches_per_spot_prices(self, monkeypatch, model):
         visits = []
@@ -395,42 +429,49 @@ class TestKeptSamples:
             def noted(price):
                 return lambda s: terms.append(price(s)) or terms[-1]
 
-            value = objective(port, [noted(price) for price in prices], spot)
+            value, slope = objective(port, [noted(price) for price in prices], spot)
             visits.append((port, spot, value, terms))
-            return value
+            return value, slope
 
         monkeypatch.setattr(contracts, "_compound_value", recorded)
-        for c in DEPTH_TWO:
+        for c in DEPTH_TWO + DEPTH_THREE:
             visits.clear()
             solve_compound_thresholds(c, model, rel_tol=1e-5)
-            tol = c.legs[0][1] * 1e-7  # the search's inner price tolerance
-            assert len(visits) > 3
+            assert len(visits) >= 3
+            two_conditions = 0
             for port, spot, value, terms in visits:
+                # the search of leg j prices the sub-compound on the dates after T_j
+                leg = len(c.legs) - 1 - len(port.terms[0][1].dates)
+                tol = c.legs[leg][1] * 1e-7  # the search's inner price tolerance
                 reference, budget = port.cash, 0.0
-                for (coef, sched, p), kept in zip(port.terms, terms):
+                for (coef, sched, p), (kept, twin) in zip(port.terms, terms):
                     ref = price_digital(model, sched, p, spot, tol=tol)
                     assert abs(kept.value - ref.value) <= kept.quadrature_error + ref.quadrature_error, (c.legs, spot)
+                    # the twin only steers the step: it is held to 1e-4 of delta() beyond
+                    # delta's own claim (under CGMY Y=1.5 it is off by up to 1.3e-5)
+                    slope = delta(model, sched, p, spot, tol=tol)
+                    assert abs(twin - slope.value) <= slope.quadrature_error + 1e-4 * abs(slope.value), (c.legs, spot)
                     reference += coef * ref.value
                     budget += abs(coef) * (kept.quadrature_error + ref.quadrature_error)
+                    two_conditions += p.n == 2
                 assert abs(value - reference) <= budget, (c.legs, spot)
+            assert two_conditions > 0 if len(c.legs) == 3 else two_conditions == 0
 
     @pytest.mark.parametrize("depth", [2, 3])
     def test_one_truncation_per_term_and_window(self, monkeypatch, depth):
         # depth 2: two one-condition terms, one window each.  Depth 3: two in the
-        # inner leg's search and one in the outer's, whose two-condition terms
-        # are priced by price_digital at every spot, each with its own truncation
+        # inner leg's search; in the outer's, one one-condition and two
+        # two-condition terms, on the chain rule.  No term is priced spot by spot
         truncations = _counting_in(monkeypatch, digitals, "_truncations")
-        windows = _counting_in(monkeypatch, digitals, "_strip_pricer")
+        strips = _counting_in(monkeypatch, digitals, "_strip_pricer")
+        chains = _counting_in(monkeypatch, digitals, "_chain_pricer")
         per_spot = _counting_in(monkeypatch, digitals, "price_digital")
-        comps = DEPTH_TWO if depth == 2 else [Compound(((0.25, 2.0, w0), (0.5, 4.0, 1), (1.0, 100.0, 1)))
-                                              for w0 in (1, -1)]
-        for c in comps:
-            before = len(windows), len(truncations), len(per_spot)
+        for c in DEPTH_TWO if depth == 2 else DEPTH_THREE:
+            before = len(strips), len(chains), len(truncations)
             solve_compound_thresholds(c, GAUSS)
-            new_windows = len(windows) - before[0]
-            assert new_windows == (2 if depth == 2 else 3)
-            assert len(truncations) - before[1] == new_windows + len(per_spot) - before[2]
-            assert all(args[2].n == 2 for args in per_spot[before[2]:])
+            assert (len(strips) - before[0], len(chains) - before[1]) == ((2, 0) if depth == 2 else (3, 2))
+            assert len(truncations) - before[2] == (2 if depth == 2 else 5)
+        assert per_spot == []
 
     def test_a_root_outside_the_start_window_gets_a_fresh_one(self, monkeypatch):
         # S* is about 248, beyond the window [50, 200] set up at the first spot,

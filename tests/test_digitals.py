@@ -482,18 +482,20 @@ class TestDelta:
         sched = MonitoringSchedule(0.0, (0.5, 1.0))
         p = PayoffParameterSet((0.0, 1.0), (0.0,), (1,), ((-1.0, 1.0),))
         price = price_digital(GAUSS, sched, p, SPOT)
-        slope = delta(GAUSS, sched, p, SPOT)
+        slope = delta(GAUSS, sched, p, SPOT).value
         assert slope * SPOT == pytest.approx(price.value, rel=1e-10)
 
     def test_certain_digital_has_zero_delta(self):
         sched = MonitoringSchedule(0.0, (1.0,))
-        slope = delta(GAUSS, sched, plain_digital(-50.0), SPOT)
+        slope = delta(GAUSS, sched, plain_digital(-50.0), SPOT).value
         assert abs(slope) < 1e-10
 
     def test_atm_digital_matches_finite_difference(self):
         sched = MonitoringSchedule(0.0, (1.0,))
         p = plain_digital(ATM_LOG)
         slope = delta(GAUSS, sched, p, SPOT, tol=1e-11)
+        assert slope.quadrature_error < 1e-9
+        slope = slope.value
         h = 1e-4 * SPOT
         up = price_digital(GAUSS, sched, p, SPOT + h, tol=1e-11).value
         dn = price_digital(GAUSS, sched, p, SPOT - h, tol=1e-11).value

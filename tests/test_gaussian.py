@@ -23,7 +23,7 @@ from levyexotic import (
 from levyexotic.errors import DimensionTooLarge, NotPSD
 from levyexotic import contracts, digitals, gaussian
 from levyexotic import quadrature as cq
-from levyexotic.gaussian import _compound_cf_thresholds
+from levyexotic.gaussian import _compound_cf, _compound_cf_thresholds
 
 # trivariate values frozen from an independent adaptive-quadrature
 # conditioning oracle (nested scipy.integrate.quad, tolerance 1e-12)
@@ -208,7 +208,7 @@ class TestClosedForms:
         assert 50.0 < thr[0] < 150.0
 
     def test_depth_three_compound_solves_each_threshold_once(self, monkeypatch):
-        original = contracts._bracket_root
+        original = contracts._newton_root
         solves = []
 
         def counted(objective, x0, xtol):
@@ -216,8 +216,8 @@ class TestClosedForms:
             return original(objective, x0, xtol)
 
         for name, module in list(sys.modules.items()):
-            if name.startswith("levyexotic") and getattr(module, "_bracket_root", None) is original:
-                monkeypatch.setattr(module, "_bracket_root", counted)
+            if name.startswith("levyexotic") and getattr(module, "_newton_root", None) is original:
+                monkeypatch.setattr(module, "_newton_root", counted)
         comp = Compound(((0.25, 2.0, 1), (0.5, 4.0, 1), (1.0, 100.0, 1)))
         value = closed_form_price(comp, 0.2, 0.05, 100.0)
         starts = list(solves)
@@ -248,3 +248,15 @@ def test_closed_form_roots_price_no_digital(monkeypatch, legs, roots):
                          (contracts, "_kept_sample_prices"), (contracts, "price_digital")]:
         monkeypatch.setattr(module, name, refuse)
     assert _compound_cf_thresholds(legs, 0.0, 0.2, 0.05) == pytest.approx(roots, rel=1e-12)
+
+
+@pytest.mark.parametrize("legs", [legs for legs, _ in CLOSED_FORM_ROOTS],
+                         ids=["d2-call", "d2-put", "d3-call", "d3-put"])
+@pytest.mark.parametrize("spot", [80.0, 100.0, 125.0])
+def test_closed_form_delta_matches_the_difference(legs, spot):
+    # the slope the closed form's critical-price search steps on; a central
+    # difference at h = 0.01 errs by h^2 |d3V/dS3| / 6, below 3e-8 on these
+    price, slope = _compound_cf(legs, 0.0, 0.2, 0.05, spot)
+    up, down = (_compound_cf(legs, 0.0, 0.2, 0.05, spot + h)[0] for h in (0.01, -0.01))
+    assert price == closed_form_price(Compound(legs), 0.2, 0.05, spot)
+    assert slope == pytest.approx((up - down) / 0.02, abs=1e-7)
