@@ -338,6 +338,12 @@ class TestThresholdSearch:
         assert len(spots) == 60
         assert spots[1:3] == [125.0, 125.0 * 1.25**2]
 
+    def test_bracket_still_wide_after_the_budget_raises(self):
+        # a step function without slope: 14 ratio steps reach the bracket
+        # around 1e12, and 46 bisections leave it far wider than xtol
+        with pytest.raises(NoRoot, match="still wider than 0.001 after 60 steps"):
+            contracts._newton_root(lambda x: (math.copysign(1.0, x - 1e12), 0.0), 100.0, 1e-3)
+
     def test_newton_step_leaving_the_bracket_bisects(self):
         # at 125 the slope of tanh((x - 104) / 2) is about 1.5e-9, so the Newton
         # step from there leaves the bracket [100, 125] and bisection takes over
