@@ -30,8 +30,6 @@ from .digitals import (
     default_offsets,
     delta,
     price_digital,
-    price_single_period,
-    psi_aggregate,
 )
 from .gaussian import bvn_cdf, closed_form_price, lemma1_contour_side, mvn_cdf
 from .mc import MCResult, mc_price, simulate_monitoring
@@ -83,8 +81,6 @@ __all__ = [
     "mvn_cdf",
     "price_contract",
     "price_digital",
-    "price_single_period",
-    "psi_aggregate",
     "simulate_monitoring",
     "solve_compound_thresholds",
     "to_portfolio",

@@ -18,7 +18,9 @@ tensor axes stay on horizontal lines, and the horizontal line rule stays
 the curve's tested oracle.  One-condition terms take the offset of the
 halving rule (``_halved_offsets``).  A single spot's N >= 2 term at default
 offsets takes the offset, and each axis the start level, that one trapezoid
-error model predicts to cost the fewest nodes (``_costed_offset``).
+error model predicts to cost the fewest nodes (``_costed_offset``).  Every
+N >= 2 term in chain form, a single spot's or a kept window's, is set up by
+``_chain_pricer`` alone.
 
 The exponent E is a sum over the monitoring legs j = 1..M of
 -Delta_j psi(zeta_j), at zeta_j = sum_k C[k, j] xi_k - i G_j, where C and G
@@ -272,18 +274,6 @@ class _Legs:
                         exc, run = row_exc, [j]
                         break
             raise StripViolation(f"leg {run[0] + 1}: {exc}") from None
-
-
-def psi_aggregate(model: LevyModel, sched: MonitoringSchedule, p: PayoffParameterSet, xi):
-    """Multi-leg exponent sum_j (T_j - T_{j-1}) psi(zeta_j(xi)) of the leg list (``_Legs``).
-
-    ``xi`` of shape (..., N) gives shape xi.shape[:-1], and a single point of
-    shape (N,) a complex.  Raises StripViolation naming the offending leg.
-    """
-    xi = np.asarray(xi, dtype=complex)
-    exponent = _Legs(model, sched, p).exponent(range(p.m), tuple(xi[..., k] for k in range(p.n)), range(p.n))
-    total = np.zeros(xi.shape[:-1], dtype=complex) - exponent
-    return complex(total) if total.ndim == 0 else total
 
 
 def feasibility_sums(p: PayoffParameterSet, omega) -> np.ndarray:
@@ -548,10 +538,11 @@ def _price_core(model, sched, p, spots, offsets=None, tol=None, fixed_nodes=None
     flipped condition.  Spots of one payoff and offset form a group.  One
     spot with N = 1 runs the line rule along a sinh-deformed contour through
     the group's offset (``_sinh_price``); one spot with N >= 2 runs the
-    chain or tensor rule, whose truncation serves its ``_log_peak``.  Its
+    chain rule (``_chain_pricer``) or the tensor rule (``_contour_price``),
+    whose truncation serves its ``_log_peak``.  Its
     default offset comes from the cost rule (``_costed_offset``) at ``tol``,
     whose predicted step h also raises each axis's start level
-    (``_contour_price``); given offsets keep the phase-resolving start.
+    (``_start_counts``); given offsets keep the phase-resolving start.
     Several spots form a strip (N = 1, prices at default offsets and nodes):
     the spot enters only through the phase exp(i d xi), so each group, even
     of one spot, runs one ladder of the strip rule
@@ -660,65 +651,80 @@ def _strip_pricer(legs, offs, b, truncations, d_rows):
     return prices
 
 
-def _chain_pricer(legs, offs, b, truncations, d_rows, step):
-    """Chain-rule prices and deltas of an N >= 2 set-up, from samples kept across calls; start for ``d_rows``.
+def _chain_pricer(legs, offs, b, truncations, d0, starts, cap, delta_spot=None):
+    """The one chain-rule set-up of an N >= 2 term, as its price at any log moneyness d; None if not in chain form.
 
-    The set-up is ``_one_spot_price``'s without the spot: the plan's flips
-    (``_chain_plan``), the axis and leg factors at d = 0 (``_chain_factors``)
-    in one ``quadrature._ChainSamples`` store, the face tail of the d = 0
-    integrand per final level, and start counts that resolve the largest
-    |d_k| of ``d_rows``, raised by the cost rule's ``step`` (``_start_counts``).
-    ``price(d, prefactor, raw_tol, spot)`` multiplies each axis factor's
-    samples by its phases exp(i d_k h m) and takes their modulus
-    exp(-sum_k d_k b_k) out of the ladder, as ``quadrature._integrate_strip``
-    does.  It returns the price and its delta: the final level's chain sum
-    with the leg factor that holds leg 1 weighted by i zeta_1 / spot, as
-    ``delta`` weights it (``_chain_factors``).  Leg 1 must couple more than
-    one axis, as it does in every compound term.
+    On a copy of ``legs`` flipped by the plan (``_chain_plan``), it puts the
+    axis and leg factors at phase ``d0`` (``_chain_factors``), times the
+    weight i zeta_1 / ``delta_spot`` on the factor that holds leg 1 if given
+    (see ``delta``), in one ``quadrature._ChainSamples`` store; the face tail
+    of that integrand is kept per final level.  Each ladder starts at
+    ``starts`` and stops at ``cap`` nodes per axis.  A single spot
+    (``_one_spot_price``) passes its own d as ``d0``; a kept window
+    (``_kept_sample_prices``) passes d0 = 0 and start counts that resolve
+    its largest |d_k|.
+
+    ``price(d, prefactor, raw_tol, spot=None, stalled_raises=True)`` runs one
+    ladder on the store.  Where d differs from d0 it multiplies each axis
+    factor's samples by the phases exp(i (d - d0)_k h m) and takes their
+    modulus exp(-sum_k (d - d0)_k b_k) out of the ladder, as
+    ``quadrature._integrate_strip`` does.  Given a ``spot`` it also returns
+    the delta's value: the final level's chain sum with the leg factor that
+    holds leg 1 weighted by i zeta_1 / spot.  Leg 1 must then couple more
+    than one axis, as it does in every compound term.
     """
+    plan = _chain_plan(legs.cmat)
+    if plan is None:
+        return None
+    flips, supports = plan
     n, m = legs.cmat.shape
-    flips, supports = _chain_plan(legs.cmat)
+    # integrate over eta_k = flips_k xi_k: the flipped grid holds the same
+    # points, and 1 / prod(xi) = prod(flips) / prod(eta)
     legs = copy(legs)  # the caller's leg list stays unflipped
     legs.cmat = legs.cmat * flips[:, None]
-    b = b * flips
-    factors, stages = _chain_factors(legs, np.zeros(n), supports, None)
+    b, d0 = b * flips, d0 * flips
+    weight = None if delta_spot is None else (lambda xs, axes: 1j * legs.zeta(0, xs, axes) / delta_spot)
+    factors, stages = _chain_factors(legs, d0, supports, weight)
     store = cq._ChainSamples(factors, stages, b, truncations)
-    flat = _integrand(legs, np.zeros(n))
-    starts = _start_counts(truncations, np.abs(d_rows).max(axis=0), cq.LINE_NODE_CAP, step)
+    integrand = _integrand(legs, d0, weight)
     tails = {}
-    # each condition row of a compound term sums to 1, so leg 1 couples every axis
-    # and its support's leg factor holds it (``_chain_factors``)
-    axes_1 = tuple(np.flatnonzero(legs.cmat[:, 0]).tolist())
-    holder = n + [axes for axes, _ in supports].index(axes_1)
-    coupling = legs.cmat[axes_1[0], 0]
 
     def tail(nodes):
         if tuple(nodes) not in tails:
             h, reach = cq._chain_grid(truncations, nodes)
-            tails[tuple(nodes)] = cq._face_tail_estimate(flat, b, [r * h for r in reach], [2 * r for r in reach])
+            tails[tuple(nodes)] = cq._face_tail_estimate(integrand, b, [r * h for r in reach], [2 * r for r in reach])
         return tails[tuple(nodes)]
 
-    def price(d, prefactor, raw_tol, spot):
-        d = d * flips
-        modulus = math.exp(-float(d @ b))
+    def price(d, prefactor, raw_tol, spot=None, stalled_raises=True):
+        shift = d * flips - d0
+        shifted = bool(shift.any())
+        modulus = math.exp(-float(shift @ b))  # exactly 1 when d is d0
         final = {}
 
         def phased(h, samples):
-            out = [vals * np.exp(1j * d[k] * h * np.arange(-(vals.size // 2), vals.size // 2 + 1))
-                   for k, vals in enumerate(samples[:n])] + samples[n:]
-            final.update(h=h, samples=out)
-            return out
+            if shifted:
+                samples = [vals * np.exp(1j * shift[k] * h * np.arange(-(vals.size // 2), vals.size // 2 + 1))
+                           for k, vals in enumerate(samples[:n])] + samples[n:]
+            final.update(h=h, samples=samples)
+            return samples
 
-        res = cq._chain_ladder(store, stages, starts, cq.LINE_NODE_CAP, raw_tol / modulus, tail, phased)
-        res = replace(res, value=res.value * modulus, error_estimate=res.error_estimate * modulus)
+        res = cq._chain_ladder(store, stages, starts, cap, raw_tol / modulus, tail, phased)
+        if shifted:
+            res = replace(res, value=res.value * modulus, error_estimate=res.error_estimate * modulus)
         scale = prefactor * math.prod(flips)
+        result = _scaled_price(res, scale, raw_tol, offs, (n, m), stalled_raises)
+        if spot is None:
+            return result
+        # each condition row of a compound term sums to 1, so leg 1 couples every axis
+        # and its support's leg factor holds it (``_chain_factors``)
+        axes_1 = tuple(np.flatnonzero(legs.cmat[:, 0]).tolist())
+        holder = n + [axes for axes, _ in supports].index(axes_1)
         h, samples = final["h"], list(final["samples"])
         width = samples[holder].size // 2
         z = h * np.arange(-width, width + 1) + 1j * store.lines[holder][1]
-        samples[holder] = samples[holder] * (1j * coupling * z + legs.gsuf[0])
+        samples[holder] = samples[holder] * (1j * legs.cmat[axes_1[0], 0] * z + legs.gsuf[0])
         twin = cq._chain_level(samples, stages, h, False)[0] * modulus
-        return (_scaled_price(res, scale, raw_tol, offs, (n, m)),
-                (scale / (2.0j * math.pi) ** n * twin).real / spot)
+        return result, (scale / (2.0j * math.pi) ** n * twin).real / spot
     return price
 
 
@@ -752,7 +758,8 @@ def _kept_sample_prices(model, sched, p, tol):
         b, _, raw_tols = _group_setup(model, sched, p, offs, ends, tol)
         truncations = _truncations(legs, min(raw_tols), _log_peak(legs, p, offs.omega, d_ends).max())
         if p.n >= 2:
-            return _chain_pricer(legs, offs, b, truncations, d_ends, step)
+            starts, cap = _start_counts(truncations, np.abs(d_ends).max(axis=0), cq.LINE_NODE_CAP, step)
+            return _chain_pricer(legs, offs, b, truncations, np.zeros(p.n), starts, cap)
         strip = _strip_pricer(legs, offs, b, truncations, d_ends)
         return lambda d, prefactor, raw_tol, x: strip(d, [prefactor], [raw_tol], [x])[0]
 
@@ -844,24 +851,19 @@ def _sinh_price(legs, spot, d, b, interval, raw_tol, prefactor, offsets, fixed_n
 
 def _one_spot_price(legs, spot, d_vec, b, truncations, raw_tol, prefactor, offsets,
                     fixed_nodes, delta_mode, step) -> PriceResult:
-    """One spot's N >= 2 price for ``_price_core``: on the chain (``_chain_plan``) or the tensor rule."""
-    n, m = legs.cmat.shape
+    """One spot's N >= 2 price for ``_price_core``: the chain rule (``_chain_pricer``), else the tensor rule.
+
+    The chain set-up takes the spot's own d as its phase, and its start
+    counts and cap, or ``fixed_nodes`` as both; in ``delta_mode`` it weights
+    the factor that holds leg 1 by i zeta_1 / spot.
+    """
+    starts, cap = _start_counts(truncations, d_vec, cq.LINE_NODE_CAP, step, fixed_nodes)
+    chain = _chain_pricer(legs, offsets, b, truncations, d_vec, starts, cap, spot if delta_mode else None)
+    if chain is not None:
+        return chain(d_vec, prefactor, raw_tol, stalled_raises=fixed_nodes is None)
     weight = (lambda xs, axes: 1j * legs.zeta(0, xs, axes) / spot) if delta_mode else None  # see ``delta``
-
-    # Chain form: integrate over eta_k = flips_k * xi_k.  The flipped grid holds
-    # the same points, and 1/prod(xi) = prod(flips) / prod(eta).
-    chain = None
-    plan = _chain_plan(legs.cmat)
-    if plan is not None:
-        flips, supports = plan
-        legs.cmat = legs.cmat * flips[:, None]
-        d_vec = d_vec * flips
-        b = b * flips
-        prefactor *= math.prod(flips)
-        chain = _chain_factors(legs, d_vec, supports, weight)
-
-    return _contour_price(_integrand(legs, d_vec, weight), b, truncations, d_vec, raw_tol, prefactor, (n, m),
-                          offsets, fixed_nodes, chain, step)
+    return _contour_price(_integrand(legs, d_vec, weight), b, truncations, d_vec, raw_tol, prefactor,
+                          legs.cmat.shape, offsets, fixed_nodes, step)
 
 
 def _integrand(legs: _Legs, d_vec, weight=None):
@@ -915,7 +917,10 @@ def _chain_factors(legs: _Legs, d_vec, supports, weight):
     that couple no axis are a constant on axis 0.  Each nested support adds
     its new axes and a factor of the legs on it, at the sum of its axes.  A
     ``weight`` other than None multiplies the factor that holds leg 1, at leg
-    1's argument.  Returns (factors, stages) for ``quadrature._integrate_chain``.
+    1's argument.  ``d_vec`` and ``weight`` are those of the set-up
+    (``_chain_pricer``): a single spot's d and delta weight, or d = 0 and none
+    for a kept window.  Returns (factors, stages) for
+    ``quadrature._ChainSamples``.
     """
     n, m = legs.cmat.shape
     own = [[] for _ in range(n)]
@@ -952,55 +957,47 @@ def _chain_factors(legs: _Legs, d_vec, supports, weight):
 
 
 def _contour_price(integrand, b, truncations, d_vec, raw_tol, prefactor, dims,
-                   offsets=None, fixed_nodes=None, chain=None, step=None) -> PriceResult:
+                   offsets=None, fixed_nodes=None, step=None) -> PriceResult:
     """prefactor / (2 pi i)^N times the N-fold contour integral of ``integrand``.
 
-    Serves the single-spot prices on horizontal lines: the N >= 2 digitals
-    of ``_price_core`` (the normal-CDF identity among them) and the
-    continuous Asian.  Axis k runs along Im(xi_k) = b[k] out to |Re| <= truncations[k];
-    its ladder starts at a node count that resolves the phase exp(i d_k xi_k)
-    over the window (``_start_count``); given the cost rule's predicted
-    ``step`` h (``_costed_offset``), at the larger of that count and
-    2^floor(log2(2 L_k / h)).  N = 1 goes to the line quadrature; N >= 2 goes
-    to the chain rule when ``chain`` holds the integrand's (factors, stages)
-    (``_chain_factors``), else to the tensor ladder.  Line and chain axes
-    share the line rule's node cap; only the tensor ladder reads the tensor
-    caps.  A start count is at most half the cap.  ``raw_tol`` bounds the raw
-    integral.  ``fixed_nodes`` evaluates a single level and never raises
-    NoConvergence; it must be even and at least ``MIN_NODES`` (16) for every
-    N.  A ``fixed_nodes`` ladder starts at its cap, so it first runs a half
-    level and needs at least 30 nodes (``quadrature._refine``).
+    Serves the single-spot prices on horizontal lines that the chain rule
+    does not: the continuous Asian (N = 1, the line rule) and the N >= 2
+    digitals of ``_price_core`` that are not in chain form (the tensor rule),
+    the normal-CDF identity among them.  Axis k runs along Im(xi_k) = b[k] out
+    to |Re| <= truncations[k]; its ladder starts at ``_start_counts``'s
+    count, under the line rule's or the tensor rule's node cap.
+    ``raw_tol`` bounds the raw integral.  ``fixed_nodes`` evaluates a single
+    level and never raises NoConvergence; it must be even and at least
+    ``MIN_NODES`` (16) for every N.  A ``fixed_nodes`` ladder starts at its
+    cap, so it first runs a half level and needs at least 30 nodes
+    (``quadrature._refine``).
     """
     n = len(b)
-    if fixed_nodes is not None:
-        cap = _checked_fixed_nodes(fixed_nodes)
-        starts = [cap] * n
-    else:
-        cap = cq._node_cap(n if chain is None else 1, None)
-        starts = _start_counts(truncations, d_vec, cap, step)
-
+    starts, cap = _start_counts(truncations, d_vec, cq._node_cap(n, None), step, fixed_nodes)
     if n == 1:
         res = cq.integrate_line(integrand, b[0], truncations[0], raw_tol,
                                 start_nodes=starts[0], max_nodes=cap)
     else:
         spec = cq.ContourSpec(tuple(b), tuple(truncations), tuple(starts))
-        if chain is None:
-            res = cq.integrate_tensor(integrand, spec, raw_tol, max_nodes_per_axis=cap)
-        else:
-            res = cq._integrate_chain(integrand, spec, *chain, raw_tol, max_nodes_per_axis=cap)
+        res = cq.integrate_tensor(integrand, spec, raw_tol, max_nodes_per_axis=cap)
     return _scaled_price(res, prefactor, raw_tol, offsets, dims, stalled_raises=fixed_nodes is None)
 
 
-def _start_counts(truncations, d_vec, cap, step) -> list[int]:
-    """Each axis's ``_start_count``, raised to 2^floor(log2(2 L_k / step)) given the cost rule's ``step``.
+def _start_counts(truncations, d_vec, cap, step, fixed_nodes=None) -> tuple[list[int], int]:
+    """Each axis's start count and the ladder's node cap: ``fixed_nodes`` as both if given, else ``cap``.
 
-    A start count is at most half ``cap``.
+    Without ``fixed_nodes`` each axis starts at its ``_start_count``, raised
+    to 2^floor(log2(2 L_k / step)) given the cost rule's ``step``
+    (``_costed_offset``), and at most half ``cap``.
     """
+    if fixed_nodes is not None:
+        fixed = _checked_fixed_nodes(fixed_nodes)
+        return [fixed] * len(truncations), fixed
     starts = [_start_count(ell, d, cap) for ell, d in zip(truncations, d_vec)]
-    if step is None:
-        return starts
-    return [min(max(start, 1 << max(math.floor(math.log2(2.0 * ell / step)), 0)), cap // 2)
-            for start, ell in zip(starts, truncations)]
+    if step is not None:
+        starts = [min(max(start, 1 << max(math.floor(math.log2(2.0 * ell / step)), 0)), cap // 2)
+                  for start, ell in zip(starts, truncations)]
+    return starts, cap
 
 
 def _checked_fixed_nodes(fixed_nodes) -> int:
@@ -1043,23 +1040,6 @@ def price_digital(
 ) -> PriceResult:
     """Value of the multi-period power digital described by ``p``."""
     return _price_core(model, sched, p, [spot], offsets, tol, fixed_nodes)[0]
-
-
-def price_single_period(
-    model: LevyModel,
-    T: float,
-    gamma: float,
-    a: float,
-    w: int,
-    k_log: float,
-    spot: float,
-    t: float = 0.0,
-    tol: float | None = None,
-) -> PriceResult:
-    """Single-date power digital S_T^gamma 1(w a X_T >= w K), priced by ``price_digital``."""
-    sched = MonitoringSchedule(t, (T,))
-    p = PayoffParameterSet((gamma,), (k_log,), (w,), ((a,),))
-    return price_digital(model, sched, p, spot, tol=tol)
 
 
 def delta(

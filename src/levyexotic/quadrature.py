@@ -13,10 +13,11 @@ level rules:
 - the strip rule of ``_integrate_strip``, for the line integrals of
   exp(i d_s xi + log_f(xi)) over phase coefficients d_s, all from one store
   of samples of log_f (``_Samples``) that callers may keep across strips;
-- the chain rule of ``_integrate_chain``, for N >= 2 axes whose integrand
+- the chain rule of ``_chain_ladder``, for N >= 2 axes whose integrand
   factors into per-axis factors and leg factors of nested partial sums of
   the axes: it computes the tensor trapezoid sum on a common step as N nested
-  1-D convolutions (the Fourier-domain CONV recursion);
+  1-D convolutions (the Fourier-domain CONV recursion), on the samples of a
+  ``_ChainSamples`` store that ``digitals._chain_pricer`` sets up;
 - the tensor rule of ``integrate_tensor``, for any other N-fold integrand and
   as the oracle of the chain rule.
 
@@ -543,9 +544,15 @@ def _chain_level(samples, stages, h, bounded):
 class _ChainSamples:
     """Each axis and leg factor of a chain-form integrand on a level's grid, evaluated once and kept.
 
-    ``lines`` holds each factor, the Im of its argument and the axes whose
-    reaches sum to its half-width: the axis factors, then the stages' leg
-    factors.  ``level(nodes, ahead)`` gives (h, samples, evaluations) of the
+    A chain-form N-fold integrand factors as
+
+        f(*xs) = prod_k factors[k](xs[k]) * prod_t leg_t(sum of xs over S_t),
+
+    where ``stages`` lists (axes, leg_t) pairs and S_t is the union of the
+    axes of stages 1..t; a final stage may carry ``leg=None`` for axes no leg
+    couples.  ``lines`` holds each factor, the Im of its argument and the
+    axes whose reaches sum to its half-width: the axis factors, then the
+    stages' leg factors.  ``level(nodes, ahead)`` gives (h, samples, evaluations) of the
     level at ``nodes`` on the common step of ``_chain_grid``, as
     ``_chain_level`` reads them.  When every axis of the second level
     ``ahead`` doubles the first, its step is exactly h / 2 and (h / 2) * 2m
@@ -590,43 +597,20 @@ class _ChainSamples:
         return self._held[key]
 
 
-def _integrate_chain(f, spec: ContourSpec, factors, stages, tol: float,
-                     max_nodes_per_axis: int | None = None) -> QuadratureResult:
-    """Tensor trapezoid value of a chain-form N-fold contour integral.
-
-    The integrand must factor as
-
-        f(*xs) = prod_k factors[k](xs[k]) * prod_t leg_t(sum of xs over S_t),
-
-    where ``stages`` lists (axes, leg_t) pairs and S_t is the union of the
-    axes of stages 1..t; a final stage may carry ``leg=None`` for axes no leg
-    couples.  Each level puts every axis on the common step of
-    ``_chain_grid``, so an axis's window only grows past its truncation, and
-    costs O(N * P log P) instead of the (P + 1)^N points of the tensor rule.
-    Its samples come from a ``_ChainSamples`` store, which takes the first
-    two levels in one call of each factor.  ``f`` itself only serves the
-    tail estimate.  Axes are capped at the line rule's node count.
-    """
-    store = _ChainSamples(factors, stages, spec.offsets, spec.truncations)
-
-    def tail(nodes):
-        h, reach = _chain_grid(spec.truncations, nodes)
-        return _face_tail_estimate(f, spec.offsets, [n * h for n in reach], [2 * n for n in reach])
-
-    return _chain_ladder(store, stages, spec.start_nodes, _node_cap(1, max_nodes_per_axis), tol, tail)
-
-
-def _chain_ladder(store, stages, starts, cap, tol, tail, phased=None) -> QuadratureResult:
+def _chain_ladder(store, stages, starts, cap, tol, tail, phased) -> QuadratureResult:
     """The chain rule's refinement ladder on the samples of ``store`` (``_ChainSamples``).
 
-    ``phased(h, samples)``, if given, returns the samples a level sums in
-    place of the store's own (a kept store's spot phases).  The first level
-    computes no roundoff bound: ``_refine`` never reads it.
+    Each level puts every axis on the common step of ``_chain_grid``, so an
+    axis's window only grows past its truncation, and costs O(N * P log P)
+    instead of the (P + 1)^N points of the tensor rule.  It sums
+    ``phased(h, samples)`` in place of the store's own samples (a spot's
+    phases, which may be none); ``tail(nodes)`` estimates the mass outside
+    the final level's window.  The first level computes no roundoff bound:
+    ``_refine`` never reads it.
     """
     def level(nodes, ahead):
         h, samples, evaluations = store.level(nodes, ahead)
-        if phased is not None:
-            samples = phased(h, samples)
+        samples = phased(h, samples)
         value, abs_mass, fft_error = _chain_level(samples, stages, h, bounded=ahead is None)
         if ahead is not None:
             return value, None, evaluations

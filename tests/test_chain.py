@@ -70,10 +70,10 @@ def assert_chain_form(cmat, plan):
 
 
 class Calls:
-    """Counts calls of the three level rules, wrapping them in ``quadrature``."""
+    """Counts calls of the line and tensor rules and of the chain rule's ladder, wrapping them in ``quadrature``."""
 
     def __init__(self, monkeypatch):
-        self.counts = {"integrate_line": 0, "integrate_tensor": 0, "_integrate_chain": 0}
+        self.counts = {"integrate_line": 0, "integrate_tensor": 0, "_chain_ladder": 0}
         for name in self.counts:
             monkeypatch.setattr(cq, name, self._counted(name, getattr(cq, name)))
 
@@ -124,22 +124,22 @@ class TestPlan:
         p = PayoffParameterSet((0.0, 0.0), (4.6, 4.6), (1, 1), ((1.0, -0.5), (0.5, 1.0)))
         assert digitals._chain_plan(p.condition_weights()) is None
         price_digital(GAUSS, SCHED2, p, SPOT, tol=1e-5)
-        assert calls.counts == {"integrate_line": 0, "integrate_tensor": 1, "_integrate_chain": 0}
+        assert calls.counts == {"integrate_line": 0, "integrate_tensor": 1, "_chain_ladder": 0}
 
     def test_one_date_stays_on_the_line_rule(self, monkeypatch):
         calls = Calls(monkeypatch)
         p = PayoffParameterSet((0.0,), (math.log(100.0),), (1,), ((1.0,),))
         price_digital(NIG, MonitoringSchedule(0.0, (1.0,)), p, SPOT)
-        assert calls.counts == {"integrate_line": 1, "integrate_tensor": 0, "_integrate_chain": 0}
+        assert calls.counts == {"integrate_line": 1, "integrate_tensor": 0, "_chain_ladder": 0}
 
     def test_chain_contracts_and_their_deltas_skip_the_tensor_rule(self, monkeypatch):
         calls = Calls(monkeypatch)
         price_contract(TWO_DATE["barrier"], GAUSS, SPOT)
-        assert calls.counts["_integrate_chain"] == 2
+        assert calls.counts["_chain_ladder"] == 2
         assert calls.counts["integrate_tensor"] == 0
         _, sched, p = to_portfolio(TWO_DATE["barrier"]).terms[0]
         delta(GAUSS, sched, p, SPOT)
-        assert (calls.counts["_integrate_chain"], calls.counts["integrate_tensor"]) == (3, 0)
+        assert (calls.counts["_chain_ladder"], calls.counts["integrate_tensor"]) == (3, 0)
 
     def test_non_chain_delta_keeps_the_tensor_rule(self, monkeypatch):
         calls = Calls(monkeypatch)
@@ -147,7 +147,7 @@ class TestPlan:
         p = PayoffParameterSet((0.0, 1.0), (k, k), (1, 1), ((1.0, 0.5), (0.5, 1.0)))
         assert digitals._chain_plan(p.condition_weights()) is None
         assert delta(GAUSS, SCHED2, p, SPOT).value == pytest.approx(3.0666748, abs=1e-7)
-        assert calls.counts == {"integrate_line": 0, "integrate_tensor": 1, "_integrate_chain": 0}
+        assert calls.counts == {"integrate_line": 0, "integrate_tensor": 1, "_chain_ladder": 0}
 
 
 class TestAgreement:
@@ -216,7 +216,7 @@ class TestChainDelta:
         for sched, p in multi_date_terms(model):
             before = dict(calls.counts)
             res = delta(model, sched, p, SPOT)
-            assert calls.counts["_integrate_chain"] == before["_integrate_chain"] + 1
+            assert calls.counts["_chain_ladder"] == before["_chain_ladder"] + 1
             assert calls.counts["integrate_tensor"] == 0
             slope, claimed = res.value, res.quadrature_error
             (d1, e1), (d2, e2) = (self.central_difference(model, sched, p, h) for h in (0.1, 0.05))
@@ -231,7 +231,7 @@ class TestChainDelta:
 
 
 class Captured(Exception):
-    """Stops a price once the chain rule has been handed its factors."""
+    """Stops a price once the chain rule has been handed its factors or its face tail."""
 
 
 class TestChainFactors:
@@ -239,28 +239,28 @@ class TestChainFactors:
 
     @staticmethod
     def chain_of(monkeypatch, model, sched, p, delta_mode):
-        """The (factors, stages) and contour that ``_price_core`` hands the chain rule."""
+        """The (factors, stages) and contour offsets that ``_price_core`` hands the chain rule's store."""
         captured = {}
 
-        def capture(f, spec, factors, stages, *args, **kwargs):
-            captured.update(spec=spec, factors=factors, stages=stages)
+        def capture(factors, stages, offsets, truncations):
+            captured.update(offsets=offsets, factors=factors, stages=stages)
             raise Captured
 
-        monkeypatch.setattr(cq, "_integrate_chain", capture)
+        monkeypatch.setattr(cq, "_ChainSamples", capture)
         with pytest.raises(Captured):
             digitals._price_core(model, sched, p, [SPOT], None, None, None, delta_mode)
-        return captured["factors"], captured["stages"], captured["spec"]
+        return captured["factors"], captured["stages"], captured["offsets"]
 
     @pytest.mark.parametrize("delta_mode", [False, True], ids=["price", "delta"])
     @pytest.mark.parametrize("name", list(DELTA_MODELS))
     def test_product_of_factors_is_the_integrand(self, monkeypatch, name, delta_mode):
         model = DELTA_MODELS[name]
         for sched, p in multi_date_terms(model):
-            factors, stages, spec = self.chain_of(monkeypatch, model, sched, p, delta_mode)
+            factors, stages, offsets = self.chain_of(monkeypatch, model, sched, p, delta_mode)
             flips, _ = digitals._chain_plan(p.condition_weights())
             n = p.n
             # three points eta on the flipped contour, one per row
-            eta = np.array([[0.37, -1.21, 2.93]]).T * (1.0 + 0.3 * np.arange(n)) + 1j * np.array(spec.offsets)
+            eta = np.array([[0.37, -1.21, 2.93]]).T * (1.0 + 0.3 * np.arange(n)) + 1j * np.array(offsets)
             product = np.ones(3, dtype=complex)
             for k in range(n):
                 product *= factors[k](eta[:, k])
@@ -271,8 +271,8 @@ class TestChainFactors:
                     product *= leg(eta[:, taken].sum(axis=1))
             xi = eta * flips
             d = p.matrix().sum(axis=1) * math.log(SPOT) - np.array(p.k_log)
-            expected = (math.prod(flips) * np.exp(1j * xi @ d - digitals.psi_aggregate(model, sched, p, xi))
-                        / xi.prod(axis=1))
+            exponent = digitals._Legs(model, sched, p).exponent(range(p.m), tuple(xi.T), range(n))
+            expected = math.prod(flips) * np.exp(1j * xi @ d + exponent) / xi.prod(axis=1)
             if delta_mode:
                 zeta_1 = xi @ p.condition_weights()[:, 0] - 1j * p.gamma_suffix()[0]
                 expected *= 1j * zeta_1 / SPOT
@@ -286,7 +286,7 @@ class TestRoundoff:
         (GAUSS, Chooser(0.5, 1.0, 100.0)),
     ], ids=["nig-barrier3", "cgmy05-lookback3", "gaussian-chooser"])
     def test_fft_error_within_charged_roundoff(self, monkeypatch, model, contract):
-        convolve, chain_level, integrate_chain = cq._convolve, cq._chain_level, cq._integrate_chain
+        convolve, chain_level, chain_ladder = cq._convolve, cq._chain_level, cq._chain_ladder
         stages, levels, first_levels, ladders = [], [], [], []
 
         def checked_convolve(a, b):
@@ -313,11 +313,11 @@ class TestRoundoff:
 
         def counted_chain(*args, **kwargs):
             ladders.append(args)
-            return integrate_chain(*args, **kwargs)
+            return chain_ladder(*args, **kwargs)
 
         monkeypatch.setattr(cq, "_convolve", checked_convolve)
         monkeypatch.setattr(cq, "_chain_level", checked_level)
-        monkeypatch.setattr(cq, "_integrate_chain", counted_chain)
+        monkeypatch.setattr(cq, "_chain_ladder", counted_chain)
         price_contract(contract, model, SPOT)
         checked = [stage for stage in stages if stage is not None]
         assert checked, "no stage went through the FFT"
@@ -368,15 +368,20 @@ class TestFaceTail:
     @pytest.mark.parametrize("name", list(DELTA_MODELS))
     def test_one_call_is_the_loop(self, monkeypatch, name, rule):
         model = DELTA_MODELS[name]
-        captured = []
-
-        def capture(f, spec, *args, **kwargs):
-            captured.append((f, spec))
-            raise Captured
+        captured = []  # per term, the face tail's arguments at two levels
 
         if rule == "chain":
-            monkeypatch.setattr(cq, "_integrate_chain", capture)
+            def capture(f, offsets, windows, nodes):  # as the chain rule calls it, at its final level
+                captured.append([(f, offsets, windows, nodes), (f, offsets, windows, [2 * n for n in nodes])])
+                raise Captured
+
+            monkeypatch.setattr(cq, "_face_tail_estimate", capture)
         else:
+            def capture(f, spec, *args, **kwargs):
+                captured.append([(f, spec.offsets, spec.truncations, [start * level for start in spec.start_nodes])
+                                 for level in (1, 2)])
+                raise Captured
+
             monkeypatch.setattr(digitals, "_chain_plan", lambda cmat: None)
             monkeypatch.setattr(cq, "integrate_tensor", capture)
         for contract in self.CONTRACTS.values():
@@ -384,15 +389,10 @@ class TestFaceTail:
                 if p.n >= 2:
                     with pytest.raises(Captured):
                         price_digital(model, sched, p, SPOT)
+        monkeypatch.undo()
         assert len(captured) == 18
-        for f, spec in captured:
-            for level in (1, 2):
-                nodes = [start * level for start in spec.start_nodes]
-                if rule == "chain":  # as ``_integrate_chain`` calls it
-                    h, reach = cq._chain_grid(spec.truncations, nodes)
-                    args = (f, spec.offsets, [n * h for n in reach], [2 * n for n in reach])
-                else:
-                    args = (f, spec.offsets, spec.truncations, nodes)
+        for levels in captured:
+            for args in levels:
                 assert cq._face_tail_estimate(*args) == face_tail_oracle(*args)
 
 

@@ -23,8 +23,6 @@ from levyexotic import (
     mc_price,
     price_contract,
     price_digital,
-    price_single_period,
-    psi_aggregate,
 )
 from levyexotic import quadrature as cq
 from levyexotic.contracts import Digital, to_portfolio
@@ -75,26 +73,34 @@ def line_oracle(model, sched, p, spot, tol=1e-8):
     return _contour_price(integrand, b, truncations, d, raw_tol, prefactor, (1, p.m), offs)
 
 
+def exponent_sum(model, sched, p, xi):
+    """sum_j Delta_j psi(zeta_j) at points ``xi`` of shape (..., N): minus ``_Legs.exponent``."""
+    xi = np.asarray(xi, dtype=complex)
+    return -_Legs(model, sched, p).exponent(range(p.m), tuple(xi[..., k] for k in range(p.n)), range(p.n))
+
+
 class TestPsiAggregate:
+    """The aggregate exponent sum_j Delta_j psi(zeta_j) of a leg list."""
+
     def test_single_leg_reduction(self):
         sched = MonitoringSchedule(0.0, (2.0,))
         p = plain_digital(0.0)
         for xi in (0.5, 1.0 - 0.3j):
-            got = psi_aggregate(GAUSS, sched, p, np.array([xi]))
+            got = exponent_sum(GAUSS, sched, p, np.array([xi]))
             assert got == pytest.approx(2.0 * GAUSS.psi(xi), abs=1e-14)
 
     def test_emm_telescope_at_zero(self):
         # gamma = e_M makes every leg's argument -i, so the sum discounts to -r(T_M - t)
         sched = MonitoringSchedule(0.0, (0.4, 1.3))
         p = PayoffParameterSet((0.0, 1.0), (0.0,), (1,), ((0.7, -0.2),))
-        got = psi_aggregate(GAUSS, sched, p, np.array([0.0 + 0.0j]))
+        got = exponent_sum(GAUSS, sched, p, np.array([0.0 + 0.0j]))
         assert got == pytest.approx(-0.05 * 1.3, abs=1e-12)
 
     def test_forward_start_legs(self):
         sched = MonitoringSchedule(0.0, (0.5, 1.0))
         p = PayoffParameterSet((0.0, 1.0), (0.0,), (1,), ((-1.0, 1.0),))
         xi = 0.8 - 0.5j
-        got = psi_aggregate(GAUSS, sched, p, np.array([xi]))
+        got = exponent_sum(GAUSS, sched, p, np.array([xi]))
         expected = -0.05 * 0.5 + 0.5 * GAUSS.psi(xi - 1j)
         assert got == pytest.approx(expected, abs=1e-13)
 
@@ -102,20 +108,15 @@ class TestPsiAggregate:
         sched = MonitoringSchedule(0.0, (0.5, 1.0))
         p = PayoffParameterSet((0.0, 1.0), (0.1, 0.2), (1, -1), ((1.0, 0.0), (-1.0, 1.0)))
         xi = np.array([[0.3 - 1j, 1.2 - 0.5j], [-2.0 - 1j, 0.7 - 0.5j], [4.1 - 1j, -3.3 - 0.5j]])
-        got = psi_aggregate(NIG, sched, p, xi)
+        got = exponent_sum(NIG, sched, p, xi)
         assert got.shape == (3,)
         for row, value in zip(xi, got):
-            assert psi_aggregate(NIG, sched, p, row) == value
+            assert exponent_sum(NIG, sched, p, row) == value
 
-    def test_no_condition_keeps_the_batch_shape(self):
+    def test_no_condition_is_the_martingale_condition(self):
         sched = MonitoringSchedule(0.0, (0.5, 1.0))
         p = PayoffParameterSet((0.0, 1.0), (), (), ())
-        single = psi_aggregate(NIG, sched, p, np.zeros(0))
-        assert isinstance(single, complex)
-        assert single == pytest.approx(-0.05, abs=1e-15)  # the martingale condition
-        batch = psi_aggregate(NIG, sched, p, np.zeros((3, 0)))
-        assert batch.shape == (3,)
-        assert np.all(batch == single)
+        assert exponent_sum(NIG, sched, p, np.zeros(0)) == pytest.approx(-0.05, abs=1e-15)
 
     def test_strip_violation_names_its_leg(self):
         # forward start: leg 1 couples no axis, leg 2 has argument xi - i, here
@@ -123,8 +124,8 @@ class TestPsiAggregate:
         sched = MonitoringSchedule(0.0, (0.5, 1.0))
         p = PayoffParameterSet((0.0, 1.0), (0.0,), (1,), ((-1.0, 1.0),))
         with pytest.raises(StripViolation, match="leg 2"):
-            psi_aggregate(NIG, sched, p, np.array([-20j]))
-        assert np.isfinite(psi_aggregate(NIG, sched, p, np.array([0.3 - 20j])))
+            exponent_sum(NIG, sched, p, np.array([-20j]))
+        assert np.isfinite(exponent_sum(NIG, sched, p, np.array([0.3 - 20j])))
 
 
 class TestDefaultOffsets:
@@ -202,24 +203,22 @@ class TestPriceDigital:
         put = price_digital(GAUSS, sched, plain_digital(ATM_LOG, -1), SPOT, tol=1e-9)
         assert call.value + put.value == pytest.approx(math.exp(-0.05), abs=1e-8)
 
-    def test_single_period_consistency(self):
-        sched = MonitoringSchedule(0.0, (1.0,))
-        a = price_digital(NIG, sched, plain_digital(ATM_LOG), SPOT)
-        b = price_single_period(NIG, 1.0, 0.0, 1.0, 1, ATM_LOG, SPOT)
-        assert abs(a.value - b.value) <= 2.0 * (a.quadrature_error + b.quadrature_error) + 1e-12
+    def test_zero_condition_coefficient_rejected(self):
         with pytest.raises(ValueError, match="nonzero"):  # the payoff rejects a = 0
-            price_single_period(NIG, 1.0, 0.0, 0.0, 1, ATM_LOG, SPOT)
+            PayoffParameterSet((0.0,), (ATM_LOG,), (1,), ((0.0,),))
 
     def test_negated_condition_identity(self):
         # 1(-X >= K) equals 1(X <= -K)
         k = 0.1
-        via_negated_a = price_single_period(GAUSS, 1.0, 0.0, -1.0, 1, k, SPOT, tol=1e-10)
-        via_flipped_w = price_single_period(GAUSS, 1.0, 0.0, 1.0, -1, -k, SPOT, tol=1e-10)
+        sched = MonitoringSchedule(0.0, (1.0,))
+        negated = PayoffParameterSet((0.0,), (k,), (1,), ((-1.0,),))
+        via_negated_a = price_digital(GAUSS, sched, negated, SPOT, tol=1e-10)
+        via_flipped_w = price_digital(GAUSS, sched, plain_digital(-k, -1), SPOT, tol=1e-10)
         assert via_negated_a.value == pytest.approx(via_flipped_w.value, abs=1e-8)
 
     def test_nig_digital_against_mc(self):
         sched = MonitoringSchedule(0.0, (1.0,))
-        res = price_single_period(NIG, 1.0, 0.0, 1.0, 1, ATM_LOG, SPOT)
+        res = price_digital(NIG, sched, plain_digital(ATM_LOG), SPOT)
         mc = mc_price(Digital(sched, plain_digital(ATM_LOG)), NIG, SPOT, 10**6, 123)
         assert abs(res.value - mc.estimate) <= 3.0 * mc.stderr
 

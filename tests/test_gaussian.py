@@ -124,7 +124,7 @@ class TestLemma1:
         def counted(name, fn):
             return lambda *args, **kwargs: calls.append(name) or fn(*args, **kwargs)
 
-        for module, name in ((gaussian, "price_digital"), (cq, "integrate_tensor"), (cq, "_integrate_chain")):
+        for module, name in ((gaussian, "price_digital"), (cq, "integrate_tensor"), (cq, "_chain_ladder")):
             monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
         corr = np.array(corr)
         got = lemma1_contour_side(d, corr, w, omega, tol=tol)

@@ -55,30 +55,30 @@ CONTRACTS = {
 
 
 class Starts:
-    """Records the (spec, cap) of every chain and tensor ladder, wrapping them in ``quadrature``."""
+    """Records the (starts, truncations, cap) of every chain and tensor ladder, wrapping them in ``quadrature``."""
 
     def __init__(self, monkeypatch):
         self.seen = []
-        chain, tensor = cq._integrate_chain, cq.integrate_tensor
+        chain, tensor = cq._chain_ladder, cq.integrate_tensor
 
-        def chained(f, spec, factors, stages, tol, max_nodes_per_axis=None):
-            self.seen.append((spec, max_nodes_per_axis))
-            return chain(f, spec, factors, stages, tol, max_nodes_per_axis)
+        def chained(store, stages, starts, cap, *args):
+            self.seen.append((starts, store.truncations, cap))
+            return chain(store, stages, starts, cap, *args)
 
         def tensored(f, spec, tol, max_nodes_per_axis=None):
-            self.seen.append((spec, max_nodes_per_axis))
+            self.seen.append((spec.start_nodes, spec.truncations, max_nodes_per_axis))
             return tensor(f, spec, tol, max_nodes_per_axis)
 
-        monkeypatch.setattr(cq, "_integrate_chain", chained)
+        monkeypatch.setattr(cq, "_chain_ladder", chained)
         monkeypatch.setattr(cq, "integrate_tensor", tensored)
 
 
 def start_pairs(seen, p):
     """Per axis of the ladder ``seen`` of term ``p``: its start and ``_start_count``'s."""
-    spec, cap = seen
+    starts, truncations, cap = seen
     d_vec = digitals._log_moneyness(p, SPOT)
     return [(start, digitals._start_count(ell, d, cap))
-            for start, ell, d in zip(spec.start_nodes, spec.truncations, d_vec)]
+            for start, ell, d in zip(starts, truncations, d_vec)]
 
 
 def priced(model, sched, p, tol, offsets=None):
@@ -119,7 +119,7 @@ def test_cost_rule_against_the_halving_rule(monkeypatch, name):
             check_offsets(model, p, new.offsets_used)
             lo, hi = digitals._equal_offset_interval(model, p)
             assert all(lo < omega < hi for omega in new.offsets_used.omega), where
-            cap = starts.seen[-1][1]
+            cap = starts.seen[-1][2]
             for start, phase_start in start_pairs(starts.seen[-1], p):
                 assert phase_start <= start <= cap // 2, where
             checked += 1

@@ -446,45 +446,58 @@ def strip_oracle(samples, d, tol, start_nodes):
     return sampling_strip(samples.log_f, d, samples.offset, samples.truncation, tol, start_nodes)
 
 
-def chain_oracle(f, spec, factors, stages, tol, max_nodes_per_axis=None):
-    """``_integrate_chain`` with every factor sampled and the roundoff bound carried at every level.
+def chain_oracle(store, stages, starts, cap, tol, tail, phased):
+    """``_chain_ladder`` with every factor of ``store`` sampled and the roundoff bound carried at every level.
 
     The chain rule as it was before its first level took the second level's
-    samples and dropped its unread roundoff bound.
+    samples and dropped its unread roundoff bound.  It reads the store's
+    factors, offsets and truncations, never its samples.
     """
+    n = sum(len(axes) for axes, _ in stages)
+    factors, offsets = [fn for fn, _, _ in store.lines[:n]], [b for _, b, _ in store.lines[:n]]
+
     def level(nodes, ahead):
-        h, reach = cq._chain_grid(spec.truncations, nodes)
+        h, reach = cq._chain_grid(store.truncations, nodes)
+        samples = [cq._finite(fn(h * np.arange(-r, r + 1) + 1j * b)) for fn, b, r in zip(factors, offsets, reach)]
+        width, shift = 0, 0.0
+        for axes, leg in stages:
+            for k in axes:
+                width += reach[k]
+                shift += offsets[k]
+            if leg is not None:
+                samples.append(cq._finite(leg(h * np.arange(-width, width + 1) + 1j * shift)))
+        evaluations = sum(vals.size for vals in samples)
+        samples = phased(h, samples)
         weighted = []
-        for fn, b, n in zip(factors, spec.offsets, reach):
-            vals = cq._finite(fn(h * np.arange(-n, n + 1) + 1j * b)) * h
+        for vals in samples[:n]:
+            vals = vals * h
             vals[0] *= 0.5
             vals[-1] *= 0.5
             weighted.append(vals)
-        evaluations = sum(vals.size for vals in weighted)
+        legs = iter(samples[n:])
         value, mass, fft_error = np.ones(1, dtype=complex), np.ones(1), np.zeros(1)
-        width, shift = 0, 0.0
         for axes, leg in stages:
             for k in axes:
                 value, bound = cq._convolve(value, weighted[k])
                 abs_k = np.abs(weighted[k])
                 mass = cq._convolve(mass, abs_k)[0]
                 fft_error = cq._convolve(fft_error, abs_k)[0] + bound
-                width += reach[k]
-                shift += spec.offsets[k]
             if leg is not None:
-                g = cq._finite(leg(h * np.arange(-width, width + 1) + 1j * shift))
-                evaluations += g.size
+                g = next(legs)
                 value = value * g
                 mass = mass * np.abs(g)
                 fft_error = fft_error * np.abs(g)
         roundoff = cq._roundoff_estimate(float(mass.sum()), evaluations) + float(fft_error.sum())
         return complex(value.sum()), roundoff, evaluations
 
-    def tail(nodes):
-        h, reach = cq._chain_grid(spec.truncations, nodes)
-        return cq._face_tail_estimate(f, spec.offsets, [n * h for n in reach], [2 * n for n in reach])
+    return cq._refine(level, starts, cap, tol, tail)
 
-    return cq._refine(level, spec.start_nodes, cq._node_cap(1, max_nodes_per_axis), tol, tail)
+
+def fresh_store(store, stages, factors=None):
+    """A new ``_ChainSamples`` store on the contour of ``store``, with its axis factors or ``factors``."""
+    n = sum(len(axes) for axes, _ in stages)
+    factors = factors or [fn for fn, _, _ in store.lines[:n]]
+    return cq._ChainSamples(factors, stages, [b for _, b, _ in store.lines[:n]], store.truncations)
 
 
 GAUSS = make_gaussian(0.2, 0.05)
@@ -531,7 +544,7 @@ def checked(monkeypatch, name, oracle):
 
     def both(*args, **kwargs):
         res, ref = rule(*args, **kwargs), oracle(*args, **kwargs)
-        assert_same_ladder(res, ref, name != "_integrate_chain")
+        assert_same_ladder(res, ref, name != "_chain_ladder")
         pairs.append((res, ref))
         return res
 
@@ -540,13 +553,18 @@ def checked(monkeypatch, name, oracle):
 
 
 def chain_args(contract, model, ndim):
-    """The arguments (f, spec, factors, stages, raw tol) of the first chain term of ``contract`` with ``ndim`` axes."""
+    """The arguments of the first chain ladder of ``contract`` with ``ndim`` axes, on a fresh store.
+
+    They are (store, stages, starts, cap, raw tol, tail, phased); the store
+    holds none of the ladder's samples.
+    """
     captured = []
-    rule = cq._integrate_chain
+    rule = cq._chain_ladder
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cq, "_integrate_chain", lambda *args, **kwargs: captured.append(args) or rule(*args, **kwargs))
+        mp.setattr(cq, "_chain_ladder", lambda *args: captured.append(args) or rule(*args))
         price_contract(contract, model, SPOT)
-    return next(args for args in captured if args[1].ndim == ndim)
+    store, stages, *rest = next(args for args in captured if len(args[2]) == ndim)
+    return (fresh_store(store, stages), stages, *rest)
 
 
 class TestFirstTwoLevelsInOneCall:
@@ -566,7 +584,7 @@ class TestFirstTwoLevelsInOneCall:
 
     @pytest.mark.parametrize("model", list(MODELS))
     def test_multidate_exotics_terms(self, monkeypatch, model):
-        chains = checked(monkeypatch, "_integrate_chain", chain_oracle)
+        chains = checked(monkeypatch, "_chain_ladder", chain_oracle)
         lines = checked(monkeypatch, "integrate_line", line_oracle)
         for c in MULTIDATE:
             price_contract(c, MODELS[model], SPOT)
@@ -578,7 +596,7 @@ class TestFirstTwoLevelsInOneCall:
                              ids=["chooser", "lookback-3date", "digital", "asian-continuous"])
     def test_fixed_nodes(self, monkeypatch, contract):
         # a fixed_nodes ladder starts at its cap: a half level, then the cap
-        chains = checked(monkeypatch, "_integrate_chain", chain_oracle)
+        chains = checked(monkeypatch, "_chain_ladder", chain_oracle)
         lines = checked(monkeypatch, "integrate_line", line_oracle)
         price_contract(contract, NIG, SPOT, fixed_nodes=64)
         assert chains or lines
@@ -605,10 +623,9 @@ class TestFirstTwoLevelsInOneCall:
         ((64, 32, 32), 64, False),  # axis 0 stays at the cap
     ], ids=["start-at-cap", "non-doubling-final-step", "one-axis-at-cap"])
     def test_chain_starts_and_caps(self, starts, cap, doubled):
-        f, spec, factors, stages, tol = chain_args(MULTIDATE[4], NIG, 3)
-        spec = ContourSpec(spec.offsets, spec.truncations, starts)
-        res = cq._integrate_chain(f, spec, factors, stages, tol, max_nodes_per_axis=cap)
-        ref = chain_oracle(f, spec, factors, stages, tol, max_nodes_per_axis=cap)
+        store, stages, _, _, tol, tail, phased = chain_args(MULTIDATE[4], NIG, 3)
+        res = cq._chain_ladder(store, stages, starts, cap, tol, tail, phased)
+        ref = chain_oracle(store, stages, starts, cap, tol, tail, phased)
         assert_same_ladder(res, ref, False)
         # only a first level that every axis doubles takes the second level's samples
         assert (res.evaluations < ref.evaluations) == doubled
@@ -628,9 +645,10 @@ class TestFirstTwoLevelsInOneCall:
                       lambda: sampling_strip(log_f, [0.5], -1.0, 8.0, np.array([1e-10]), 16)):
             with pytest.raises(NaNEncountered):
                 strip()
-        f, spec, factors, stages, tol = chain_args(MULTIDATE[0], GAUSS, 2)
-        half_step = 0.5 * cq._chain_grid(spec.truncations, spec.start_nodes)[0]
+        store, stages, starts, cap, tol, tail, phased = chain_args(MULTIDATE[0], GAUSS, 2)
+        factors = [fn for fn, _, _ in store.lines[:2]]
+        half_step = 0.5 * cq._chain_grid(store.truncations, starts)[0]
         broken = [lambda x: np.where(x.real == half_step, np.nan, factors[0](x))] + list(factors[1:])
-        for rule in (cq._integrate_chain, chain_oracle):
+        for rule in (cq._chain_ladder, chain_oracle):
             with pytest.raises(NaNEncountered):
-                rule(f, spec, broken, stages, tol)
+                rule(fresh_store(store, stages, broken), stages, starts, cap, tol, tail, phased)
