@@ -3,8 +3,8 @@
 Each builder returns an exact decomposition: pricing the portfolio equals
 pricing the contract.  Compound options additionally need their critical
 exercise prices, found by safeguarded Newton steps on the engine's own
-sub-option values and deltas, with one set-up per term per search and each
-spot priced from kept samples.
+sub-option values and deltas, with one set-up per group of terms that share
+a contour in each search and each spot priced from kept samples.
 """
 from __future__ import annotations
 
@@ -25,6 +25,7 @@ from .digitals import (
     _contour_price,
     _interval_point,
     _kept_sample_prices,
+    _shifted,
     _whole,
     default_offsets,
     price_digital,
@@ -419,16 +420,40 @@ def to_portfolio(c: ContractSpec, model: LevyModel | None = None,
     raise UnsupportedContract(f"unknown contract type {type(c).__name__}")
 
 
+def _pole_groups(terms):
+    """The portfolio ``terms`` as the groups a critical-price search prices together: (schedule, payoff, poles).
+
+    A one-condition term whose payoff is an earlier group's, on the same
+    schedule, with its indices moved by some t != 0 times the condition row
+    (``digitals._shifted``) joins that group as the pole (coef, t); an asset
+    digital and its cash twin are such a pair.  Every other term starts a
+    group of its own, with the pole (coef, 0).
+    """
+    groups = []
+    for coef, sched, p in terms:
+        for g_sched, base, poles in groups:
+            if g_sched == sched and base.n == p.n == 1:
+                j = next(j for j, a in enumerate(base.a[0]) if a != 0.0)
+                t = (p.gamma[j] - base.gamma[j]) / base.a[0][j]
+                if t != 0.0 and _shifted(base, t) == p:
+                    poles.append((coef, t))
+                    break
+        else:
+            groups.append((sched, p, [(coef, 0.0)]))
+    return [(sched, p, tuple(poles)) for sched, p, poles in groups]
+
+
 def _compound_value(port, prices, spot):
     """A critical-price search's objective: sub-compound ``port`` at ``spot`` and its slope in the spot.
 
-    Term k is priced by ``prices[k]``, which returns its PriceResult and delta.
+    Group k of ``_pole_groups(port.terms)`` is priced by ``prices[k]``, which
+    returns its coefficient-weighted PriceResult and delta.
     """
     value, slope = port.cash, 0.0
-    for (coef, _, _), price in zip(port.terms, prices):
+    for price in prices:
         res, delta = price(spot)
-        value += coef * res.value
-        slope += coef * delta
+        value += res.value
+        slope += delta
     return value, slope
 
 
@@ -518,14 +543,15 @@ def solve_compound_thresholds(c: Compound, model: LevyModel,
     inner price asked for max(K_j * rel_tol / 100, 1e-13).  Safeguarded
     Newton steps (``_newton_root``) start at the nearest solved inner
     critical price; each step's slope is the sum of the terms' deltas.  A
-    search builds its sub-compound portfolio once and gives each term one
-    set-up per spot window (``digitals._kept_sample_prices``), which prices
-    one- and two-condition terms and their deltas from kept samples; its
-    samples die with it.
+    search builds its sub-compound portfolio once and gives each group of
+    terms that share a contour (``_pole_groups``: a vanilla's asset and cash
+    digitals) one set-up per spot window (``digitals._kept_sample_prices``),
+    which prices the group and its delta from kept samples as one
+    coefficient-weighted number; its samples die with it.
     An inner price that stalls raises NoConvergence naming the leg whose
     critical price failed, with no result: no compound value was formed.
     """
-    search = {}  # leg j: the sub-compound portfolio and term prices of the search under way
+    search = {}  # leg j: the sub-compound portfolio and group prices of the search under way
 
     def value(j, inner_thresholds, s):
         T_j, K_j, _ = c.legs[j]
@@ -535,7 +561,8 @@ def solve_compound_thresholds(c: Compound, model: LevyModel,
             port = (DigitalPortfolio((), cash) if cash is not None
                     else _compound_portfolio(Compound(c.legs[j + 1:], t=T_j), inner_thresholds))
             search.clear()  # the inner leg's kept samples go with its search
-            search[j] = port, [_kept_sample_prices(model, sched, p, tol_inner) for _, sched, p in port.terms]
+            search[j] = port, [_kept_sample_prices(model, sched, p, tol_inner, poles)
+                               for sched, p, poles in _pole_groups(port.terms)]
         try:
             return _compound_value(*search[j], s)
         except NoConvergence as exc:

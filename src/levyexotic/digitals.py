@@ -20,7 +20,9 @@ halving rule (``_halved_offsets``).  A single spot's N >= 2 term at default
 offsets takes the offset, and each axis the start level, that one trapezoid
 error model predicts to cost the fewest nodes (``_costed_offset``).  Every
 N >= 2 term in chain form, a single spot's or a kept window's, is set up by
-``_chain_pricer`` alone.
+``_chain_pricer`` alone.  A kept window may price several one-condition
+terms whose suffix sums differ by multiples of their condition row, an
+asset digital and its cash twin, as one contour integral.
 
 The exponent E is a sum over the monitoring legs j = 1..M of
 -Delta_j psi(zeta_j), at zeta_j = sum_k C[k, j] xi_k - i G_j, where C and G
@@ -302,27 +304,29 @@ def _log_moneyness(p: PayoffParameterSet, spot: float) -> np.ndarray:
     return p.matrix().sum(axis=1) * math.log(spot) - np.array(p.k_log)
 
 
-def _log_peak(legs, p, omega, d_vec):
+def _log_peak(legs, p, omega, d_vec, log_weight=None):
     """Log-magnitude of the integrand at the contour's central point.
 
     Used to condition the offset choice: a huge central value means the
     quadrature must cancel that many digits away.  ``omega`` of shape
     (K, 1, N) and ``d_vec`` of shape (S, N) give a (K, S) table from one psi
-    evaluation per offset row.
+    evaluation per offset row.  A one-condition ``log_weight`` (``_log_weight``)
+    counts log|W| at the crossing in place of -log(omega).
     """
     signs = np.array(p.w, dtype=float)
     xi0 = -1j * signs * np.asarray(omega, dtype=float)
     exponent = legs.exponent(range(p.m), tuple(xi0[..., k] for k in range(p.n)), range(p.n))
-    return np.sum(signs * omega * d_vec, axis=-1) + exponent.real - np.sum(np.log(omega), axis=-1)
+    weight = -np.sum(np.log(omega), axis=-1) if log_weight is None else log_weight(xi0[..., 0]).real
+    return np.sum(signs * omega * d_vec, axis=-1) + exponent.real + weight
 
 
-def _halved_offsets(legs, p, lo, hi, d_rows) -> tuple[np.ndarray, np.ndarray]:
+def _halved_offsets(legs, p, lo, hi, d_rows, log_weight=None) -> tuple[np.ndarray, np.ndarray]:
     """Per row of ``d_rows`` (log moneyness, shape (S, N)), the equal offset of ``default_offsets`` and its ``_log_peak``.
 
     The candidates are the midpoint of ]lo, hi[ and its halvings down to a
     floor.  The psi part of ``_log_peak`` does not depend on the row, so
     each candidate is evaluated once for all rows; a row keeps halving while
-    that lowers its ``_log_peak``.
+    that lowers its ``_log_peak`` (with ``log_weight``, if given).
     """
     width = hi - lo
     floor = max(lo + 1e-3 * width, min(OFFSET_FLOOR, lo + 0.5 * width))
@@ -330,7 +334,7 @@ def _halved_offsets(legs, p, lo, hi, d_rows) -> tuple[np.ndarray, np.ndarray]:
     while candidates[-1] / 2 >= floor:
         candidates.append(candidates[-1] / 2)
     candidates = np.array(candidates)
-    peaks = _log_peak(legs, p, np.repeat(candidates[:, None, None], p.n, axis=2), d_rows)
+    peaks = _log_peak(legs, p, np.repeat(candidates[:, None, None], p.n, axis=2), d_rows, log_weight)
     # Row k: the halving from candidate k does not lower the peak, or there is none.
     stops = np.vstack((peaks[1:] >= peaks[:-1], np.ones_like(peaks[:1], dtype=bool)))
     chosen = stops.argmax(axis=0)
@@ -625,15 +629,22 @@ def _raw_tol(tol, n, prefactor) -> float:
     return tol * (2.0 * math.pi) ** n / abs(prefactor)
 
 
-def _strip_pricer(legs, offs, b, truncations, d_rows):
+def _strip_pricer(legs, offs, b, truncations, d_rows, log_weight=None):
     """Strip-rule prices of an N = 1 set-up at log moneyness d, from samples kept across calls; start for ``d_rows``.
 
-    With ``spots``, one per entry of d, each price comes paired with its
-    delta: the twin integral (``quadrature._integrate_strip``) weighted by
-    i zeta_1 / spot, as ``delta`` weights it.
+    The samples are those of exp(E(xi)) / xi, or of exp(E(xi)) W(xi) / c_1
+    given a ``log_weight`` (``_log_weight``).  With ``spots``, one per entry
+    of d, each price comes paired with its delta: the twin integral
+    (``quadrature._integrate_strip``) weighted by i zeta_1 / spot, as
+    ``delta`` weights it.
     """
     m = legs.cmat.shape[1]
-    samples = cq._Samples(lambda xi: legs.exponent(range(m), (xi,), (0,)) - np.log(xi), b[0], truncations[0])
+
+    def log_f(xi):
+        exponent = legs.exponent(range(m), (xi,), (0,))
+        return exponent - np.log(xi) if log_weight is None else exponent + log_weight(xi)
+
+    samples =cq._Samples(log_f, b[0], truncations[0])
     start = _start_count(truncations[0], np.abs(d_rows).max(), cq.LINE_NODE_CAP)
 
     def prices(d, prefactors, raw_tols, spots=None):
@@ -728,50 +739,95 @@ def _chain_pricer(legs, offs, b, truncations, d0, starts, cap, delta_spot=None):
     return price
 
 
-def _kept_sample_prices(model, sched, p, tol):
-    """``price_digital`` of ``p`` to ``tol`` and its ``delta`` as a function of the spot, from kept samples.
+def _shifted(p, t) -> PayoffParameterSet:
+    """The one-condition payoff ``p`` with its indices moved by t times its condition row: suffix sums G + t C."""
+    return replace(p, gamma=tuple(g + t * a for g, a in zip(p.gamma, p.a[0])))
+
+
+def _log_weight(p, poles):
+    """log(W(eta) / c_1), W(eta) = sum_i c_i e^(t_i k) / (eta + i t_i), for the ``poles`` (c_i, t_i) of ``_kept_sample_prices``.
+
+    None for a lone pole, whose weight 1 / eta its callers keep as -log(xi).
+    """
+    if len(poles) == 1:
+        return None
+    (c_1, _), k = poles[0], p.k_log[0]
+    ratios = [(c / c_1 * math.exp(t * k), t) for c, t in poles[1:]]
+    return lambda eta: np.log(1.0 / eta + sum(r / (eta + 1j * t) for r, t in ratios))
+
+
+def _kept_sample_prices(model, sched, p, tol, poles=((1.0, 0.0),)):
+    """sum_i c_i ``price_digital`` of ``_shifted(p, t_i)`` over the ``poles`` (c_i, t_i), and its ``delta``, as a function of the spot, from kept samples.
 
     ``price(spot)`` returns the PriceResult and the delta's value, which
-    steers a search and carries no claim.  A spot x0 sets up the window
-    [x0/2, 2 x0] once, its truncations and start counts serving both ends;
-    spots in the window reuse its samples, and a spot outside it sets up a
-    fresh window.  N = 1 takes the offset of ``default_offsets`` at x0 and
-    the strip rule on the horizontal line (``_strip_pricer``).  N >= 2 in
-    chain form takes the offset and step of the cost rule at x0
-    (``_costed_offset``) and the chain rule (``_chain_pricer``); every
-    compound term's conditions are in chain form.  Each delta is its price's
-    twin, from the same samples.  N = 1 spots with w*d > 12 (complements) go
-    to ``price_digital`` and ``delta``.
+    steers a search and carries no claim.  The first pole is p's own, t_1 =
+    0, and the claim is |c_1| times ``tol``: a compound's asset term comes
+    first, with c_1 = +-1, so its pair with the cash term meets ``tol`` as
+    one number.  A spot x0 sets up the window [x0/2, 2 x0] once, its
+    truncations and start counts serving both ends; spots in the window
+    reuse its samples, and a spot outside it sets up a fresh window.
+
+    N = 1 prices the poles' terms as one contour integral.  The payoff with
+    suffix sums G + t C has the exponent E(eta) at eta = xi - i t and the
+    spot factor S^G_1 e^(i d eta) e^(t k) / (eta + i t), so the sum is p's
+    integral weighted by W(eta) / c_1 (``_log_weight``), times c_1, and its
+    twin is the delta.  The line Im eta = -w omega passes every pole on the
+    side w demands: omega takes the halving rule of ``default_offsets`` on
+    the intersection of the terms' equal-offset intervals, each moved by
+    w t, with log|W| in its ``_log_peak``, and each term meets its strip
+    condition at its own offset omega - w t.  The strip rule runs on that
+    line (``_strip_pricer``).  N >= 2 (one pole) in chain form takes the
+    offset and step of the cost rule at x0 (``_costed_offset``) and the
+    chain rule (``_chain_pricer``); every compound term's conditions are in
+    chain form.  N = 1 spots with w*d > 12 (complements) price each term by
+    ``price_digital`` and ``delta`` and sum them.
     """
     legs = _Legs(model, sched, p)
+    terms = [(c, _shifted(p, t)) for c, t in poles]
+    log_weight = _log_weight(p, poles)
     window = None  # (x0, its pricer)
 
     def setup(spot, d):
         ends = [spot / 2, 2 * spot]
         d_ends = np.array([_log_moneyness(p, x) for x in ends])
         if p.n == 1:
-            offs = default_offsets(model, p, sched, spot)
+            w = p.w[0]
+            lo, hi = _equal_offset_interval(model, p)
+            for _, t in poles[1:]:
+                lo_t, hi_t = _equal_offset_interval(model, _shifted(p, t))
+                lo, hi = max(lo, lo_t + w * t), min(hi, hi_t + w * t)
+            if not lo < hi:
+                raise NoFeasibleOffsets(f"the poles' equal-offset intervals share no point: ]{lo:g}, {hi:g}[")
+            omega = float(_halved_offsets(legs, p, lo, hi, d[None], log_weight)[0][0])
+            offs = ContourOffsets((omega,))
+            for _, t in poles[1:]:
+                check_offsets(model, _shifted(p, t), ContourOffsets((omega - w * t,)))
         else:
             raw_tol = _raw_tol(tol, p.n, _prefactor(model, sched, p, spot))
             omega, _, step = _costed_offset(legs, p, *_equal_offset_interval(model, p), d, raw_tol)
             offs = ContourOffsets((omega,) * p.n)
         b, _, raw_tols = _group_setup(model, sched, p, offs, ends, tol)
-        truncations = _truncations(legs, min(raw_tols), _log_peak(legs, p, offs.omega, d_ends).max())
+        truncations = _truncations(legs, min(raw_tols), _log_peak(legs, p, offs.omega, d_ends, log_weight).max())
         if p.n >= 2:
             starts, cap = _start_counts(truncations, np.abs(d_ends).max(axis=0), cq.LINE_NODE_CAP, step)
             return _chain_pricer(legs, offs, b, truncations, np.zeros(p.n), starts, cap)
-        strip = _strip_pricer(legs, offs, b, truncations, d_ends)
+        strip = _strip_pricer(legs, offs, b, truncations, d_ends, log_weight)
         return lambda d, prefactor, raw_tol, x: strip(d, [prefactor], [raw_tol], [x])[0]
 
     def price(spot):
         nonlocal window
         d = _log_moneyness(p, spot)
         if p.n == 1 and p.w[0] * d[0] > 12.0:
-            return price_digital(model, sched, p, spot, tol=tol), delta(model, sched, p, spot, tol).value
+            parts = [(c, price_digital(model, sched, q, spot, tol=tol), delta(model, sched, q, spot, tol).value)
+                     for c, q in terms]
+            first = parts[0][1]
+            return replace(first, value=sum(c * res.value for c, res, _ in parts),
+                           quadrature_error=sum(abs(c) * res.quadrature_error for c, res, _ in parts),
+                           evaluations=sum(res.evaluations for _, res, _ in parts)), sum(c * s for c, _, s in parts)
         if window is None or not window[0] / 2 <= spot <= 2 * window[0]:
             window = spot, setup(spot, d)
         pf = _prefactor(model, sched, p, spot)
-        return window[1](d, pf, _raw_tol(tol, p.n, pf), spot)
+        return window[1](d, poles[0][0] * pf, _raw_tol(tol, p.n, pf), spot)
     return price
 
 
