@@ -22,10 +22,11 @@ from .digitals import (
     MonitoringSchedule,
     PayoffParameterSet,
     PriceResult,
-    _contour_price,
     _interval_point,
     _kept_sample_prices,
+    _scaled_price,
     _shifted,
+    _start_counts,
     _whole,
     default_offsets,
     price_digital,
@@ -594,6 +595,8 @@ def _price_asian_continuous(c: AsianContinuous, model: LevyModel, spot: float, t
                             offset_position: float | None, fixed_nodes: int | None) -> PriceResult:
     # Kept as a contour of its own: as asset minus K cash digital under the averaged exponent, the
     # vanilla book's 40 continuous Asians took 0.15 s, not 0.027 s (55,504 vs 38,952 evaluations).
+    # Its exponent, offset interval and radius are its own, so it sets up its line here, not in
+    # ``digitals._set_up``.
     tau = c.t_end - c.t_start
     lam_minus, lam_plus = model.strip
     # calls need Im(xi) < -1, puts 0 < Im(xi); the payoff transform
@@ -620,8 +623,10 @@ def _price_asian_continuous(c: AsianContinuous, model: LevyModel, spot: float, t
 
     # -i K e^{-r tau} / (2 pi i) is the real Fourier scale -K e^{-r tau} / (2 pi)
     prefactor = -1j * c.strike * math.exp(-model.r * tau)
-    return _contour_price(integrand, (-c.w * omega,), (trunc,), (d,), raw_tol, prefactor,
-                          (1, 0), ContourOffsets((omega,)), fixed_nodes)
+    starts, cap = _start_counts((trunc,), (d,), cq.LINE_NODE_CAP, None, fixed_nodes)
+    res = cq.integrate_line(integrand, -c.w * omega, trunc, raw_tol, start_nodes=starts[0], max_nodes=cap)
+    return _scaled_price(res, prefactor, raw_tol, ContourOffsets((omega,)), (1, 0), cap, (trunc,),
+                         fixed_nodes is None)
 
 
 def price_contract(

@@ -7,22 +7,23 @@ A payoff parameter set [(gamma_1..gamma_M), K, W, A] describes the claim
 on monitored log prices X_1..X_M.  Its value is an N-fold contour integral
 of exp(i d.xi + E(xi)) / prod(xi); this module assembles that integrand, picks
 feasible contour offsets, and drives the line, strip, chain or tensor
-quadrature.  ``_price_core`` is the one set-up of every digital price:
-single spots, deltas, spot strips and the normal-CDF identity of
-``gaussian.lemma1_contour_side``; its offset groups (``_group_setup``) also
-size the kept-sample spot windows of ``_kept_sample_prices``.  A single
-spot's one-condition digital runs the line rule along a sinh-deformed curve
-through its offset (``_sinh_price``), on which the integrand decays
-double-exponentially.  Spot strips, kept samples and the N >= 2 chain and
-tensor axes stay on horizontal lines, and the horizontal line rule stays
-the curve's tested oracle.  One-condition terms take the offset of the
-halving rule (``_halved_offsets``).  A single spot's N >= 2 term at default
-offsets takes the offset, and each axis the start level, that one trapezoid
-error model predicts to cost the fewest nodes (``_costed_offset``).  Every
-N >= 2 term in chain form, a single spot's or a kept window's, is set up by
-``_chain_pricer`` alone.  A kept window may price several one-condition
-terms whose suffix sums differ by multiples of their condition row, an
-asset digital and its cash twin, as one contour integral.
+quadrature.  Every contour is set up in one place (``_set_up``): the
+offsets' check, the truncations, start counts and node cap, the pole weight
+and the rule.  ``_price_core`` calls it once per offset group of single
+spots, deltas, spot strips and the normal-CDF identity of
+``gaussian.lemma1_contour_side``, and ``_kept_sample_prices`` once per spot
+window of a critical-price search.  A single spot's one-condition digital
+runs the line rule along a sinh-deformed curve through its offset
+(``_sinh_price``), on which the integrand decays double-exponentially.
+Spot strips, kept samples and the N >= 2 chain and tensor axes stay on
+horizontal lines, and the horizontal line rule stays the curve's tested
+oracle.  One-condition terms take the offset of the halving rule
+(``_halved_offsets``).  A single spot's N >= 2 term at default offsets takes
+the offset, and each axis the start level, that one trapezoid error model
+predicts to cost the fewest nodes (``_costed_offset``).  A kept window may
+price several one-condition terms whose suffix sums differ by multiples of
+their condition row, an asset digital and its cash twin, as one contour
+integral.
 
 The exponent E is a sum over the monitoring legs j = 1..M of
 -Delta_j psi(zeta_j), at zeta_j = sum_k C[k, j] xi_k - i G_j, where C and G
@@ -38,7 +39,7 @@ from __future__ import annotations
 import math
 from copy import copy
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import product as _iter_product
 
 import numpy as np
@@ -535,27 +536,22 @@ def _costed_offset(legs: _Legs, p: PayoffParameterSet, lo: float, hi: float, d_v
 
 def _price_core(model, sched, p, spots, offsets=None, tol=None, fixed_nodes=None,
                 delta_mode=False) -> list[PriceResult]:
-    """Prices of ``p`` at each of ``spots`` (deltas if ``delta_mode``): the one set-up of every digital.
+    """Prices of ``p`` at each of ``spots`` (deltas if ``delta_mode``): single spots, deltas and spot strips.
 
     Without given offsets each spot takes the offset of ``default_offsets``,
     and an N = 1 spot with w*d > 12 is priced as the certain claim minus its
-    flipped condition.  Spots of one payoff and offset form a group.  One
-    spot with N = 1 runs the line rule along a sinh-deformed contour through
-    the group's offset (``_sinh_price``); one spot with N >= 2 runs the
-    chain rule (``_chain_pricer``) or the tensor rule (``_contour_price``),
-    whose truncation serves its ``_log_peak``.  Its
-    default offset comes from the cost rule (``_costed_offset``) at ``tol``,
-    whose predicted step h also raises each axis's start level
-    (``_start_counts``); given offsets keep the phase-resolving start.
-    Several spots form a strip (N = 1, prices at default offsets and nodes):
-    the spot enters only through the phase exp(i d xi), so each group, even
-    of one spot, runs one ladder of the strip rule
-    (``quadrature._integrate_strip``) on the horizontal line, truncated for
-    its largest ``_log_peak`` and smallest raw tolerance.
+    flipped condition.  Spots of one payoff and offset form a group, and each
+    group gets one set-up (``_set_up``), with the ``_log_peak`` its offset
+    rule found: the cost rule's (``_costed_offset``) and its step h for an
+    N >= 2 spot, the halving rule's (``_halved_offsets``) for N = 1.  Several
+    spots form a strip (N = 1, prices at default offsets and nodes): the spot
+    enters only through the phase exp(i d xi), so each group, even of one
+    spot, runs one ladder of the strip rule.
     """
     n = p.n
     if n > MAX_TENSOR_DIM:
-        raise DimensionTooLarge(f"exercise dimension {n} exceeds the tensor cap {MAX_TENSOR_DIM}")
+        raise DimensionTooLarge(f"exercise dimension {n} exceeds {MAX_TENSOR_DIM}, the limit of every contour "
+                                "rule, the chain rule's included, for now")
     if min(spots) <= 0:
         raise ValueError("spot must be positive")
     strip = len(spots) > 1
@@ -576,39 +572,31 @@ def _price_core(model, sched, p, spots, offsets=None, tol=None, fixed_nodes=None
         q = PayoffParameterSet(p.gamma, p.k_log, (-p.w[0],), p.a) if flipped else p
         q_legs = _Legs(model, sched, q) if flipped else legs
         part = [i for i, f in enumerate(flips) if f == flipped]
-        interval = None  # of the equal offset; known once it is needed
+        prefactors = {i: _prefactor(model, sched, q, spots[i]) for i in part}
+        raw_tols = {i: _raw_tol(tol, n, pf) for i, pf in prefactors.items()}
+        interval = step = None  # of the equal offset, and the cost rule's step
         if offsets is not None:
-            groups = [(offsets, part, None, None)]
+            groups = [(offsets, part, None)]
         elif n >= 2:
             (i,) = part
-            raw_tol = _raw_tol(tol, n, _prefactor(model, sched, q, spots[i]))
-            omega, peak, step = _costed_offset(q_legs, q, *_equal_offset_interval(model, q), d_rows[i], raw_tol)
-            groups = [(ContourOffsets((omega,) * n), part, [peak], step)]
+            omega, peak, step = _costed_offset(q_legs, q, *_equal_offset_interval(model, q), d_rows[i], raw_tols[i])
+            groups = [(ContourOffsets((omega,) * n), part, [peak])]
         else:
             interval = _equal_offset_interval(model, q)
             omegas, peaks = _halved_offsets(q_legs, q, *interval, d_rows[part])
             omegas = omegas.tolist()
             groups = [(ContourOffsets((omega,) * n), [i for i, o in zip(part, omegas) if o == omega],
-                       [pk for pk, o in zip(peaks, omegas) if o == omega], None) for omega in sorted(set(omegas))]
-        for offs, group, log_peaks, step in groups:
-            b, prefactors, raw_tols = _group_setup(model, sched, q, offs, [spots[i] for i in group], tol)
-            if n == 1 and not strip:
-                (i,) = group
-                interval = interval or _equal_offset_interval(model, q)
-                out[i] = _sinh_price(q_legs, spots[i], d_rows[i, 0], b[0], sorted(-q.w[0] * o for o in interval),
-                                     raw_tols[0], prefactors[0], offs, fixed_nodes, delta_mode)
-                continue
-            if log_peaks is None:
-                log_peaks = _log_peak(q_legs, q, offs.omega, d_rows[group])
-            truncations = _truncations(q_legs, min(raw_tols), max(log_peaks))
+                       [pk for pk, o in zip(peaks, omegas) if o == omega]) for omega in sorted(set(omegas))]
+        for offs, group, log_peaks in groups:
+            tols = [raw_tols[i] for i in group]
+            price = _set_up(q_legs, q, offs, d_rows[group], tols, log_peaks, not strip, interval, step,
+                            fixed_nodes, spots[group[0]] if delta_mode else None)
             if strip:
-                prices = _strip_pricer(q_legs, offs, b, truncations, d_rows[group])
-                for i, res in zip(group, prices(d_rows[group, 0], prefactors, raw_tols)):
-                    out[i] = res
+                results = price(d_rows[group, 0], [prefactors[i] for i in group], tols)
             else:
-                (i,) = group
-                out[i] = _one_spot_price(q_legs, spots[i], d_rows[i], b, truncations, raw_tols[0],
-                                         prefactors[0], offs, fixed_nodes, delta_mode, step)
+                results = [price(d_rows[group[0]], prefactors[group[0]], tols[0])]
+            for i, res in zip(group, results):
+                out[i] = res
     for i, flipped in enumerate(flips):
         if flipped:  # S^gamma for certain minus the flipped price
             whole = _certain_price(model, sched, PayoffParameterSet(p.gamma, (), (), ()), spots[i], delta_mode)
@@ -616,12 +604,57 @@ def _price_core(model, sched, p, spots, offsets=None, tol=None, fixed_nodes=None
     return out
 
 
-def _group_setup(model, sched, q, offs, spots, tol):
-    """An offset group's b = Im xi of its contour's crossing, prefactors and raw tolerances."""
-    check_offsets(model, q, offs)
-    prefactors = [_prefactor(model, sched, q, spot) for spot in spots]
-    raw_tols = [_raw_tol(tol, q.n, pf) for pf in prefactors]
-    return -np.array(q.w, dtype=float) * offs.omega, prefactors, raw_tols
+def _set_up(legs, p, offs, d_rows, raw_tols, log_peaks=None, one_spot=True, interval=None, step=None,
+            fixed_nodes=None, delta_spot=None, log_weight=None):
+    """The one set-up of a digital's contour, as its pricer ``price(d, prefactor, raw_tol, spot=None)``.
+
+    It serves the log-moneyness rows ``d_rows`` (shape (S, N)) at the raw
+    tolerances ``raw_tols`` on the contour through ``offs``: given offsets,
+    or those of the caller's rule with their ``log_peaks`` and the cost
+    rule's ``step``.  It checks the offsets and puts the crossing at
+    b = -w omega.  One spot at N = 1 (``one_spot``) then runs the line rule
+    on a sinh-deformed curve within the equal-offset ``interval``
+    (``_sinh_price``).  Any other set-up truncates each axis
+    (``_truncations``) at the rows' smallest raw tolerance and largest
+    ``_log_peak``, which counts the pole weight ``log_weight``, starts it at
+    the count that resolves their largest |d| (``_start_counts``), and runs
+    the strip rule (``_strip_pricer``) for N = 1, the chain rule
+    (``_chain_pricer``) for N >= 2 in chain form, else the tensor rule.
+
+    The strip rule's ``price`` takes one d, prefactor, raw tolerance and
+    spot per entry and returns a list.  One spot at N >= 2 puts its d in
+    the chain factors; a strip or a kept window keeps d0 = 0.  Given a
+    ``spot`` the chain rule also returns the delta's value; ``delta_spot``
+    instead weights the integrand by i zeta_1 / spot (see ``delta``).
+    ``fixed_nodes`` runs one level of that many nodes per axis and never
+    raises NoConvergence.
+    """
+    check_offsets(legs.model, p, offs)
+    b = -np.array(p.w, dtype=float) * offs.omega
+    n, m = legs.cmat.shape
+    if n == 1 and one_spot:
+        interval = sorted(-p.w[0] * o for o in (interval or _equal_offset_interval(legs.model, p)))
+        return lambda d, prefactor, raw_tol: _sinh_price(legs, d[0], b[0], interval, raw_tol, prefactor, offs,
+                                                         fixed_nodes, delta_spot)
+    if log_peaks is None:
+        log_peaks = _log_peak(legs, p, offs.omega, d_rows, log_weight)
+    truncations = _truncations(legs, min(raw_tols), max(log_peaks))
+    plan = _chain_plan(legs.cmat) if n >= 2 else None
+    cap = cq.TENSOR_NODE_CAPS[n] if n >= 2 and plan is None else cq.LINE_NODE_CAP
+    starts, cap = _start_counts(truncations, np.abs(d_rows).max(axis=0), cap, step, fixed_nodes)
+    if n == 1:
+        return _strip_pricer(legs, offs, b, truncations, starts[0], log_weight)
+    if plan is not None:
+        d0 = d_rows[0] if one_spot else np.zeros(n)
+        chain = _chain_pricer(legs, plan, offs, b, truncations, d0, starts, cap, delta_spot)
+        return partial(chain, stalled_raises=fixed_nodes is None)
+
+    def tensor(d, prefactor, raw_tol):
+        weight = None if delta_spot is None else (lambda xs, axes: 1j * legs.zeta(0, xs, axes) / delta_spot)
+        spec = cq.ContourSpec(tuple(b), tuple(truncations), tuple(starts))
+        res = cq.integrate_tensor(_integrand(legs, d, weight), spec, raw_tol, max_nodes_per_axis=cap)
+        return _scaled_price(res, prefactor, raw_tol, offs, (n, m), cap, truncations, fixed_nodes is None)
+    return tensor
 
 
 def _raw_tol(tol, n, prefactor) -> float:
@@ -629,14 +662,14 @@ def _raw_tol(tol, n, prefactor) -> float:
     return tol * (2.0 * math.pi) ** n / abs(prefactor)
 
 
-def _strip_pricer(legs, offs, b, truncations, d_rows, log_weight=None):
-    """Strip-rule prices of an N = 1 set-up at log moneyness d, from samples kept across calls; start for ``d_rows``.
+def _strip_pricer(legs, offs, b, truncations, start, log_weight=None):
+    """Strip-rule prices of an N = 1 set-up (``_set_up``) at log moneyness d, from samples kept across calls.
 
     The samples are those of exp(E(xi)) / xi, or of exp(E(xi)) W(xi) / c_1
-    given a ``log_weight`` (``_log_weight``).  With ``spots``, one per entry
-    of d, each price comes paired with its delta: the twin integral
-    (``quadrature._integrate_strip``) weighted by i zeta_1 / spot, as
-    ``delta`` weights it.
+    given a ``log_weight`` (``_log_weight``); each ladder starts at ``start``
+    nodes.  With ``spots``, one per entry of d, each price comes paired with
+    its delta: the twin integral (``quadrature._integrate_strip``) weighted
+    by i zeta_1 / spot, as ``delta`` weights it.
     """
     m = legs.cmat.shape[1]
 
@@ -644,8 +677,7 @@ def _strip_pricer(legs, offs, b, truncations, d_rows, log_weight=None):
         exponent = legs.exponent(range(m), (xi,), (0,))
         return exponent - np.log(xi) if log_weight is None else exponent + log_weight(xi)
 
-    samples =cq._Samples(log_f, b[0], truncations[0])
-    start = _start_count(truncations[0], np.abs(d_rows).max(), cq.LINE_NODE_CAP)
+    samples = cq._Samples(log_f, b[0], truncations[0])
 
     def prices(d, prefactors, raw_tols, spots=None):
         if spots is None:
@@ -653,7 +685,8 @@ def _strip_pricer(legs, offs, b, truncations, d_rows, log_weight=None):
         else:
             res = cq._integrate_strip(samples, d, np.array(raw_tols), start, lambda xi: 1j * legs.zeta(0, (xi,), (0,)))
         out = [_scaled_price(cq.QuadratureResult(res.value[s], res.error_estimate[s], res.evaluations,
-                                                 bool(res.converged[s])), prefactors[s], raw_tols[s], offs, (1, m))
+                                                 bool(res.converged[s])), prefactors[s], raw_tols[s], offs, (1, m),
+                                 cq.LINE_NODE_CAP, truncations)
                for s in range(d.size)]
         if spots is None:
             return out
@@ -662,18 +695,16 @@ def _strip_pricer(legs, offs, b, truncations, d_rows, log_weight=None):
     return prices
 
 
-def _chain_pricer(legs, offs, b, truncations, d0, starts, cap, delta_spot=None):
-    """The one chain-rule set-up of an N >= 2 term, as its price at any log moneyness d; None if not in chain form.
+def _chain_pricer(legs, plan, offs, b, truncations, d0, starts, cap, delta_spot=None):
+    """The chain rule of an N >= 2 set-up (``_set_up``), as its price at any log moneyness d.
 
-    On a copy of ``legs`` flipped by the plan (``_chain_plan``), it puts the
+    On a copy of ``legs`` flipped by the ``plan`` (``_chain_plan``), it puts the
     axis and leg factors at phase ``d0`` (``_chain_factors``), times the
     weight i zeta_1 / ``delta_spot`` on the factor that holds leg 1 if given
     (see ``delta``), in one ``quadrature._ChainSamples`` store; the face tail
     of that integrand is kept per final level.  Each ladder starts at
-    ``starts`` and stops at ``cap`` nodes per axis.  A single spot
-    (``_one_spot_price``) passes its own d as ``d0``; a kept window
-    (``_kept_sample_prices``) passes d0 = 0 and start counts that resolve
-    its largest |d_k|.
+    ``starts`` and stops at ``cap`` nodes per axis.  A single spot passes
+    its own d as ``d0``; a kept window passes d0 = 0.
 
     ``price(d, prefactor, raw_tol, spot=None, stalled_raises=True)`` runs one
     ladder on the store.  Where d differs from d0 it multiplies each axis
@@ -684,9 +715,6 @@ def _chain_pricer(legs, offs, b, truncations, d0, starts, cap, delta_spot=None):
     holds leg 1 weighted by i zeta_1 / spot.  Leg 1 must then couple more
     than one axis, as it does in every compound term.
     """
-    plan = _chain_plan(legs.cmat)
-    if plan is None:
-        return None
     flips, supports = plan
     n, m = legs.cmat.shape
     # integrate over eta_k = flips_k xi_k: the flipped grid holds the same
@@ -723,7 +751,7 @@ def _chain_pricer(legs, offs, b, truncations, d0, starts, cap, delta_spot=None):
         if shifted:
             res = replace(res, value=res.value * modulus, error_estimate=res.error_estimate * modulus)
         scale = prefactor * math.prod(flips)
-        result = _scaled_price(res, scale, raw_tol, offs, (n, m), stalled_raises)
+        result = _scaled_price(res, scale, raw_tol, offs, (n, m), cap, truncations, stalled_raises)
         if spot is None:
             return result
         # each condition row of a compound term sums to 1, so leg 1 couples every axis
@@ -763,9 +791,10 @@ def _kept_sample_prices(model, sched, p, tol, poles=((1.0, 0.0),)):
     steers a search and carries no claim.  The first pole is p's own, t_1 =
     0, and the claim is |c_1| times ``tol``: a compound's asset term comes
     first, with c_1 = +-1, so its pair with the cash term meets ``tol`` as
-    one number.  A spot x0 sets up the window [x0/2, 2 x0] once, its
-    truncations and start counts serving both ends; spots in the window
-    reuse its samples, and a spot outside it sets up a fresh window.
+    one number.  A spot x0 picks the offset of the window [x0/2, 2 x0] and
+    sets it up once (``_set_up``), its truncations and start counts serving
+    both ends; spots in the window reuse its samples, and a spot outside it
+    sets up a fresh window.
 
     N = 1 prices the poles' terms as one contour integral.  The payoff with
     suffix sums G + t C has the exponent E(eta) at eta = xi - i t and the
@@ -776,20 +805,19 @@ def _kept_sample_prices(model, sched, p, tol, poles=((1.0, 0.0),)):
     the intersection of the terms' equal-offset intervals, each moved by
     w t, with log|W| in its ``_log_peak``, and each term meets its strip
     condition at its own offset omega - w t.  The strip rule runs on that
-    line (``_strip_pricer``).  N >= 2 (one pole) in chain form takes the
-    offset and step of the cost rule at x0 (``_costed_offset``) and the
-    chain rule (``_chain_pricer``); every compound term's conditions are in
-    chain form.  N = 1 spots with w*d > 12 (complements) price each term by
-    ``price_digital`` and ``delta`` and sum them.
+    line.  N >= 2 (one pole) takes the offset and step of the cost rule at
+    x0 (``_costed_offset``) and the chain rule: every compound term's
+    conditions are in chain form.  N = 1 spots with w*d > 12 (complements)
+    price each term by ``price_digital`` and ``delta`` and sum them.
     """
     legs = _Legs(model, sched, p)
     terms = [(c, _shifted(p, t)) for c, t in poles]
     log_weight = _log_weight(p, poles)
     window = None  # (x0, its pricer)
 
-    def setup(spot, d):
-        ends = [spot / 2, 2 * spot]
-        d_ends = np.array([_log_moneyness(p, x) for x in ends])
+    def opened(spot, d):
+        """The pricer of the window [spot / 2, 2 spot], at the offset its rule picks at ``spot``."""
+        step = None
         if p.n == 1:
             w = p.w[0]
             lo, hi = _equal_offset_interval(model, p)
@@ -799,20 +827,15 @@ def _kept_sample_prices(model, sched, p, tol, poles=((1.0, 0.0),)):
             if not lo < hi:
                 raise NoFeasibleOffsets(f"the poles' equal-offset intervals share no point: ]{lo:g}, {hi:g}[")
             omega = float(_halved_offsets(legs, p, lo, hi, d[None], log_weight)[0][0])
-            offs = ContourOffsets((omega,))
             for _, t in poles[1:]:
                 check_offsets(model, _shifted(p, t), ContourOffsets((omega - w * t,)))
         else:
             raw_tol = _raw_tol(tol, p.n, _prefactor(model, sched, p, spot))
             omega, _, step = _costed_offset(legs, p, *_equal_offset_interval(model, p), d, raw_tol)
-            offs = ContourOffsets((omega,) * p.n)
-        b, _, raw_tols = _group_setup(model, sched, p, offs, ends, tol)
-        truncations = _truncations(legs, min(raw_tols), _log_peak(legs, p, offs.omega, d_ends, log_weight).max())
-        if p.n >= 2:
-            starts, cap = _start_counts(truncations, np.abs(d_ends).max(axis=0), cq.LINE_NODE_CAP, step)
-            return _chain_pricer(legs, offs, b, truncations, np.zeros(p.n), starts, cap)
-        strip = _strip_pricer(legs, offs, b, truncations, d_ends, log_weight)
-        return lambda d, prefactor, raw_tol, x: strip(d, [prefactor], [raw_tol], [x])[0]
+        ends = [spot / 2, 2 * spot]
+        raw_tols = [_raw_tol(tol, p.n, _prefactor(model, sched, p, x)) for x in ends]
+        return _set_up(legs, p, ContourOffsets((omega,) * p.n), np.array([_log_moneyness(p, x) for x in ends]),
+                       raw_tols, one_spot=False, step=step, log_weight=log_weight)
 
     def price(spot):
         nonlocal window
@@ -825,13 +848,16 @@ def _kept_sample_prices(model, sched, p, tol, poles=((1.0, 0.0),)):
                            quadrature_error=sum(abs(c) * res.quadrature_error for c, res, _ in parts),
                            evaluations=sum(res.evaluations for _, res, _ in parts)), sum(c * s for c, _, s in parts)
         if window is None or not window[0] / 2 <= spot <= 2 * window[0]:
-            window = spot, setup(spot, d)
+            window = spot, opened(spot, d)
         pf = _prefactor(model, sched, p, spot)
-        return window[1](d, poles[0][0] * pf, _raw_tol(tol, p.n, pf), spot)
+        prefactor, raw_tol = poles[0][0] * pf, _raw_tol(tol, p.n, pf)
+        if p.n == 1:  # a strip of one entry
+            return window[1](d, [prefactor], [raw_tol], [spot])[0]
+        return window[1](d, prefactor, raw_tol, spot)
     return price
 
 
-def _sinh_price(legs, spot, d, b, interval, raw_tol, prefactor, offsets, fixed_nodes, delta_mode) -> PriceResult:
+def _sinh_price(legs, d, b, interval, raw_tol, prefactor, offsets, fixed_nodes, delta_spot) -> PriceResult:
     """One spot's N = 1 price: the line rule along a sinh-deformed contour (``quadrature.sinh_contour``).
 
     The curve crosses the imaginary axis at i b, the horizontal line's offset,
@@ -857,6 +883,7 @@ def _sinh_price(legs, spot, d, b, interval, raw_tol, prefactor, offsets, fixed_n
     small, edge being the larger of the peak and |f xi'| at the edge
     crossings.  So a typical price stops at its second level, and no decay
     bound or truncation radius enters.  ``fixed_nodes`` counts y-nodes.
+    Given a ``delta_spot`` it prices the delta (see ``delta``).
     """
     model = legs.model
     m = legs.cmat.shape[1]
@@ -896,30 +923,13 @@ def _sinh_price(legs, spot, d, b, interval, raw_tol, prefactor, offsets, fixed_n
 
     def integrand(xi):
         out = np.exp(exponent(xi)) / xi
-        if delta_mode:
-            out = out * (1j * legs.zeta(0, (xi,), (0,)) / spot)  # see ``delta``
+        if delta_spot is not None:
+            out = out * (1j * legs.zeta(0, (xi,), (0,)) / delta_spot)
         return out
 
     res = cq.integrate_line(integrand, cq.sinh_contour(b, theta, scale, 0.5 * (y_hi + y_lo)), half, raw_tol,
                             start_nodes=start, max_nodes=cap)
-    return _scaled_price(res, prefactor, raw_tol, offsets, (1, m), stalled_raises=fixed_nodes is None)
-
-
-def _one_spot_price(legs, spot, d_vec, b, truncations, raw_tol, prefactor, offsets,
-                    fixed_nodes, delta_mode, step) -> PriceResult:
-    """One spot's N >= 2 price for ``_price_core``: the chain rule (``_chain_pricer``), else the tensor rule.
-
-    The chain set-up takes the spot's own d as its phase, and its start
-    counts and cap, or ``fixed_nodes`` as both; in ``delta_mode`` it weights
-    the factor that holds leg 1 by i zeta_1 / spot.
-    """
-    starts, cap = _start_counts(truncations, d_vec, cq.LINE_NODE_CAP, step, fixed_nodes)
-    chain = _chain_pricer(legs, offsets, b, truncations, d_vec, starts, cap, spot if delta_mode else None)
-    if chain is not None:
-        return chain(d_vec, prefactor, raw_tol, stalled_raises=fixed_nodes is None)
-    weight = (lambda xs, axes: 1j * legs.zeta(0, xs, axes) / spot) if delta_mode else None  # see ``delta``
-    return _contour_price(_integrand(legs, d_vec, weight), b, truncations, d_vec, raw_tol, prefactor,
-                          legs.cmat.shape, offsets, fixed_nodes, step)
+    return _scaled_price(res, prefactor, raw_tol, offsets, (1, m), cap, (), fixed_nodes is None)
 
 
 def _integrand(legs: _Legs, d_vec, weight=None):
@@ -1012,33 +1022,6 @@ def _chain_factors(legs: _Legs, d_vec, supports, weight):
     return factors, stages
 
 
-def _contour_price(integrand, b, truncations, d_vec, raw_tol, prefactor, dims,
-                   offsets=None, fixed_nodes=None, step=None) -> PriceResult:
-    """prefactor / (2 pi i)^N times the N-fold contour integral of ``integrand``.
-
-    Serves the single-spot prices on horizontal lines that the chain rule
-    does not: the continuous Asian (N = 1, the line rule) and the N >= 2
-    digitals of ``_price_core`` that are not in chain form (the tensor rule),
-    the normal-CDF identity among them.  Axis k runs along Im(xi_k) = b[k] out
-    to |Re| <= truncations[k]; its ladder starts at ``_start_counts``'s
-    count, under the line rule's or the tensor rule's node cap.
-    ``raw_tol`` bounds the raw integral.  ``fixed_nodes`` evaluates a single
-    level and never raises NoConvergence; it must be even and at least
-    ``MIN_NODES`` (16) for every N.  A ``fixed_nodes`` ladder starts at its
-    cap, so it first runs a half level and needs at least 30 nodes
-    (``quadrature._refine``).
-    """
-    n = len(b)
-    starts, cap = _start_counts(truncations, d_vec, cq._node_cap(n, None), step, fixed_nodes)
-    if n == 1:
-        res = cq.integrate_line(integrand, b[0], truncations[0], raw_tol,
-                                start_nodes=starts[0], max_nodes=cap)
-    else:
-        spec = cq.ContourSpec(tuple(b), tuple(truncations), tuple(starts))
-        res = cq.integrate_tensor(integrand, spec, raw_tol, max_nodes_per_axis=cap)
-    return _scaled_price(res, prefactor, raw_tol, offsets, dims, stalled_raises=fixed_nodes is None)
-
-
 def _start_counts(truncations, d_vec, cap, step, fixed_nodes=None) -> tuple[list[int], int]:
     """Each axis's start count and the ladder's node cap: ``fixed_nodes`` as both if given, else ``cap``.
 
@@ -1063,12 +1046,15 @@ def _checked_fixed_nodes(fixed_nodes) -> int:
     return int(fixed_nodes)
 
 
-def _scaled_price(res, prefactor, raw_tol, offsets, dims, stalled_raises=True) -> PriceResult:
+def _scaled_price(res, prefactor, raw_tol, offsets, dims, cap, truncations, stalled_raises=True) -> PriceResult:
     """The price prefactor / (2 pi i)^N times ``res``.
 
     The value must be real up to quadrature noise; the error estimate
     includes the float-cancellation floor of hot integrands.  An unconverged
-    ``res`` raises NoConvergence carrying the price if ``stalled_raises``.
+    ``res``, whose ladder stopped at its node ``cap``, raises NoConvergence
+    carrying the price if ``stalled_raises``; the message names that cap,
+    and the clamp ``quadrature.TRUNCATION_MAX`` if one of ``truncations``
+    met it.
     """
     scale = prefactor / (2.0j * math.pi) ** dims[0]
     value_c = scale * res.value
@@ -1079,8 +1065,10 @@ def _scaled_price(res, prefactor, raw_tol, offsets, dims, stalled_raises=True) -
         )
     price = PriceResult(float(value_c.real), err, offsets, dims, res.evaluations)
     if stalled_raises and not res.converged:
+        clamped = max(truncations, default=0.0) >= cq.TRUNCATION_MAX
         raise NoConvergence(
-            f"quadrature stalled at error {err:g} (tolerance {abs(scale) * raw_tol:g})", price
+            f"quadrature stalled at error {err:g} (tolerance {abs(scale) * raw_tol:g}) at the {cap}-node cap per "
+            f"axis{f', truncations clamped at {cq.TRUNCATION_MAX:.0e}' if clamped else ''}", price
         )
     return price
 

@@ -17,7 +17,7 @@ level rules:
   factors into per-axis factors and leg factors of nested partial sums of
   the axes: it computes the tensor trapezoid sum on a common step as N nested
   1-D convolutions (the Fourier-domain CONV recursion), on the samples of a
-  ``_ChainSamples`` store that ``digitals._chain_pricer`` sets up;
+  ``_ChainSamples`` store, which ``digitals._set_up`` builds for a chain term;
 - the tensor rule of ``integrate_tensor``, for any other N-fold integrand and
   as the oracle of the chain rule.
 

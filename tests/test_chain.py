@@ -239,7 +239,7 @@ class TestChainFactors:
 
     @staticmethod
     def chain_of(monkeypatch, model, sched, p, delta_mode):
-        """The (factors, stages) and contour offsets that ``_price_core`` hands the chain rule's store."""
+        """The (factors, stages) and contour offsets that a single-spot price or delta hands the chain rule's store."""
         captured = {}
 
         def capture(factors, stages, offsets, truncations):
@@ -248,7 +248,7 @@ class TestChainFactors:
 
         monkeypatch.setattr(cq, "_ChainSamples", capture)
         with pytest.raises(Captured):
-            digitals._price_core(model, sched, p, [SPOT], None, None, None, delta_mode)
+            (delta if delta_mode else price_digital)(model, sched, p, SPOT)
         return captured["factors"], captured["stages"], captured["offsets"]
 
     @pytest.mark.parametrize("delta_mode", [False, True], ids=["price", "delta"])

@@ -16,6 +16,7 @@ from levyexotic import (
     ForwardStart,
     LookbackFixed,
     MonitoringSchedule,
+    PayoffParameterSet,
     closed_form_price,
     compound_parity_check,
     continuous_asian_psi,
@@ -32,6 +33,7 @@ from levyexotic import contracts, digitals
 from levyexotic import quadrature as cq
 from levyexotic.errors import (
     CapExceeded,
+    DimensionTooLarge,
     NoConvergence,
     NoRoot,
     StripViolation,
@@ -494,16 +496,55 @@ class TestKeptSamples:
         # pair.  Depth 3: that pair in the inner leg's search; in the outer's,
         # one one-condition and two two-condition terms, on the chain rule.
         # No term is priced spot by spot
+        set_ups = _counting_in(monkeypatch, digitals, "_set_up")
         truncations = _counting_in(monkeypatch, digitals, "_truncations")
         strips = _counting_in(monkeypatch, digitals, "_strip_pricer")
         chains = _counting_in(monkeypatch, digitals, "_chain_pricer")
         per_spot = _counting_in(monkeypatch, digitals, "price_digital")
         for c in DEPTH_TWO if depth == 2 else DEPTH_THREE:
-            before = len(strips), len(chains), len(truncations)
+            before = len(strips), len(chains), len(truncations), len(set_ups)
             solve_compound_thresholds(c, GAUSS)
             assert (len(strips) - before[0], len(chains) - before[1]) == ((1, 0) if depth == 2 else (2, 2))
-            assert len(truncations) - before[2] == (1 if depth == 2 else 4)
+            assert len(truncations) - before[2] == len(set_ups) - before[3] == (1 if depth == 2 else 4)
         assert per_spot == []
+
+    def test_one_set_up_per_spot_group_and_window(self, monkeypatch):
+        # digitals._set_up is the one place a contour is set up: once per
+        # single-spot price or delta under each rule, once per offset group of
+        # a strip, and once per group of terms and spot window of a search
+        set_ups = _counting_in(monkeypatch, digitals, "_set_up")
+        rules = {name: _counting_in(monkeypatch, module, name) for module, name in [
+            (digitals, "_sinh_price"), (digitals, "_strip_pricer"), (digitals, "_chain_pricer"),
+            (cq, "integrate_tensor")]}
+
+        def counts():
+            return len(set_ups), {name: len(calls) for name, calls in rules.items()}
+
+        def added(before):
+            now = counts()
+            return now[0] - before[0], {name: n - before[1][name] for name, n in now[1].items() if n > before[1][name]}
+
+        one_date, two_dates = MonitoringSchedule(0.0, (1.0,)), MonitoringSchedule(0.0, (0.5, 1.0))
+        k = math.log(100.0)
+        cash = PayoffParameterSet((0.0,), (k,), (1,), ((1.0,),))
+        for sched, p, rule in [
+            (one_date, cash, "_sinh_price"),
+            (two_dates, PayoffParameterSet((0.0, 1.0), (math.log(90.0), k), (1, 1), ((1.0, 0.0), (0.0, 1.0))),
+             "_chain_pricer"),
+            (two_dates, PayoffParameterSet((0.0, 1.0), (1.5 * k, 1.5 * k), (1, 1), ((1.0, 0.5), (0.5, 1.0))),
+             "integrate_tensor"),
+        ]:
+            for price in (price_digital, delta):
+                before = counts()
+                price(GAUSS, sched, p, SPOT, tol=1e-5)
+                assert added(before) == (1, {rule: 1}), (price.__name__, rule)
+        before = counts()
+        strip = digitals._price_core(GAUSS, one_date, cash, [SPOT, 1.25 * SPOT])
+        assert added(before) == (2, {"_strip_pricer": 2})
+        assert strip[0].offsets_used != strip[1].offsets_used
+        before = counts()
+        solve_compound_thresholds(DEPTH_THREE[0], GAUSS)
+        assert added(before) == (4, {"_strip_pricer": 2, "_chain_pricer": 2})
 
     def test_gaussian_pairs_match_the_closed_form(self, monkeypatch):
         # an asset/cash pair is the inner European: at every spot its searches
@@ -551,10 +592,10 @@ class TestKeptSamples:
         # 100; no kept sample prices a spot outside the window it was set up
         # for.  The inner call's asset and cash terms share each window
         windows = []
-        pricer = digitals._strip_pricer
+        set_up = digitals._set_up
 
-        def watched(legs, offs, b, truncations, d_rows, log_weight=None):
-            prices = pricer(legs, offs, b, truncations, d_rows, log_weight)
+        def watched(legs, p, offs, d_rows, *args, **kwargs):
+            prices = set_up(legs, p, offs, d_rows, *args, **kwargs)
             lo, hi = d_rows.min(), d_rows.max()
             windows.append((lo, hi))
 
@@ -563,7 +604,7 @@ class TestKeptSamples:
                 return prices(d, *args)
             return checked
 
-        monkeypatch.setattr(digitals, "_strip_pricer", watched)
+        monkeypatch.setattr(digitals, "_set_up", watched)
         comp = Compound(((0.5, 150.0, 1), (1.0, 100.0, 1)))
         s_star = solve_compound_thresholds(comp, GAUSS)[0]
         assert s_star == pytest.approx(_compound_cf_thresholds(comp.legs, 0.0, 0.2, 0.05)[0], rel=1e-8)
@@ -596,8 +637,26 @@ class TestPortfolioError:
 
     def test_continuous_asian_stalls_at_the_line_cap(self, monkeypatch):
         monkeypatch.setattr(cq, "LINE_NODE_CAP", 32)
-        with pytest.raises(NoConvergence):
+        with pytest.raises(NoConvergence, match="at the 32-node cap per axis$"):
             price_contract(AsianContinuous(0.0, 1.0, 100.0), NIG, SPOT)
+
+    @pytest.mark.parametrize("model, maturity, clamped", [(NIG, 0.02, False), (CGMY05, 0.1, True)],
+                             ids=["nig", "cgmy05"])
+    def test_a_stall_names_its_cause(self, model, maturity, clamped):
+        # a short step decays slowly in Fourier space: NIG truncates each chain
+        # axis at 9,732, CGMY Y=0.5 at the clamp, and both ladders stop at the cap
+        with pytest.raises(NoConvergence) as info:
+            price_contract(Chooser(maturity / 2, maturity, 100.0), model, SPOT)
+        message = str(info.value)
+        assert f"at the {cq.LINE_NODE_CAP}-node cap per axis" in message
+        assert ("truncations clamped at 1e+04" in message) == clamped
+
+    def test_five_dates_exceed_the_limit_of_every_rule(self):
+        # the terms of a 5-date barrier are in chain form, and the limit still holds them
+        barrier = BarrierDownOutCall(MonitoringSchedule(0.0, (0.2, 0.4, 0.6, 0.8, 1.0)), 90.0, 100.0)
+        assert all(digitals._chain_plan(p.condition_weights()) is not None for _, _, p in to_portfolio(barrier).terms)
+        with pytest.raises(DimensionTooLarge, match="exceeds 4, the limit of every contour rule"):
+            price_contract(barrier, GAUSS, SPOT)
 
     @pytest.mark.parametrize("kwargs", [{"fixed_nodes": 31}, {"fixed_nodes": 8}], ids=["fixed-odd", "fixed-small"])
     @pytest.mark.parametrize("contract", [

@@ -27,14 +27,14 @@ from levyexotic import (
 from levyexotic import quadrature as cq
 from levyexotic.contracts import Digital, to_portfolio
 from levyexotic.digitals import (
-    _contour_price,
     _equal_offset_interval,
-    _group_setup,
     _halved_offsets,
     _Legs,
     _log_moneyness,
     _prefactor,
     _price_core,
+    _scaled_price,
+    _start_count,
     _truncations,
 )
 from levyexotic.errors import DimensionTooLarge, NoFeasibleOffsets, StripViolation
@@ -53,8 +53,9 @@ def line_oracle(model, sched, p, spot, tol=1e-8):
     """The horizontal line rule's price of a one-condition digital: the oracle of the sinh contour and the strips.
 
     The offset of ``default_offsets``, the truncation of ``_truncations`` and
-    the line ladder of ``_contour_price``; a spot with w*d > 12 is the certain
-    claim minus its flipped condition, as in ``_price_core``.
+    the line rule's ladder from the phase-resolving start count; a spot with
+    w*d > 12 is the certain claim minus its flipped condition, as in
+    ``_price_core``.
     """
     d = _log_moneyness(p, spot)
     if p.w[0] * d[0] > 12.0:
@@ -63,14 +64,18 @@ def line_oracle(model, sched, p, spot, tol=1e-8):
         return replace(flipped, value=whole.value - flipped.value)
     legs = _Legs(model, sched, p)
     omegas, peaks = _halved_offsets(legs, p, *_equal_offset_interval(model, p), d[None])
-    offs = ContourOffsets((float(omegas[0]),))
-    b, (prefactor,), (raw_tol,) = _group_setup(model, sched, p, offs, [spot], tol)
-    truncations = _truncations(legs, raw_tol, peaks[0])
+    b = -p.w[0] * float(omegas[0])
+    prefactor = _prefactor(model, sched, p, spot)
+    raw_tol = tol * 2.0 * math.pi / abs(prefactor)
+    (truncation,) = _truncations(legs, raw_tol, peaks[0])
 
     def integrand(xi):
         return np.exp(1j * d[0] * xi + legs.exponent(range(p.m), (xi,), (0,))) / xi
 
-    return _contour_price(integrand, b, truncations, d, raw_tol, prefactor, (1, p.m), offs)
+    start = _start_count(truncation, d[0], cq.LINE_NODE_CAP)
+    res = cq.integrate_line(integrand, b, truncation, raw_tol, start_nodes=start)
+    offs = ContourOffsets((float(omegas[0]),))
+    return _scaled_price(res, prefactor, raw_tol, offs, (1, p.m), cq.LINE_NODE_CAP, (truncation,))
 
 
 def exponent_sum(model, sched, p, xi):
@@ -434,13 +439,13 @@ class TestSinhContour:
         for coef, sched, p in port.terms:
             legs = _Legs(model, sched, p)
             d = _log_moneyness(p, SPOT)
-            offs = default_offsets(model, p, sched, SPOT)
-            b, (prefactor,), (raw_tol,) = _group_setup(model, sched, p, offs, [SPOT], 1.0)
+            b = -p.w[0] * default_offsets(model, p, sched, SPOT).omega[0]
+            prefactor = _prefactor(model, sched, p, SPOT)
 
             def integrand(xi):
                 return np.exp(1j * d[0] * xi + legs.exponent(range(p.m), (xi,), (0,))) / xi
 
-            line = cq.integrate_line(integrand, b[0], 200.0, 1e-13, start_nodes=4096)
+            line = cq.integrate_line(integrand, b, 200.0, 1e-13, start_nodes=4096)
             assert line.converged
             value += coef * (prefactor * line.value / (2j * math.pi)).real
             err += abs(coef * prefactor / (2.0 * math.pi)) * line.error_estimate
