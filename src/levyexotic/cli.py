@@ -174,8 +174,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_conv = sub.add_parser("convergence", help="emit a CSV refinement study")
     p_conv.add_argument("--spec", required=True)
     p_conv.add_argument("--axis", choices=("grid", "paths"), required=True,
-                        help="grid: one fixed node count per axis and level (fixed_nodes; for a "
-                             "one-condition digital the y-nodes of its sinh contour); "
+                        help="grid: one fixed node count per axis and level (fixed_nodes; y-nodes of the "
+                             "sinh contour of a one-condition digital or continuous Asian); "
                              "paths: Monte Carlo path counts")
     p_conv.set_defaults(func=cmd_convergence)
     return parser

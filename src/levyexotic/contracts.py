@@ -14,7 +14,6 @@ from typing import Union
 
 import numpy as np
 
-from . import quadrature as cq
 from .digitals import (
     DEFAULT_TOL_1D,
     DEFAULT_TOL_ND,
@@ -22,11 +21,15 @@ from .digitals import (
     MonitoringSchedule,
     PayoffParameterSet,
     PriceResult,
-    _interval_point,
     _kept_sample_prices,
-    _scaled_price,
+    _Legs,
+    _log_moneyness,
+    _log_weight,
+    _pole_offset,
+    _prefactor,
+    _raw_tol,
+    _set_up,
     _shifted,
-    _start_counts,
     _whole,
     default_offsets,
     price_digital,
@@ -35,10 +38,9 @@ from .errors import (
     CapExceeded,
     NoConvergence,
     NoRoot,
-    StripViolation,
     UnsupportedContract,
 )
-from .models import LevyModel
+from .models import LevyModel, _AveragedModel
 
 LOOKBACK_MAX_DATES = 3
 COMPOUND_MAX_DEPTH = 3
@@ -577,56 +579,35 @@ def solve_compound_thresholds(c: Compound, model: LevyModel,
 def continuous_asian_psi(model: LevyModel, xi):
     """Averaged exponent int_0^1 psi(xi*(1-y)) dy = -i mu xi / 2 + (1/xi) int_0^xi phi.
 
-    The second part is each family's closed form, ``model.phi_average``: a
-    polynomial for the Gaussian, powers (m - iu)**(y+1) and (g + iu)**(y+1)
-    for CGMY, a square-root and logarithm (asinh) antiderivative for NIG,
-    with a Taylor series near xi = 0 where those forms cancel.  The strip
-    check runs at xi; the strip holds 0 and is convex, so it then holds the
-    whole segment [0, xi].  The tests keep 64-node Gauss-Legendre in y as
-    the oracle.
+    The psi of the averaged model (``models._AveragedModel``), so raises
+    StripViolation on a cut.  The second part is each family's closed form,
+    ``model.phi_average``: a polynomial for the Gaussian, powers
+    (m - iu)**(y+1) and (g + iu)**(y+1) for CGMY, a square-root and logarithm
+    (asinh) antiderivative for NIG, with a Taylor series near xi = 0 where
+    those forms cancel.
     """
-    arr = np.asarray(xi, dtype=complex)
-    model.check_strip(arr)
-    out = -0.5j * model.mu * arr + model.phi_average(arr)
-    return complex(out) if arr.ndim == 0 else out
+    return _AveragedModel.of(model).psi(xi)
 
 
 def _price_asian_continuous(c: AsianContinuous, model: LevyModel, spot: float, tol: float | None,
                             offset_position: float | None, fixed_nodes: int | None) -> PriceResult:
-    # Kept as a contour of its own: as asset minus K cash digital under the averaged exponent, the
-    # vanilla book's 40 continuous Asians took 0.15 s, not 0.027 s (55,504 vs 38,952 evaluations).
-    # Its exponent, offset interval and radius are its own, so it sets up its line here, not in
-    # ``digitals._set_up``.
-    tau = c.t_end - c.t_start
-    lam_minus, lam_plus = model.strip
-    # calls need Im(xi) < -1, puts 0 < Im(xi); the payoff transform
-    # -1/(xi(xi + i)) is the same on either contour
-    if c.w == 1:
-        lo, hi = 1.0, -lam_minus
-    else:
-        lo, hi = 0.0, lam_plus
-    if not lo < hi:
-        raise StripViolation("strip too narrow for the continuous-Asian contour")
-    omega = 0.5 * (lo + hi) if offset_position is None else _interval_point(lo, hi, offset_position)
+    """The continuous Asian as one two-pole integral on the sinh contour.
 
-    d = math.log(spot) - math.log(c.strike)
-    if tol is None:
-        tol = DEFAULT_TOL_1D
-    raw_tol = tol * 2.0 * math.pi / c.strike
-    trunc = cq.truncation_radius(
-        model.decay_coefficient, model.order, tau / (1.0 + model.order) * 0.9,
-        raw_tol * 0.1 * math.exp(-model.decay_shift * tau),
-    )
-
-    def integrand(xi):
-        return np.exp(1j * xi * d - tau * continuous_asian_psi(model, xi)) / (xi * (xi + 1j))
-
-    # -i K e^{-r tau} / (2 pi i) is the real Fourier scale -K e^{-r tau} / (2 pi)
-    prefactor = -1j * c.strike * math.exp(-model.r * tau)
-    starts, cap = _start_counts((trunc,), (d,), cq.LINE_NODE_CAP, None, fixed_nodes)
-    res = cq.integrate_line(integrand, -c.w * omega, trunc, raw_tol, start_nodes=starts[0], max_nodes=cap)
-    return _scaled_price(res, prefactor, raw_tol, ContourOffsets((omega,)), (1, 0), cap, (trunc,),
-                         fixed_nodes is None)
+    The mean of X over [t_start, t_end] is one date's X under the averaged
+    model, so the price is w (asset digital - K cash digital) there: the cash
+    digital's poles (-w K, 0) and (w, 1), weighted by Lewis's -1/(xi (xi + i)).
+    """
+    averaged = _AveragedModel.of(model)
+    sched = MonitoringSchedule(c.t_start, (c.t_end,))
+    p = PayoffParameterSet((0.0,), (math.log(c.strike),), (c.w,), ((1.0,),))
+    poles = ((-c.w * c.strike, 0.0), (float(c.w), 1.0))
+    legs, d, log_weight = _Legs(averaged, sched, p), _log_moneyness(p, spot), _log_weight(p, poles)
+    omega, interval = _pole_offset(legs, p, poles, d, log_weight, offset_position)
+    prefactor = poles[0][0] * _prefactor(averaged, sched, p, spot)
+    raw_tol = _raw_tol(DEFAULT_TOL_1D if tol is None else tol, 1, prefactor)
+    price = _set_up(legs, p, ContourOffsets((omega,)), d[None], [raw_tol], interval=interval,
+                    fixed_nodes=fixed_nodes, log_weight=log_weight)
+    return price(d, prefactor, raw_tol)
 
 
 def price_contract(
@@ -645,8 +626,9 @@ def price_contract(
     ``offset_position`` in ]0, 1[ picks the contour offset at that relative
     point of the feasible interval instead of the default rule: each term's
     (``default_offsets``), or the continuous Asian's ]1, -lambda_-[ (calls)
-    or ]0, lambda_+[ (puts); useful for contour-invariance checks.
-    ``fixed_nodes`` runs one level of that many nodes per axis (grid studies).
+    or ]0, lambda_+[ (puts), where its sinh contour crosses the axis; useful
+    for contour-invariance checks.  ``fixed_nodes`` runs one level of that
+    many nodes per axis (grid studies), y-nodes on a sinh contour.
     """
     if isinstance(c, AsianContinuous):
         return _price_asian_continuous(c, model, spot, tol, offset_position, fixed_nodes)

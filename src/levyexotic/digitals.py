@@ -20,10 +20,10 @@ horizontal lines, and the horizontal line rule stays the curve's tested
 oracle.  One-condition terms take the offset of the halving rule
 (``_halved_offsets``).  A single spot's N >= 2 term at default offsets takes
 the offset, and each axis the start level, that one trapezoid error model
-predicts to cost the fewest nodes (``_costed_offset``).  A kept window may
-price several one-condition terms whose suffix sums differ by multiples of
-their condition row, an asset digital and its cash twin, as one contour
-integral.
+predicts to cost the fewest nodes (``_costed_offset``).  One-condition
+terms whose suffix sums differ by multiples of their condition row, an asset
+digital and its cash twin, are one contour integral (``_pole_offset``): a
+kept window's, and the continuous Asian's on the sinh curve.
 
 The exponent E is a sum over the monitoring legs j = 1..M of
 -Delta_j psi(zeta_j), at zeta_j = sum_k C[k, j] xi_k - i G_j, where C and G
@@ -613,7 +613,7 @@ def _set_up(legs, p, offs, d_rows, raw_tols, log_peaks=None, one_spot=True, inte
     or those of the caller's rule with their ``log_peaks`` and the cost
     rule's ``step``.  It checks the offsets and puts the crossing at
     b = -w omega.  One spot at N = 1 (``one_spot``) then runs the line rule
-    on a sinh-deformed curve within the equal-offset ``interval``
+    on a sinh-deformed curve within the equal-offset or pole ``interval``
     (``_sinh_price``).  Any other set-up truncates each axis
     (``_truncations``) at the rows' smallest raw tolerance and largest
     ``_log_peak``, which counts the pole weight ``log_weight``, starts it at
@@ -635,7 +635,7 @@ def _set_up(legs, p, offs, d_rows, raw_tols, log_peaks=None, one_spot=True, inte
     if n == 1 and one_spot:
         interval = sorted(-p.w[0] * o for o in (interval or _equal_offset_interval(legs.model, p)))
         return lambda d, prefactor, raw_tol: _sinh_price(legs, d[0], b[0], interval, raw_tol, prefactor, offs,
-                                                         fixed_nodes, delta_spot)
+                                                         fixed_nodes, delta_spot, log_weight)
     if log_peaks is None:
         log_peaks = _log_peak(legs, p, offs.omega, d_rows, log_weight)
     truncations = _truncations(legs, min(raw_tols), max(log_peaks))
@@ -784,6 +784,27 @@ def _log_weight(p, poles):
     return lambda eta: np.log(1.0 / eta + sum(r / (eta + 1j * t) for r, t in ratios))
 
 
+def _pole_offset(legs, p, poles, d, log_weight, position=None) -> tuple[float, tuple[float, float]]:
+    """The equal offset omega of the N = 1 ``poles`` (c_i, t_i) of ``p`` at log moneyness ``d``, and its interval.
+
+    The interval intersects the terms' equal-offset intervals, each moved by
+    w t_i: a contour through -i w omega passes every pole on the side w
+    demands, and term i meets its strip condition at omega - w t_i.  omega is
+    the halving rule's with log|W| (``log_weight``) in its ``_log_peak``, or
+    the point at ``position``.
+    """
+    model, w = legs.model, p.w[0]
+    lo, hi = _equal_offset_interval(model, p)
+    for _, t in poles[1:]:
+        lo_t, hi_t = _equal_offset_interval(model, _shifted(p, t))
+        lo, hi = max(lo, lo_t + w * t), min(hi, hi_t + w * t)
+    if not lo < hi:
+        raise NoFeasibleOffsets(f"the poles' equal-offset intervals share no point: ]{lo:g}, {hi:g}[")
+    if position is None:
+        return float(_halved_offsets(legs, p, lo, hi, d[None], log_weight)[0][0]), (lo, hi)
+    return _interval_point(lo, hi, position), (lo, hi)
+
+
 def _kept_sample_prices(model, sched, p, tol, poles=((1.0, 0.0),)):
     """sum_i c_i ``price_digital`` of ``_shifted(p, t_i)`` over the ``poles`` (c_i, t_i), and its ``delta``, as a function of the spot, from kept samples.
 
@@ -800,15 +821,12 @@ def _kept_sample_prices(model, sched, p, tol, poles=((1.0, 0.0),)):
     suffix sums G + t C has the exponent E(eta) at eta = xi - i t and the
     spot factor S^G_1 e^(i d eta) e^(t k) / (eta + i t), so the sum is p's
     integral weighted by W(eta) / c_1 (``_log_weight``), times c_1, and its
-    twin is the delta.  The line Im eta = -w omega passes every pole on the
-    side w demands: omega takes the halving rule of ``default_offsets`` on
-    the intersection of the terms' equal-offset intervals, each moved by
-    w t, with log|W| in its ``_log_peak``, and each term meets its strip
-    condition at its own offset omega - w t.  The strip rule runs on that
-    line.  N >= 2 (one pole) takes the offset and step of the cost rule at
-    x0 (``_costed_offset``) and the chain rule: every compound term's
-    conditions are in chain form.  N = 1 spots with w*d > 12 (complements)
-    price each term by ``price_digital`` and ``delta`` and sum them.
+    twin is the delta.  The strip rule runs on the line Im eta = -w omega
+    through the poles' offset (``_pole_offset``).  N >= 2 (one pole) takes
+    the offset and step of the cost rule at x0 (``_costed_offset``) and the
+    chain rule: every compound term's conditions are in chain form.  N = 1
+    spots with w*d > 12 (complements) price each term by ``price_digital``
+    and ``delta`` and sum them.
     """
     legs = _Legs(model, sched, p)
     terms = [(c, _shifted(p, t)) for c, t in poles]
@@ -819,16 +837,7 @@ def _kept_sample_prices(model, sched, p, tol, poles=((1.0, 0.0),)):
         """The pricer of the window [spot / 2, 2 spot], at the offset its rule picks at ``spot``."""
         step = None
         if p.n == 1:
-            w = p.w[0]
-            lo, hi = _equal_offset_interval(model, p)
-            for _, t in poles[1:]:
-                lo_t, hi_t = _equal_offset_interval(model, _shifted(p, t))
-                lo, hi = max(lo, lo_t + w * t), min(hi, hi_t + w * t)
-            if not lo < hi:
-                raise NoFeasibleOffsets(f"the poles' equal-offset intervals share no point: ]{lo:g}, {hi:g}[")
-            omega = float(_halved_offsets(legs, p, lo, hi, d[None], log_weight)[0][0])
-            for _, t in poles[1:]:
-                check_offsets(model, _shifted(p, t), ContourOffsets((omega - w * t,)))
+            omega, _ = _pole_offset(legs, p, poles, d, log_weight)
         else:
             raw_tol = _raw_tol(tol, p.n, _prefactor(model, sched, p, spot))
             omega, _, step = _costed_offset(legs, p, *_equal_offset_interval(model, p), d, raw_tol)
@@ -857,7 +866,7 @@ def _kept_sample_prices(model, sched, p, tol, poles=((1.0, 0.0),)):
     return price
 
 
-def _sinh_price(legs, d, b, interval, raw_tol, prefactor, offsets, fixed_nodes, delta_spot) -> PriceResult:
+def _sinh_price(legs, d, b, interval, raw_tol, prefactor, offsets, fixed_nodes, delta_spot, log_weight) -> PriceResult:
     """One spot's N = 1 price: the line rule along a sinh-deformed contour (``quadrature.sinh_contour``).
 
     The curve crosses the imaginary axis at i b, the horizontal line's offset,
@@ -867,7 +876,9 @@ def _sinh_price(legs, d, b, interval, raw_tol, prefactor, offsets, fixed_nodes, 
     exp(-2 pi d0 / h) times the integrand on the strip |Im y| < d0
     (Trefethen & Weideman, SIAM Review 56(3), 2014), where the curve sweeps
     the family of bends theta +- d0 with crossings
-    b + scale (sin(theta +- d0) - sin theta).  Here theta = d0 =
+    b + scale (sin(theta +- d0) - sin theta).  The integrand is exp(E) / xi,
+    or exp(E) W / c_1 given a pole group's ``log_weight`` (``_log_weight``),
+    whose poles lie on the axis outside ``interval``.  Here theta = d0 =
     ``_SINH_BEND`` * gamma, gamma = min(growth cone, pi/2), so the family
     stays between the horizontal line and 3/4 of the cone, away from the
     cone's edge where the growth of Re psi is weakest; ``scale`` keeps its
@@ -904,7 +915,8 @@ def _sinh_price(legs, d, b, interval, raw_tol, prefactor, offsets, fixed_nodes, 
     y = _PROBE_STEP * np.arange(-_PROBE_COUNT, _PROBE_COUNT + 1)
     edges = theta + np.array([-bend, bend])
     xi = np.concatenate((point(y), 1j * (b + scale * (np.sin(edges) - math.sin(theta)))))
-    log_mod = exponent(xi).real - np.log(np.abs(xi)) + np.log(np.abs(np.concatenate((slope(y), scale * np.cos(edges)))))
+    weight = -np.log(np.abs(xi)) if log_weight is None else log_weight(xi).real
+    log_mod = exponent(xi).real + weight + np.log(np.abs(np.concatenate((slope(y), scale * np.cos(edges)))))
     log_mod, log_edge = log_mod[:y.size], log_mod[y.size:].max()
     top = int(np.argmax(log_mod))
     gap = max(log_mod[top] - math.log(max(raw_tol, 1e-280)), 1.0)  # log(peak / raw_tol)
@@ -922,6 +934,8 @@ def _sinh_price(legs, d, b, interval, raw_tol, prefactor, offsets, fixed_nodes, 
         start = min(max(cq.MIN_NODES, 2 * math.ceil(half * log_ratio / (2.0 * math.pi * bend))), cap // 2)
 
     def integrand(xi):
+        if log_weight is not None:
+            return np.exp(exponent(xi) + log_weight(xi))
         out = np.exp(exponent(xi)) / xi
         if delta_spot is not None:
             out = out * (1j * legs.zeta(0, (xi,), (0,)) / delta_spot)

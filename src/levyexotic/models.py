@@ -7,14 +7,15 @@ The principal branches of phi continue psi holomorphically to the whole plane
 but its cuts, the parts of the imaginary axis outside the strip, and Re psi
 still grows inside each model's ``growth_cone``.  The horizontal contours of
 this package live inside the strip; the sinh-deformed contours of the
-one-condition digitals leave it, away from the imaginary axis and inside the
-cone.  The risk-neutral drift mu is pinned by the martingale condition
-r + psi(-i) = 0.
+one-condition digitals and the continuous Asian leave it, away from the
+imaginary axis and inside the cone.  The risk-neutral drift mu is pinned by
+the martingale condition r + psi(-i) = 0.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -42,17 +43,9 @@ def _gamma_fn(x):
     return gamma(x)
 
 
-def _as_complex(xi):
-    arr = np.asarray(xi, dtype=complex)
-    return arr, arr.ndim == 0
-
-
 def _power_series(coefs, t):
-    """sum_k coefs[k-1] * t**k for k = 1..len(coefs), by Horner's rule."""
-    acc = np.zeros_like(t)
-    for a in reversed(coefs):
-        acc = (acc + a) * t
-    return acc
+    """sum_k coefs[k-1] * t**k for k = 1..len(coefs), from the running products t**k."""
+    return np.cumprod(np.repeat(t[:, None], len(coefs), axis=1), axis=1) @ np.asarray(coefs)
 
 
 def _series_near_zero(x, radius, coefs, direct):
@@ -77,7 +70,7 @@ def _binomial_means(y: float) -> tuple:
 
 
 def _power_mean(y: float, z):
-    """(1/z) int_0^z ((1 + t)**y - 1) dt for Re(1 + z) > 0, accurate near z = 0."""
+    """(1/z) int_0^z ((1 + t)**y - 1) dt off the cut z <= -1, accurate near z = 0."""
     def direct(z):
         # (1+z)**y * (1+z): the rounding of a complex power grows with its exponent
         return (np.power(1.0 + z, y) * (1.0 + z) - 1.0) / ((y + 1.0) * z) - 1.0
@@ -129,28 +122,11 @@ class LevyModel:
     def phi_average(self, xi):
         """(1/xi) int_0^xi phi(u) du in closed form; 0 at xi = 0.
 
-        The segment [0, xi] lies in the strip whenever xi does, so the same
-        guards as ``phi`` apply at xi alone.
+        The segment [0, xi] from a point off the imaginary axis meets the
+        axis only at 0, inside the strip, so the average continues off the
+        strip as phi does, with the same cuts (``_AveragedModel``).
         """
         raise NotImplementedError
-
-    def check_strip(self, xi) -> None:
-        """Raise StripViolation unless every point of ``xi`` lies in the open strip.
-
-        The guard of the continuous Asian's averaged exponent
-        (``contracts.continuous_asian_psi``), whose segment [0, xi] must stay
-        in the strip; psi itself needs only ``check_cuts``.
-        """
-        lo, hi = self.strip
-        arr, _ = _as_complex(xi)
-        im = arr.imag
-        im_min = float(im.min()) if arr.size else 0.0
-        im_max = float(im.max()) if arr.size else 0.0
-        if not (im_min > lo and im_max < hi):
-            raise StripViolation(
-                f"Im(xi) in [{im_min:g}, {im_max:g}] leaves the open strip "
-                f"({lo:g}, {hi:g}) of the {self.kind} model"
-            )
 
     def check_cuts(self, arr) -> None:
         """Raise StripViolation if a point of the complex array ``arr`` lies on a cut of psi.
@@ -177,10 +153,10 @@ class LevyModel:
 
     def psi(self, xi):
         """Characteristic exponent; raises StripViolation on a cut (``check_cuts``)."""
-        arr, scalar = _as_complex(xi)
+        arr = np.asarray(xi, dtype=complex)
         self.check_cuts(arr)
         out = -1j * self.mu * arr + self.phi(arr)
-        return complex(out) if scalar else out
+        return complex(out) if arr.ndim == 0 else out
 
     def emm_residual(self) -> float:
         return abs(self.r + self.psi(-1j))
@@ -277,10 +253,6 @@ class NIGModel(LevyModel):
         xi = np.asarray(xi, dtype=complex)
         a, b = self.alpha, self.beta
         gam = math.sqrt(a * a - b * b)
-        v = xi - 1j * b
-        root = v * v + a * a
-        if np.min(root.real) <= 0:
-            raise StripViolation("NIG radicand left the right half plane")
         # Taylor radius: the branch points i*(beta -+ alpha) are the strip edges
         radius = a - abs(b)
 
@@ -364,8 +336,6 @@ class CGMYModel(LevyModel):
         # phi(u) = -c Gamma(-y) (m**y ((1 - iu/m)**y - 1) + g**y ((1 + iu/g)**y - 1))
         xi = np.asarray(xi, dtype=complex)
         c, g, m, y = self.c, self.g, self.m, self.y
-        if min(np.min(m + xi.imag), np.min(g - xi.imag)) <= 0:
-            raise StripViolation("CGMY power base left the right half plane")
         # Taylor radius: the branch points -i*m and i*g
         radius = min(m, g)
 
@@ -378,8 +348,37 @@ class CGMYModel(LevyModel):
         return _series_near_zero(xi, radius, lambda: _cgmy_means(c, g, m, y, radius), direct)
 
 
+@dataclass(frozen=True)
+class _AveragedModel(LevyModel):
+    """The mean of X over [0, t] as a model, built by ``of``: psi averaged, -i (mu / 2) xi + ``base.phi_average(xi)``.
+
+    It has the base model's strip, cuts and growth cone
+    (``LevyModel.phi_average``); the continuous Asian is a vanilla under it.
+    """
+
+    base: LevyModel
+
+    kind = "averaged"
+
+    @classmethod
+    def of(cls, base: LevyModel) -> "_AveragedModel":
+        return cls(0.5 * base.mu, base.r, base)
+
+    @property
+    def strip(self):
+        return self.base.strip
+
+    @property
+    def growth_cone(self):
+        return self.base.growth_cone
+
+    def phi(self, xi):
+        return self.base.phi_average(xi)
+
+
+@lru_cache(maxsize=64)
 def _nig_means(alpha: float, beta: float, radius: float) -> tuple:
-    """Coefficients of t**k in the NIG average / delta, t = xi / radius.
+    """Coefficients of t**k in the NIG average / delta, t = xi / radius; cached, so once per model.
 
     S**2 = gamma**2 - 2i beta R t + R**2 t**2 with R = radius, and the
     Taylor coefficients s_k of S follow from squaring the series.
@@ -393,8 +392,9 @@ def _nig_means(alpha: float, beta: float, radius: float) -> tuple:
     return tuple(s[k] / (k + 1) for k in range(1, SERIES_TERMS + 1))
 
 
+@lru_cache(maxsize=64)
 def _cgmy_means(c: float, g: float, m: float, y: float, radius: float) -> tuple:
-    """Coefficients of t**k in the CGMY average, t = xi / radius."""
+    """Coefficients of t**k in the CGMY average, t = xi / radius; cached, so once per model."""
     scale = -c * _gamma_fn(-y)
     zm, zg = -1j * radius / m, 1j * radius / g
     return tuple(scale * bk * (m**y * zm**k + g**y * zg**k)

@@ -8,8 +8,7 @@ the integrand decays double-exponentially in y.  One refinement ladder
 (``_refine``) doubles the nodes of every axis up to its cap and serves four
 level rules:
 
-- the line rule of ``integrate_line``, for one axis, along a curve or a
-  horizontal line;
+- the line rule of ``integrate_line``, for one axis, along a curve;
 - the strip rule of ``_integrate_strip``, for the line integrals of
   exp(i d_s xi + log_f(xi)) over phase coefficients d_s, all from one store
   of samples of log_f (``_Samples``) that callers may keep across strips;
@@ -221,8 +220,7 @@ def integrate_line(f, contour, truncation: float, tol: float,
 
     ``contour`` is the pair (xi, dxi) of the curve and its derivative, both
     elementwise on real ndarrays (``sinh_contour``), and the rule sums
-    f(xi(y)) xi'(y) over the nodes y; or it is a float b, the horizontal line
-    xi(y) = y + i b, whose rule sums f(y + i b).  ``f`` must accept a complex
+    f(xi(y)) xi'(y) over the nodes y.  ``f`` must accept a complex
     ndarray and evaluate elementwise; it is called once per level, except
     that a first level doubled by the second takes that level's new nodes in
     the same call.  Nodes are doubled until two successive refinements agree
@@ -232,17 +230,11 @@ def integrate_line(f, contour, truncation: float, tol: float,
     only at the new odd nodes; every node is bit-identical to a full
     ``np.linspace`` grid, so the value is that of the full trapezoid sum.
     """
-    if isinstance(contour, tuple):
-        point, slope = contour
+    point, slope = contour
 
-        def sample(y):
-            return f(point(y)) * slope(y)
-    else:
-        if contour == 0.0:
-            raise ValueError("contour offset must avoid the pole on the real axis")
+    def sample(y):
+        return f(point(y)) * slope(y)
 
-        def sample(y):
-            return f(y + 1j * contour)
     if truncation <= 0 or tol < 0:
         raise NonPositiveInput("truncation must be positive and tol nonnegative")
     edges = []  # |f xi'| at the last level's two outermost nodes on each side

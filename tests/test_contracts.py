@@ -40,6 +40,7 @@ from levyexotic.errors import (
     UnsupportedContract,
 )
 from levyexotic.gaussian import _compound_cf_thresholds
+from levyexotic.models import _AveragedModel
 from levyexotic.quadrature import integrate_line
 from levyexotic.validation import run_lemma1
 
@@ -156,7 +157,7 @@ def chooser_one_dim_value(model, t1, t_expiry, strike, spot, t=0.0):
 
     def leg(d, shift, horizon, offset):
         f = lambda xi: np.exp(1j * xi * d - horizon * model.psi(xi - shift)) / xi
-        return integrate_line(f, offset, 150.0, 1e-12, start_nodes=2048).value
+        return integrate_line(f, (lambda y: y + 1j * offset, lambda y: 1.0), 150.0, 1e-12, start_nodes=2048).value
 
     asset = (
         math.exp(-model.r * tau) * leg(d_full, 1j, tau, -omega2)
@@ -729,10 +730,15 @@ class TestAsian:
     @pytest.mark.parametrize("w", [1, -1], ids=["call", "put"])
     @pytest.mark.parametrize("model", ASIAN_MODELS.values(), ids=ASIAN_MODELS.keys())
     def test_continuous_psi_matches_oracle_on_contours(self, model, w):
-        # the pricing contours: Im(xi) = -w * omega, out to |Re xi| = 300
+        # horizontal contours Im(xi) = -w * omega, out to |Re xi| = 300, and the
+        # continuation off the strip beyond its lower (call) or upper (put) edge
+        # inside 3/4 of the growth cone, where the sinh contours run
         lo, hi = model.strip
         omega = 0.5 * (1.0 - lo) if w == 1 else 0.5 * hi
-        xi = np.linspace(-300.0, 300.0, 1201) - 1j * w * omega
+        edge = lo if w == 1 else hi
+        angles = 0.75 * min(model.growth_cone, 0.5 * math.pi) * np.array([0.25, 0.5, 0.75, 1.0])
+        beyond = np.multiply.outer([1.25, 2.0, 3.0], 1j * edge + abs(edge) / np.tan(angles)).ravel()
+        xi = np.concatenate((np.linspace(-300.0, 300.0, 1201) - 1j * w * omega, beyond, -beyond.conj()))
         got = continuous_asian_psi(model, xi)
         ref = gauss_legendre_asian_psi(model.psi, xi)
         assert np.all(np.abs(got - ref) <= 1e-13 * (1.0 + np.abs(ref)))
@@ -754,10 +760,11 @@ class TestAsian:
 
     @pytest.mark.parametrize("model", ASIAN_MODELS.values(), ids=ASIAN_MODELS.keys())
     def test_continuous_psi_off_strip_raises(self, model):
+        # on a cut: the imaginary axis outside the strip
         lo, hi = model.strip
         for im in (lo - 0.5, hi + 0.5):
-            with pytest.raises(StripViolation):
-                continuous_asian_psi(model, 1.0 + 1j * im)
+            with pytest.raises(StripViolation, match="cut"):
+                continuous_asian_psi(model, np.array([1.0, 1j * im]))
 
     def test_continuous_psi_gaussian_closed_form(self):
         # int_0^1 psi(xi(1-y)) dy = i(sigma^2/2 - r) xi / 2 + sigma^2 xi^2 / 6
@@ -805,12 +812,38 @@ class TestAsian:
         residual = call.value - put.value - math.exp(-model.r * tau) * (forward - strike)
         assert abs(residual) <= call.quadrature_error + put.quadrature_error + 1e-12
 
+    @pytest.mark.parametrize("tau", [0.1, 1.0, 3.0])
+    @pytest.mark.parametrize("model", ASIAN_MODELS.values(), ids=ASIAN_MODELS.keys())
+    def test_continuous_sweep(self, model, tau):
+        # every cell converges at default arguments with a claim within tolerance;
+        # Gaussian cells lie within their claims of the closed form, and each
+        # Levy call/put pair meets parity within its summed claims:
+        # call - put = e^{-r tau} (S E[exp(mean of X)] - K)
+        integral, _ = quad(lambda y: model.psi(-1j * (1.0 - y)).real, 0.0, 1.0, epsabs=1e-13, epsrel=1e-13)
+        forward = SPOT * math.exp(-tau * integral)
+        for strike in (50.0, 80.0, 90.0, 100.0, 110.0, 125.0, 200.0):
+            pair = [price_contract(AsianContinuous(0.0, tau, strike, w), model, SPOT) for w in (1, -1)]
+            assert all(res.quadrature_error <= digitals.DEFAULT_TOL_1D for res in pair)
+            if model is GAUSS:
+                for w, res in zip((1, -1), pair):
+                    ref = closed_form_price(AsianContinuous(0.0, tau, strike, w), 0.2, 0.05, SPOT)
+                    assert abs(res.value - ref) <= res.quadrature_error + 1e-12 * (1.0 + abs(ref))
+            else:
+                call, put = pair
+                residual = call.value - put.value - math.exp(-model.r * tau) * (forward - strike)
+                assert abs(residual) <= call.quadrature_error + put.quadrature_error + 1e-12
+
     @pytest.mark.parametrize("w", [1, -1], ids=["call", "put"])
     def test_continuous_offset_position_moves_the_contour(self, w):
-        # calls run on ]1, -lambda_-[, puts on ]0, lambda_+[; no position keeps the midpoint
+        # calls run on ]1, -lambda_-[, puts on ]0, lambda_+[; no position keeps
+        # the halving rule's offset, with the two-pole weight in its peak
         lo, hi = (1.0, -NIG.strip[0]) if w == 1 else (0.0, NIG.strip[1])
         contract = AsianContinuous(0.0, 1.0, 100.0, w)
-        assert price_contract(contract, NIG, SPOT).offsets_used.omega == (0.5 * (lo + hi),)
+        p = PayoffParameterSet((0.0,), (math.log(100.0),), (w,), ((1.0,),))
+        legs = digitals._Legs(_AveragedModel.of(NIG), MonitoringSchedule(0.0, (1.0,)), p)
+        log_weight = digitals._log_weight(p, ((-w * 100.0, 0.0), (float(w), 1.0)))
+        halved = digitals._halved_offsets(legs, p, lo, hi, np.zeros((1, 1)), log_weight)[0]
+        assert price_contract(contract, NIG, SPOT).offsets_used.omega == tuple(halved)
         values = set()
         for pos in (0.35, 0.65):
             res = price_contract(contract, NIG, SPOT, offset_position=pos)

@@ -49,6 +49,11 @@ def plain_digital(k_log, w=1, gamma=0.0):
     return PayoffParameterSet((gamma,), (k_log,), (w,), ((1.0,),))
 
 
+def horizontal(b):
+    """The horizontal line xi(y) = y + i b as an ``integrate_line`` contour."""
+    return (lambda y: y + 1j * b, lambda y: 1.0)
+
+
 def line_oracle(model, sched, p, spot, tol=1e-8):
     """The horizontal line rule's price of a one-condition digital: the oracle of the sinh contour and the strips.
 
@@ -73,7 +78,7 @@ def line_oracle(model, sched, p, spot, tol=1e-8):
         return np.exp(1j * d[0] * xi + legs.exponent(range(p.m), (xi,), (0,))) / xi
 
     start = _start_count(truncation, d[0], cq.LINE_NODE_CAP)
-    res = cq.integrate_line(integrand, b, truncation, raw_tol, start_nodes=start)
+    res = cq.integrate_line(integrand, horizontal(b), truncation, raw_tol, start_nodes=start)
     offs = ContourOffsets((float(omegas[0]),))
     return _scaled_price(res, prefactor, raw_tol, offs, (1, p.m), cq.LINE_NODE_CAP, (truncation,))
 
@@ -445,7 +450,7 @@ class TestSinhContour:
             def integrand(xi):
                 return np.exp(1j * d[0] * xi + legs.exponent(range(p.m), (xi,), (0,))) / xi
 
-            line = cq.integrate_line(integrand, b, 200.0, 1e-13, start_nodes=4096)
+            line = cq.integrate_line(integrand, horizontal(b), 200.0, 1e-13, start_nodes=4096)
             assert line.converged
             value += coef * (prefactor * line.value / (2j * math.pi)).real
             err += abs(coef * prefactor / (2.0 * math.pi)) * line.error_estimate

@@ -16,6 +16,7 @@ from levyexotic import (
 )
 from levyexotic.digitals import MonitoringSchedule, PayoffParameterSet, _Legs
 from levyexotic.errors import InvalidModel, NoRoot, StripTooNarrow, StripViolation
+from levyexotic.models import _AveragedModel
 
 EMM_TOL = 1e-12
 
@@ -91,9 +92,12 @@ BENCHMARK_MODELS = {
     "cgmy05": make_cgmy(1.0, 5.0, 5.0, 0.5, 0.05),
     "cgmy15": make_cgmy(1.0, 5.0, 5.0, 1.5, 0.05),
 }
+# each model's exponent, and the continuous Asian's average of it (``_AveragedModel``)
+EXPONENTS = {**BENCHMARK_MODELS,
+             **{f"{name}-averaged": _AveragedModel.of(model) for name, model in BENCHMARK_MODELS.items()}}
 
 
-@pytest.mark.parametrize("model", BENCHMARK_MODELS.values(), ids=BENCHMARK_MODELS.keys())
+@pytest.mark.parametrize("model", EXPONENTS.values(), ids=EXPONENTS.keys())
 def test_psi_is_holomorphic_across_the_strip_edges(model):
     # Mean value property on circles centred on a strip edge, left and right of
     # the imaginary axis at half the growth cone's angle; each radius is half
@@ -108,7 +112,7 @@ def test_psi_is_holomorphic_across_the_strip_edges(model):
             assert abs(mean - model.psi(centre)) <= 1e-12 * abs(model.psi(centre))
 
 
-@pytest.mark.parametrize("model", BENCHMARK_MODELS.values(), ids=BENCHMARK_MODELS.keys())
+@pytest.mark.parametrize("model", EXPONENTS.values(), ids=EXPONENTS.keys())
 def test_only_a_cut_raises(model):
     # forward start: leg 1 couples no axis, leg 2 has argument xi - i
     legs = _Legs(model, MonitoringSchedule(0.0, (0.5, 1.0)),

@@ -82,40 +82,45 @@ def gaussian_pole_integrand(d):
     return lambda xi: np.exp(1j * xi * d - 0.5 * xi * xi) / xi
 
 
+def horizontal(b):
+    """The horizontal line xi(y) = y + i b as an ``integrate_line`` contour."""
+    return (lambda y: y + 1j * b, lambda y: 1.0)
+
+
 class TestLine:
     def test_centered_digital_value(self):
         # at d = 0 the integral is 2*pi*i*Phi(0) = pi*i
-        res = integrate_line(gaussian_pole_integrand(0.0), -1.0, 40.0, 1e-12)
+        res = integrate_line(gaussian_pole_integrand(0.0), horizontal(-1.0), 40.0, 1e-12)
         assert res.value == pytest.approx(math.pi * 1j, abs=1e-10)
         assert res.converged
 
     def test_shifted_digital_value(self):
-        res = integrate_line(gaussian_pole_integrand(1.0), -1.0, 40.0, 1e-12)
+        res = integrate_line(gaussian_pole_integrand(1.0), horizontal(-1.0), 40.0, 1e-12)
         assert res.value == pytest.approx(2j * math.pi * ndtr(1.0), abs=1e-10)
 
     def test_upper_contour_flips_sign(self):
-        res = integrate_line(gaussian_pole_integrand(1.0), 1.0, 40.0, 1e-12)
+        res = integrate_line(gaussian_pole_integrand(1.0), horizontal(1.0), 40.0, 1e-12)
         assert res.value == pytest.approx(-2j * math.pi * ndtr(-1.0), abs=1e-10)
 
     def test_refinement_errors_shrink(self):
         exact = 2j * math.pi * ndtr(1.0)
         errors = []
         for nodes in (32, 64, 128):
-            res = integrate_line(gaussian_pole_integrand(1.0), -1.0, 40.0, 0.0,
+            res = integrate_line(gaussian_pole_integrand(1.0), horizontal(-1.0), 40.0, 0.0,
                                  start_nodes=nodes, max_nodes=nodes)
             errors.append(abs(res.value - exact))
         assert errors[1] < errors[0]
         assert errors[2] < errors[1]
 
     def test_contour_shift_within_error_budget(self):
-        res_a = integrate_line(gaussian_pole_integrand(0.7), -0.5, 40.0, 1e-11)
-        res_b = integrate_line(gaussian_pole_integrand(0.7), -2.0, 40.0, 1e-11)
+        res_a = integrate_line(gaussian_pole_integrand(0.7), horizontal(-0.5), 40.0, 1e-11)
+        res_b = integrate_line(gaussian_pole_integrand(0.7), horizontal(-2.0), 40.0, 1e-11)
         gap = abs(res_a.value - res_b.value)
         assert gap <= 10.0 * (res_a.error_estimate + res_b.error_estimate)
 
     def test_deterministic(self):
-        a = integrate_line(gaussian_pole_integrand(0.3), -1.0, 40.0, 1e-12)
-        b = integrate_line(gaussian_pole_integrand(0.3), -1.0, 40.0, 1e-12)
+        a = integrate_line(gaussian_pole_integrand(0.3), horizontal(-1.0), 40.0, 1e-12)
+        b = integrate_line(gaussian_pole_integrand(0.3), horizontal(-1.0), 40.0, 1e-12)
         assert a.value == b.value  # bit identical
 
     def test_nan_detection(self):
@@ -125,11 +130,7 @@ class TestLine:
             return out
 
         with pytest.raises(NaNEncountered):
-            integrate_line(broken, -1.0, 10.0, 1e-8)
-
-    def test_zero_offset_rejected(self):
-        with pytest.raises(ValueError):
-            integrate_line(gaussian_pole_integrand(0.0), 0.0, 10.0, 1e-8)
+            integrate_line(broken, horizontal(-1.0), 10.0, 1e-8)
 
 
 def sampling_strip(log_f, d, offset, truncation, tol, start_nodes):
@@ -189,7 +190,7 @@ class TestStrip:
         assert res.converged.all()
         assert res.value.shape == res.error_estimate.shape == self.D.shape
         for k, d in enumerate(self.D):
-            line = integrate_line(gaussian_pole_integrand(d), -1.0, 40.0, 1e-12)
+            line = integrate_line(gaussian_pole_integrand(d), horizontal(-1.0), 40.0, 1e-12)
             assert abs(res.value[k] - line.value) <= line.error_estimate + res.error_estimate[k]
             assert res.value[k] == pytest.approx(2j * math.pi * ndtr(d), abs=1e-10)
 
@@ -321,7 +322,7 @@ class TestTensor:
 def ladder(ndim, start, cap):
     """Run the shared ladder through its line (N = 1) or tensor (N >= 2) entry point."""
     if ndim == 1:
-        return integrate_line(gaussian_pole_integrand(0.5), -1.0, 8.0, 0.0,
+        return integrate_line(gaussian_pole_integrand(0.5), horizontal(-1.0), 8.0, 0.0,
                               start_nodes=start, max_nodes=cap)
     spec = ContourSpec((-1.0,) * ndim, (8.0,) * ndim, (start,) * ndim)
     return integrate_tensor(lemma1_tensor_integrand(np.eye(ndim)), spec, 0.0,
@@ -382,7 +383,7 @@ class TestLadder:
             calls.append(xi.copy())
             return f(xi)
 
-        res = integrate_line(recorded, -1.0, 8.0, tol, start_nodes=start, max_nodes=cap)
+        res = integrate_line(recorded, horizontal(-1.0), 8.0, tol, start_nodes=start, max_nodes=cap)
         ref, sizes = self.full_line_ladder(f, -1.0, 8.0, tol, start, cap)
         for field in ("value", "error_estimate", "converged"):
             assert getattr(res, field) == getattr(ref, field)  # bit-equal
@@ -410,14 +411,11 @@ def line_oracle(f, contour, truncation, tol, start_nodes=64, max_nodes=cq.LINE_N
     new nodes: the reference whose values, errors, convergence and
     evaluations the one-call ladder must keep.
     """
-    if isinstance(contour, tuple):
-        point, slope = contour
+    point, slope = contour
 
-        def sample(y):
-            return f(point(y)) * slope(y)
-    else:
-        def sample(y):
-            return f(y + 1j * contour)
+    def sample(y):
+        return f(point(y)) * slope(y)
+
     edges = []
     samples = None
 
@@ -605,8 +603,8 @@ class TestFirstTwoLevelsInOneCall:
                              ids=["start-at-cap", "non-doubling-final-step", "converges"])
     def test_line_starts_and_caps(self, start, cap):
         for tol in (0.0, 1e-10):
-            res = integrate_line(gaussian_pole_integrand(0.5), -1.0, 8.0, tol, start_nodes=start, max_nodes=cap)
-            ref = line_oracle(gaussian_pole_integrand(0.5), -1.0, 8.0, tol, start_nodes=start, max_nodes=cap)
+            res = integrate_line(gaussian_pole_integrand(0.5), horizontal(-1.0), 8.0, tol, start_nodes=start, max_nodes=cap)
+            ref = line_oracle(gaussian_pole_integrand(0.5), horizontal(-1.0), 8.0, tol, start_nodes=start, max_nodes=cap)
             assert_same_ladder(res, ref, True)
 
     @pytest.mark.parametrize("start", [cq.LINE_NODE_CAP, 48, 64], ids=["start-at-cap", "non-doubling-final-step", "doubling"])
@@ -640,7 +638,7 @@ class TestFirstTwoLevelsInOneCall:
 
         for rule in (integrate_line, line_oracle):
             with pytest.raises(NaNEncountered):
-                rule(line_f, -1.0, 8.0, 1e-10, start_nodes=16)
+                rule(line_f, horizontal(-1.0), 8.0, 1e-10, start_nodes=16)
         for strip in (lambda: cq._integrate_strip(cq._Samples(log_f, -1.0, 8.0), [0.5], np.array([1e-10]), 16),
                       lambda: sampling_strip(log_f, [0.5], -1.0, 8.0, np.array([1e-10]), 16)):
             with pytest.raises(NaNEncountered):

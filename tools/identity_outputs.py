@@ -21,7 +21,8 @@ and message.  The outputs are:
 - spot strips: those of the MC compound's inner curve, and one-date strips
   that split into several offset groups;
 - the continuous Asian at default arguments, at offset position 0.3 and at
-  ``fixed_nodes=64``;
+  ``fixed_nodes=64``, and at default arguments over maturities 0.1, 1 and 3
+  and strikes 50, 100 and 200;
 - two short-dated choosers that stall at their node cap;
 - ``lemma1_contour_side`` for N = 2 and N = 3.
 
@@ -159,6 +160,11 @@ def main():
                  lambda: lx.price_contract(c, model, SPOT, offset_position=0.3))
             emit(f"continuous Asian w={w} fixed_nodes=64 | {mname}",
                  lambda: lx.price_contract(c, model, SPOT, fixed_nodes=64))
+            for tau in (0.1, 1.0, 3.0):
+                for K in (50.0, 100.0, 200.0):
+                    if (tau, K) != (1.0, 100.0):
+                        emit(f"continuous Asian w={w} tau={tau:g} K={K:g} | {mname}",
+                             lambda: lx.price_contract(lx.AsianContinuous(0.0, tau, K, w), model, SPOT))
 
     # short-dated choosers whose chain ladders stop at their node cap
     for mname, T in (("nig", 0.02), ("cgmy05", 0.1)):
