@@ -39,7 +39,7 @@ from __future__ import annotations
 import math
 from copy import copy
 from dataclasses import dataclass, replace
-from functools import cached_property, partial
+from functools import cached_property, partial, wraps
 from itertools import product as _iter_product
 
 import numpy as np
@@ -61,6 +61,7 @@ MAX_TENSOR_DIM = max(cq.TENSOR_NODE_CAPS)
 OFFSET_FLOOR = 0.25
 _SINH_BEND = 0.375  # a sinh contour's bend and y-strip half-width, as a share of its cone (``_sinh_price``)
 _SINH_ROOM = 0.9  # the share of the room to the ends of the offset interval its crossings use
+_SINH_MARGIN = math.log(10.0)  # log of how far below raw_tol a sinh ladder's first level aims (``_sinh_price``)
 _PROBE_STEP = 0.5  # y-spacing of the probes that pick a sinh contour's window
 _PROBE_COUNT = 24  # probes on either side of y = 0: |y| <= 12, where |xi| passes 8e4 times the scale
 _PSI_POINTS = 1 << 16  # leg arguments one stacked psi call holds (``_Legs.exponent``)
@@ -75,9 +76,33 @@ def _whole(value, name: str = "value") -> int:
     return int(value)
 
 
+def _kept(method):
+    """``method``'s array, built at an instance's first call and then returned read-only, the same object each time.
+
+    The array is kept in the instance's ``__dict__``, outside the dataclass
+    fields, so equality, hashing, ``repr`` and ``dataclasses.replace`` never
+    see it.
+    """
+    key = f"_kept_{method.__name__}"
+
+    @wraps(method)
+    def kept(self) -> np.ndarray:
+        arr = self.__dict__.get(key)
+        if arr is None:
+            arr = method(self)
+            arr.flags.writeable = False
+            self.__dict__[key] = arr
+        return arr
+    return kept
+
+
 @dataclass(frozen=True)
 class MonitoringSchedule:
-    """Current time t and strictly increasing monitoring dates, in years."""
+    """Current time t and strictly increasing monitoring dates, in years.
+
+    ``intervals()`` is computed once per instance and returned as a read-only
+    array.
+    """
 
     t: float
     dates: tuple[float, ...]
@@ -100,6 +125,7 @@ class MonitoringSchedule:
     def expiry(self) -> float:
         return self.dates[-1]
 
+    @_kept
     def intervals(self) -> np.ndarray:
         """Leg lengths T_j - T_{j-1} with T_0 = t."""
         return np.diff(np.concatenate(([self.t], self.dates)))
@@ -110,6 +136,8 @@ class PayoffParameterSet:
     """Payoff index vector, log strikes, call/put signs and condition matrix.
 
     N = 0 (no exercise conditions) is allowed and priced analytically.
+    ``matrix()``, ``condition_weights()`` and ``gamma_suffix()`` are computed
+    once per instance and returned as read-only arrays.
     """
 
     gamma: tuple[float, ...]
@@ -148,13 +176,16 @@ class PayoffParameterSet:
     def m(self) -> int:
         return len(self.gamma)
 
+    @_kept
     def matrix(self) -> np.ndarray:
         return np.array(self.a, dtype=float).reshape(self.n, self.m)
 
+    @_kept
     def condition_weights(self) -> np.ndarray:
         """Suffix sums C[n, j] = sum_{k >= j} a[n, k]; the leg couplings."""
         return self.matrix()[:, ::-1].cumsum(axis=1)[:, ::-1]
 
+    @_kept
     def gamma_suffix(self) -> np.ndarray:
         """Suffix sums G[j] = sum_{k >= j} gamma_k."""
         g = np.array(self.gamma, dtype=float)
@@ -888,13 +919,16 @@ def _sinh_price(legs, d, b, interval, raw_tol, prefactor, offsets, fixed_nodes, 
 
     One exponent call, at ``_PROBE_STEP``-spaced y and where the family's
     edge curves cross the axis, sets the rest.  The first level aims at the
-    error peak * (raw_tol / peak)**2, peak being the largest |f xi'| probed:
-    the window runs out to the first probe on either side where |f xi'|
-    falls to that, and the start step h makes edge * exp(-2 pi d0 / h) that
-    small, edge being the larger of the peak and |f xi'| at the edge
-    crossings.  So a typical price stops at its second level, and no decay
-    bound or truncation radius enters.  ``fixed_nodes`` counts y-nodes.
-    Given a ``delta_spot`` it prices the delta (see ``delta``).
+    error raw_tol / 10 (``_SINH_MARGIN``), or peak / e^(1 + ``_SINH_MARGIN``)
+    when the peak, the largest |f xi'| probed, is within e of raw_tol: the
+    window runs out to the first probe on either side where |f xi'| falls to
+    that, and the start step h makes edge * exp(-2 pi d0 / h) that small,
+    edge being the larger of the peak and |f xi'| at the edge crossings.
+    The second level halves h, which about squares the first level's
+    relative error, so a typical price stops there with a claim near
+    raw_tol / 10, and no decay bound or truncation radius enters.
+    ``fixed_nodes`` counts y-nodes.  Given a ``delta_spot`` it prices the
+    delta (see ``delta``).
     """
     model = legs.model
     m = legs.cmat.shape[1]
@@ -919,8 +953,8 @@ def _sinh_price(legs, d, b, interval, raw_tol, prefactor, offsets, fixed_nodes, 
     log_mod = exponent(xi).real + weight + np.log(np.abs(np.concatenate((slope(y), scale * np.cos(edges)))))
     log_mod, log_edge = log_mod[:y.size], log_mod[y.size:].max()
     top = int(np.argmax(log_mod))
-    gap = max(log_mod[top] - math.log(max(raw_tol, 1e-280)), 1.0)  # log(peak / raw_tol)
-    low = np.flatnonzero(log_mod < log_mod[top] - 2.0 * gap)
+    aim = max(log_mod[top] - math.log(max(raw_tol, 1e-280)), 1.0) + _SINH_MARGIN  # log(peak / first level's error)
+    low = np.flatnonzero(log_mod < log_mod[top] - aim)
     right, left = low[low > top], low[low < top]
     y_hi = y[right[0]] if right.size else y[-1]
     y_lo = y[left[-1]] if left.size else y[0]
@@ -930,7 +964,7 @@ def _sinh_price(legs, d, b, interval, raw_tol, prefactor, offsets, fixed_nodes, 
         start = cap = _checked_fixed_nodes(fixed_nodes)
     else:
         cap = cq.LINE_NODE_CAP
-        log_ratio = 2.0 * gap + max(log_edge - log_mod[top], 0.0)  # log(edge / the first level's error)
+        log_ratio = aim + max(log_edge - log_mod[top], 0.0)  # log(edge / the first level's error)
         start = min(max(cq.MIN_NODES, 2 * math.ceil(half * log_ratio / (2.0 * math.pi * bend))), cap // 2)
 
     def integrand(xi):

@@ -833,6 +833,16 @@ class TestAsian:
                 residual = call.value - put.value - math.exp(-model.r * tau) * (forward - strike)
                 assert abs(residual) <= call.quadrature_error + put.quadrature_error + 1e-12
 
+    @pytest.mark.parametrize("tau", [0.1, 1.0, 3.0])
+    def test_continuous_gaussian_claims_bound_the_closed_form(self, tau):
+        # no slack: each claim is at least the distance to the closed form
+        for strike in (50.0, 80.0, 90.0, 100.0, 110.0, 125.0, 200.0):
+            for w in (1, -1):
+                contract = AsianContinuous(0.0, tau, strike, w)
+                res = price_contract(contract, GAUSS, SPOT)
+                ref = closed_form_price(contract, 0.2, 0.05, SPOT)
+                assert abs(res.value - ref) <= res.quadrature_error, (strike, w)
+
     @pytest.mark.parametrize("w", [1, -1], ids=["call", "put"])
     def test_continuous_offset_position_moves_the_contour(self, w):
         # calls run on ]1, -lambda_-[, puts on ]0, lambda_+[; no position keeps

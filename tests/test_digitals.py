@@ -27,6 +27,7 @@ from levyexotic import (
 from levyexotic import quadrature as cq
 from levyexotic.contracts import Digital, to_portfolio
 from levyexotic.digitals import (
+    DEFAULT_TOL_1D,
     _equal_offset_interval,
     _halved_offsets,
     _Legs,
@@ -38,6 +39,7 @@ from levyexotic.digitals import (
     _truncations,
 )
 from levyexotic.errors import DimensionTooLarge, NoFeasibleOffsets, StripViolation
+from levyexotic.serialization import contract_from_dict, contract_to_dict
 
 GAUSS = make_gaussian(0.2, 0.05)
 NIG = make_nig(8.0, -2.0, 0.3, 0.05)
@@ -455,6 +457,96 @@ class TestSinhContour:
             value += coef * (prefactor * line.value / (2j * math.pi)).real
             err += abs(coef * prefactor / (2.0 * math.pi)) * line.error_estimate
         assert abs(res.value - value) <= res.quadrature_error + err
+
+
+class TestOneDateSweep:
+    # the one-date slice of the maturity x moneyness sweep: calls and puts
+    # (AsianGeometric on one date) and cash and asset digitals, all on the sinh contour
+
+    MATURITIES = (0.02, 0.1, 0.5, 2.0, 5.0)
+    STRIKES = (50.0, 80.0, 100.0, 125.0, 200.0)
+
+    def test_sweep(self, monkeypatch):
+        ladders = []  # per single-spot ladder, the integrand calls it made: the first holds two levels
+        line = cq.integrate_line
+
+        def counted(f, *args, **kwargs):
+            calls = [0]
+
+            def sampled(xi):
+                calls[0] += 1
+                return f(xi)
+            res = line(sampled, *args, **kwargs)
+            ladders.append(calls[0])
+            return res
+        monkeypatch.setattr(cq, "integrate_line", counted)
+
+        for mname, model in STRIP_MODELS.items():
+            for T in self.MATURITIES:
+                sched = MonitoringSchedule(0.0, (T,))
+                disc = math.exp(-model.r * T)
+                for K in self.STRIKES:
+                    kinds = {
+                        "vanilla": (lambda w: AsianGeometric(sched, K, w), SPOT - K * disc),
+                        "cash": (lambda w: Digital(sched, plain_digital(math.log(K), w)), disc),
+                        "asset": (lambda w: Digital(sched, plain_digital(math.log(K), w, 1.0)), SPOT),
+                    }
+                    for kind, (contract, parity) in kinds.items():
+                        label = f"{mname} T={T:g} K={K:g} {kind}"
+                        call, put = (price_contract(contract(w), model, SPOT) for w in (1, -1))
+                        assert max(call.quadrature_error, put.quadrature_error) <= DEFAULT_TOL_1D, label
+                        if model is GAUSS:
+                            for w, res in zip((1, -1), (call, put)):
+                                ref = closed_form_price(contract(w), 0.2, 0.05, SPOT)
+                                assert abs(res.value - ref) <= res.quadrature_error, f"{label} w={w}"
+                        else:
+                            # call - put = S - K e^(-rT) for the vanilla, call + put = e^(-rT) or S for the digitals
+                            total = call.value - put.value if kind == "vanilla" else call.value + put.value
+                            bound = call.quadrature_error + put.quadrature_error + 1e-12 * SPOT
+                            assert abs(total - parity) <= bound, label
+        assert len(ladders) == 4 * 25 * 8
+        assert sum(calls >= 2 for calls in ladders) <= 0.02 * len(ladders)
+
+
+class TestKeptArrays:
+    # the schedule's intervals and the payoff's matrix, condition weights and
+    # gamma suffix are built once per instance and handed out read-only
+
+    @staticmethod
+    def made():
+        sched = MonitoringSchedule(0.0, (0.25, 0.5, 1.0))
+        p = PayoffParameterSet((0.0, 0.5, 1.0), (4.5, 4.6), (1, -1), ((0.0, 1.0, 0.0), (-1.0, 0.0, 1.0)))
+        return sched, p
+
+    @staticmethod
+    def kept(sched, p):
+        return {"intervals": sched.intervals, "matrix": p.matrix, "condition_weights": p.condition_weights,
+                "gamma_suffix": p.gamma_suffix}
+
+    def test_read_only_and_the_same_object(self):
+        sched, p = self.made()
+        for name, method in self.kept(sched, p).items():
+            arr = method()
+            assert arr is method(), name
+            assert not arr.flags.writeable, name
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0.0
+
+    def test_dataclass_behaviour_is_unchanged(self):
+        sched, p = self.made()
+        before = (repr(sched), repr(p), hash(sched), hash(p), contract_to_dict(Digital(sched, p)))
+        for method in self.kept(sched, p).values():
+            method()
+        fresh_sched, fresh_p = self.made()
+        assert (repr(sched), repr(p), hash(sched), hash(p), contract_to_dict(Digital(sched, p))) == before
+        assert (sched, p) == (fresh_sched, fresh_p)
+        assert hash(sched) == hash(fresh_sched) and hash(p) == hash(fresh_p)
+        assert contract_from_dict(contract_to_dict(Digital(sched, p))) == Digital(fresh_sched, fresh_p)
+        assert replace(sched) == fresh_sched and replace(p) == fresh_p
+        moved = replace(p, gamma=(1.0, 0.0, 0.0))
+        assert moved.gamma_suffix() is not p.gamma_suffix()
+        assert moved.gamma_suffix().tolist() == [1.0, 0.0, 0.0]
+        assert moved.matrix() is not p.matrix()
 
 
 class TestGaussianReduction:

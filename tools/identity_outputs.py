@@ -7,6 +7,15 @@ Run this script from the root of each checkout and compare what it prints:
     python3 tools/identity_outputs.py > after.txt     # on the change
     diff before.txt after.txt
 
+A change that is meant to move prices within their claims is checked with
+
+    python3 tools/identity_outputs.py --compare before.txt after.txt
+
+which counts the lines that are byte-identical, those whose values lie within
+both claims + 1e-12 * (1 + |value|) of each other, those that lie outside,
+and the new stalls (NoConvergence after, none before), names each line of
+the last two kinds, and prints each side's total of evaluations.
+
 Each line is a label and the repr of (value, quadrature_error, evaluations,
 offsets_used) of a PriceResult; a price that raises NoConvergence prints the
 repr of its result and its message instead, and any other exception its type
@@ -23,6 +32,8 @@ and message.  The outputs are:
 - the continuous Asian at default arguments, at offset position 0.3 and at
   ``fixed_nodes=64``, and at default arguments over maturities 0.1, 1 and 3
   and strikes 50, 100 and 200;
+- one-date cash and asset digitals, calls and puts, at the extremes of the
+  maturity x strike sweep: T in {0.02, 5} x K in {50, 200};
 - two short-dated choosers that stall at their node cap;
 - ``lemma1_contour_side`` for N = 2 and N = 3.
 
@@ -31,8 +42,12 @@ nothing there.  It takes about ten seconds.
 """
 from __future__ import annotations
 
+import argparse
 import math
+import re
 import sys
+from collections import Counter
+from itertools import product
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -166,6 +181,11 @@ def main():
                         emit(f"continuous Asian w={w} tau={tau:g} K={K:g} | {mname}",
                              lambda: lx.price_contract(lx.AsianContinuous(0.0, tau, K, w), model, SPOT))
 
+    for (mname, model), T, K, gamma, w in product(models.items(), (0.02, 5.0), (50.0, 200.0), (0.0, 1.0), (1, -1)):
+        p = lx.PayoffParameterSet((gamma,), (math.log(K),), (w,), ((1.0,),))
+        emit(f"one-date digital gamma={gamma:g} w={w} T={T:g} K={K:g} | {mname}",
+             lambda: lx.price_digital(model, lx.MonitoringSchedule(0.0, (T,)), p, SPOT))
+
     # short-dated choosers whose chain ladders stop at their node cap
     for mname, T in (("nig", 0.02), ("cgmy05", 0.1)):
         emit(f"stalled chooser T={T:g} | {mname}",
@@ -176,5 +196,66 @@ def main():
         [0.3, -0.4, 0.8], [[1.0, 0.4, 0.2], [0.4, 1.0, 0.5], [0.2, 0.5, 1.0]], [1, -1, 1], [1.0, 0.7, 1.3], 1e-6))
 
 
+_NUMBER = r"(?:np\.float64\()?([-+]?(?:\d+\.?\d*(?:e[-+]?\d+)?|nan|inf))\)?"
+# (value, error) or (value, error, evaluations, ...): a workload output or a ``described`` PriceResult
+_RESULT = re.compile(rf"\({_NUMBER}, {_NUMBER}(?:, (\d+))?[,)]")
+_LABEL = re.compile(r"^(.*?): (?=[(\[]|\w+ )")
+
+
+def _keyed(path):
+    """The outputs of an output file by (label, occurrence), in order."""
+    seen, out = Counter(), {}
+    for line in Path(path).read_text().splitlines():
+        match = _LABEL.match(line)
+        label = match.group(1) if match else line
+        out[label, seen[label]] = line[match.end():] if match else ""
+        seen[label] += 1
+    return out
+
+
+def _results(text):
+    """The (value, error, evaluations or None) of each result in an output, and the output without them."""
+    found = [(float(v), float(e), int(n) if n else None) for v, e, n in _RESULT.findall(text)]
+    return found, _RESULT.sub("", text)
+
+
+def _kind(before, after):
+    """'identical', 'new stall', 'within' (both claims + 1e-12 (1 + |value|)) or 'outside'."""
+    if before == after:
+        return "identical"
+    stalled = [text.startswith("NoConvergence ") for text in (before, after)]
+    if stalled == [False, True]:
+        return "new stall"
+    (old, old_rest), (new, new_rest) = _results(before), _results(after)
+    if not old or len(old) != len(new) or (old_rest != new_rest and not all(stalled)):
+        return "outside"
+    close = all(abs(a - b) <= ea + eb + 1e-12 * (1.0 + abs(a)) for (a, ea, _), (b, eb, _) in zip(old, new))
+    return "within" if close else "outside"
+
+
+def compare(before_path, after_path):
+    """Print the counts of ``_kind`` over the lines both files share, and each side's evaluations."""
+    before, after = _keyed(before_path), _keyed(after_path)
+    kinds = Counter()
+    for key in before.keys() & after.keys():
+        kind = _kind(before[key], after[key])
+        kinds[kind] += 1
+        if kind in ("outside", "new stall"):
+            print(f"{kind}: {key[0]}\n  before {before[key]}\n  after  {after[key]}")
+    for kind in ("identical", "within", "outside", "new stall"):
+        print(f"{kind}: {kinds[kind]}")
+    print(f"only before: {len(before.keys() - after.keys())}, only after: {len(after.keys() - before.keys())}")
+    for side, lines in (("before", before), ("after", after)):
+        total = sum(n for line in lines.values() for _, _, n in _results(line)[0] if n is not None)
+        print(f"evaluations {side}: {total}")
+
+
 if __name__ == "__main__":
-    main()
+    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    parser.add_argument("--compare", nargs=2, metavar=("BEFORE", "AFTER"),
+                        help="compare two saved outputs instead of printing this checkout's")
+    args = parser.parse_args()
+    if args.compare:
+        compare(*args.compare)
+    else:
+        main()
