@@ -17,13 +17,16 @@ runs the line rule along a sinh-deformed curve through its offset
 (``_sinh_price``), on which the integrand decays double-exponentially.
 Spot strips, kept samples and the N >= 2 chain and tensor axes stay on
 horizontal lines, and the horizontal line rule stays the curve's tested
-oracle.  One-condition terms take the offset of the halving rule
-(``_halved_offsets``).  A single spot's N >= 2 term at default offsets takes
-the offset, and each axis the start level, that one trapezoid error model
-predicts to cost the fewest nodes (``_costed_offset``).  One-condition
-terms whose suffix sums differ by multiples of their condition row, an asset
-digital and its cash twin, are one contour integral (``_pole_offset``): a
-kept window's, and the continuous Asian's on the sinh curve.
+oracle.  A single spot's one-condition term at default offsets crosses
+the axis where the integrand's size there is smallest under the model's
+two-cumulant approximation (``_cumulant_offset``); spot strips keep the
+halving rule (``_halved_offsets``).  A single spot's N >= 2 term at default
+offsets takes the offset, and each axis the start level, that one
+trapezoid error model predicts to cost the fewest nodes
+(``_costed_offset``).  One-condition terms whose suffix sums differ by
+multiples of their condition row, an asset digital and its cash twin, are
+one contour integral (``_pole_offset``): a kept window's, and the
+continuous Asian's on the sinh curve.
 
 The exponent E is a sum over the monitoring legs j = 1..M of
 -Delta_j psi(zeta_j), at zeta_j = sum_k C[k, j] xi_k - i G_j, where C and G
@@ -352,17 +355,24 @@ def _log_peak(legs, p, omega, d_vec, log_weight=None):
     return np.sum(signs * omega * d_vec, axis=-1) + exponent.real + weight
 
 
+def _halving_range(lo: float, hi: float) -> tuple[float, float]:
+    """The floor and the midpoint of ]lo, hi[: the range of the halving rule's offsets."""
+    width = hi - lo
+    return max(lo + 1e-3 * width, min(OFFSET_FLOOR, lo + 0.5 * width)), lo + 0.5 * width
+
+
 def _halved_offsets(legs, p, lo, hi, d_rows, log_weight=None) -> tuple[np.ndarray, np.ndarray]:
-    """Per row of ``d_rows`` (log moneyness, shape (S, N)), the equal offset of ``default_offsets`` and its ``_log_peak``.
+    """Per row of ``d_rows`` (log moneyness, shape (S, N)), the halving rule's equal offset and its ``_log_peak``.
 
     The candidates are the midpoint of ]lo, hi[ and its halvings down to a
-    floor.  The psi part of ``_log_peak`` does not depend on the row, so
-    each candidate is evaluated once for all rows; a row keeps halving while
-    that lowers its ``_log_peak`` (with ``log_weight``, if given).
+    floor (``_halving_range``).  The psi part of ``_log_peak`` does not
+    depend on the row, so each candidate is evaluated once for all rows; a
+    row keeps halving while that lowers its ``_log_peak`` (with
+    ``log_weight``, if given).  Spot strips, kept windows, the continuous
+    Asian's pole group and the N >= 2 cost rule's fallback use it.
     """
-    width = hi - lo
-    floor = max(lo + 1e-3 * width, min(OFFSET_FLOOR, lo + 0.5 * width))
-    candidates = [lo + 0.5 * width]
+    floor, midpoint = _halving_range(lo, hi)
+    candidates = [midpoint]
     while candidates[-1] / 2 >= floor:
         candidates.append(candidates[-1] / 2)
     candidates = np.array(candidates)
@@ -371,6 +381,34 @@ def _halved_offsets(legs, p, lo, hi, d_rows, log_weight=None) -> tuple[np.ndarra
     stops = np.vstack((peaks[1:] >= peaks[:-1], np.ones_like(peaks[:1], dtype=bool)))
     chosen = stops.argmax(axis=0)
     return candidates[chosen], peaks[chosen, np.arange(peaks.shape[1])]
+
+
+def _cumulant_offset(legs, p, lo, hi, d: float) -> float:
+    """The equal offset of one spot's N = 1 term at log moneyness ``d``: the halving rule's aim, in closed form.
+
+    The halving rule lowers the integrand's log-magnitude at the axis
+    crossing, w omega d + E(-i w omega) - log omega (``_log_peak``), where
+    E(-i w omega) = sum_j Delta_j kappa(w omega c_j + g_j), kappa(u) =
+    -psi(-iu), c_j = C[0, j] and g_j the suffix sums of gamma.  With kappa
+    replaced by its two-cumulant model kappa_1 u + kappa_2 u^2 / 2
+    (``LevyModel.cumulants``) that log-magnitude is smallest at the positive
+    root of
+
+        kappa_2 sum_j Delta_j c_j^2 omega^2
+            + w (d + sum_j Delta_j c_j (kappa_1 + kappa_2 g_j)) omega - 1 = 0,
+
+    the crossing that minimises the integrand's size at the axis (Lord &
+    Kahl, J. Comput. Finance 10(4), 2007).  The root is clamped to the
+    halving rule's range (``_halving_range``); no psi call is made.
+    """
+    k1, k2 = legs.model.cumulants
+    c = legs.cmat[0]
+    a = k2 * float(legs.deltas @ (c * c))
+    b = p.w[0] * (d + float(legs.deltas @ (c * (k1 + k2 * legs.gsuf))))
+    root = math.sqrt(b * b + 4.0 * a)
+    omega = 2.0 / (b + root) if b >= 0.0 else (root - b) / (2.0 * a)  # each form free of cancellation
+    floor, midpoint = _halving_range(lo, hi)
+    return min(max(omega, floor), midpoint)
 
 
 def _equal_offset_interval(model: LevyModel, p: PayoffParameterSet) -> tuple[float, float]:
@@ -411,11 +449,13 @@ def default_offsets(
 
     The equal-offset reduction turns the N-dimensional feasibility region
     into a single interval for omega.  Without a schedule and spot the
-    offset is its midpoint.  With them, N = 1 starts at the midpoint and
-    halves the offset while that improves the integrand's central magnitude
-    (better conditioning), never dropping below a floor; N >= 2 takes the
-    offset with the fewest predicted nodes at the default tolerance
-    ``DEFAULT_TOL_ND`` (``_costed_offset``).  ``position`` in ]0, 1[
+    offset is its midpoint.  With them, N = 1 takes the offset that
+    minimises the integrand's central magnitude under the model's
+    two-cumulant approximation, within the halving rule's range from a
+    floor to the midpoint (``_cumulant_offset``); N >= 2 takes the offset
+    with the fewest predicted nodes at the default tolerance
+    ``DEFAULT_TOL_ND`` (``_costed_offset``).  A spot strip's offsets are the
+    halving rule's instead (``_price_core``).  ``position`` in ]0, 1[
     overrides both rules and picks that relative point of the interval
     directly.
     """
@@ -425,7 +465,7 @@ def default_offsets(
     if position is None and sched is not None and spot is not None:
         legs, d_vec = _Legs(model, sched, p), _log_moneyness(p, spot)
         if p.n == 1:
-            omega = float(_halved_offsets(legs, p, lo, hi, d_vec[None])[0][0])
+            omega = _cumulant_offset(legs, p, lo, hi, float(d_vec[0]))
         else:
             raw_tol = _raw_tol(DEFAULT_TOL_ND, p.n, _prefactor(model, sched, p, spot))
             omega = _costed_offset(legs, p, lo, hi, d_vec, raw_tol)[0]
@@ -569,15 +609,18 @@ def _price_core(model, sched, p, spots, offsets=None, tol=None, fixed_nodes=None
                 delta_mode=False) -> list[PriceResult]:
     """Prices of ``p`` at each of ``spots`` (deltas if ``delta_mode``): single spots, deltas and spot strips.
 
-    Without given offsets each spot takes the offset of ``default_offsets``,
-    and an N = 1 spot with w*d > 12 is priced as the certain claim minus its
-    flipped condition.  Spots of one payoff and offset form a group, and each
-    group gets one set-up (``_set_up``), with the ``_log_peak`` its offset
-    rule found: the cost rule's (``_costed_offset``) and its step h for an
-    N >= 2 spot, the halving rule's (``_halved_offsets``) for N = 1.  Several
-    spots form a strip (N = 1, prices at default offsets and nodes): the spot
-    enters only through the phase exp(i d xi), so each group, even of one
-    spot, runs one ladder of the strip rule.
+    Without given offsets a single spot takes the offset of
+    ``default_offsets``, and an N = 1 spot with w*d > 12 is priced as the
+    certain claim minus its flipped condition, whose offset it takes.  Spots
+    of one payoff and offset form a group, and each group gets one set-up
+    (``_set_up``): a single N = 1 spot at the cumulant rule's offset
+    (``_cumulant_offset``), which makes no psi call, an N >= 2 spot at the
+    cost rule's (``_costed_offset``) with its ``_log_peak`` and step h.
+    Several spots form a strip (N = 1, prices at default offsets and nodes):
+    the spot enters only through the phase exp(i d xi), so the spots take
+    the halving rule's offsets (``_halved_offsets``), whose discrete lattice
+    groups them, and each group, even of one spot, runs one ladder of the
+    strip rule at its ``_log_peak``.
     """
     n = p.n
     if n > MAX_TENSOR_DIM:
@@ -612,6 +655,10 @@ def _price_core(model, sched, p, spots, offsets=None, tol=None, fixed_nodes=None
             (i,) = part
             omega, peak, step = _costed_offset(q_legs, q, *_equal_offset_interval(model, q), d_rows[i], raw_tols[i])
             groups = [(ContourOffsets((omega,) * n), part, [peak])]
+        elif not strip:
+            (i,) = part
+            interval = _equal_offset_interval(model, q)
+            groups = [(ContourOffsets((_cumulant_offset(q_legs, q, *interval, float(d_rows[i, 0])),)), part, None)]
         else:
             interval = _equal_offset_interval(model, q)
             omegas, peaks = _halved_offsets(q_legs, q, *interval, d_rows[part])
@@ -900,10 +947,12 @@ def _kept_sample_prices(model, sched, p, tol, poles=((1.0, 0.0),)):
 def _sinh_price(legs, d, b, interval, raw_tol, prefactor, offsets, fixed_nodes, delta_spot, log_weight) -> PriceResult:
     """One spot's N = 1 price: the line rule along a sinh-deformed contour (``quadrature.sinh_contour``).
 
-    The curve crosses the imaginary axis at i b, the horizontal line's offset,
-    and bends its ends by the sign of the integrand's linear phase (d plus
-    the drift term mu sum_j Delta_j C_j), so that the phase decays along
-    them as well as exp(-Delta psi).  The trapezoid rule in y errs by about
+    The curve crosses the imaginary axis at i b, the horizontal line's
+    offset: at default offsets the cumulant rule's for a single digital
+    (``_cumulant_offset``) and the halving rule's for a pole group
+    (``_pole_offset``).  It bends its ends by the sign of the integrand's
+    linear phase (d plus the drift term mu sum_j Delta_j C_j), so that the
+    phase decays along them as well as exp(-Delta psi).  The trapezoid rule in y errs by about
     exp(-2 pi d0 / h) times the integrand on the strip |Im y| < d0
     (Trefethen & Weideman, SIAM Review 56(3), 2014), where the curve sweeps
     the family of bends theta +- d0 with crossings

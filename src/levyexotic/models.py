@@ -115,6 +115,16 @@ class LevyModel:
         """Constant offset per unit time: Re psi(x) >= c*|x|**order - shift."""
         return 0.0
 
+    @property
+    def cumulants(self) -> tuple[float, float]:
+        """(kappa_1, kappa_2): the mean and variance of X_1, drift included.
+
+        They are the first two derivatives at 0 of the cumulant function
+        kappa(u) = -psi(-iu) = log E[exp(u X_1)], computed once per model in
+        closed form, without a psi call.
+        """
+        raise NotImplementedError
+
     def phi(self, xi):
         """Drift-free part of the exponent."""
         raise NotImplementedError
@@ -174,6 +184,7 @@ class GaussianModel(LevyModel):
             raise InvalidModel(f"sigma must be positive, got {self.sigma}")
         if self.strip_proxy <= 1:
             raise InvalidModel("strip_proxy must exceed 1")
+        object.__setattr__(self, "_cumulants", (self.mu, self.sigma**2))
 
     @property
     def strip(self):
@@ -191,6 +202,10 @@ class GaussianModel(LevyModel):
     def growth_cone(self):
         # Re zeta**2 > 0
         return math.pi / 4
+
+    @property
+    def cumulants(self):
+        return self._cumulants
 
     def phi(self, xi):
         return 0.5 * self.sigma**2 * xi * xi
@@ -218,6 +233,9 @@ class NIGModel(LevyModel):
                 f"lambda_minus = beta - alpha = {self.beta - self.alpha:g} >= -1: "
                 "-i falls outside the strip"
             )
+        gam = math.sqrt(self.alpha**2 - self.beta**2)
+        object.__setattr__(self, "_cumulants", (self.mu + self.delta * self.beta / gam,
+                                                self.delta * self.alpha**2 / gam**3))
 
     @property
     def strip(self):
@@ -235,6 +253,10 @@ class NIGModel(LevyModel):
     def growth_cone(self):
         # the radicand's root grows like +-(zeta - i beta): Re psi ~ delta |Re zeta|
         return math.pi / 2
+
+    @property
+    def cumulants(self):
+        return self._cumulants
 
     @property
     def decay_shift(self):
@@ -292,6 +314,10 @@ class CGMYModel(LevyModel):
         object.__setattr__(self, "_scale", -self.c * _gamma_fn(-self.y))
         object.__setattr__(self, "_m_y", self.m**self.y)
         object.__setattr__(self, "_g_y", self.g**self.y)
+        # the first two cumulants (``cumulants``), once per model
+        object.__setattr__(self, "_cumulants", (
+            self.mu + self.c * _gamma_fn(1.0 - self.y) * (self.m ** (self.y - 1.0) - self.g ** (self.y - 1.0)),
+            self.c * _gamma_fn(2.0 - self.y) * (self.m ** (self.y - 2.0) + self.g ** (self.y - 2.0))))
 
     @property
     def strip(self):
@@ -309,6 +335,10 @@ class CGMYModel(LevyModel):
     def growth_cone(self):
         # (m - i zeta)**y + (g + i zeta)**y ~ 2 cos(pi y / 2) |zeta|**y e^{i y arg zeta}: cos(y arg zeta) > 0
         return math.pi / (2.0 * self.y)
+
+    @property
+    def cumulants(self):
+        return self._cumulants
 
     @property
     def decay_shift(self):

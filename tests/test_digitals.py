@@ -32,6 +32,7 @@ from levyexotic.digitals import (
     _halved_offsets,
     _Legs,
     _log_moneyness,
+    _log_peak,
     _prefactor,
     _price_core,
     _scaled_price,
@@ -56,32 +57,42 @@ def horizontal(b):
     return (lambda y: y + 1j * b, lambda y: 1.0)
 
 
-def line_oracle(model, sched, p, spot, tol=1e-8):
+def halved_offset(model, sched, p, spot):
+    """The halving rule's offset of a one-condition term at ``spot`` and its ``_log_peak``: a strip's offset."""
+    omegas, peaks = _halved_offsets(_Legs(model, sched, p), p, *_equal_offset_interval(model, p),
+                                    _log_moneyness(p, spot)[None])
+    return float(omegas[0]), peaks[0]
+
+
+def line_oracle(model, sched, p, spot, tol=1e-8, omega=None):
     """The horizontal line rule's price of a one-condition digital: the oracle of the sinh contour and the strips.
 
-    The offset of ``default_offsets``, the truncation of ``_truncations`` and
-    the line rule's ladder from the phase-resolving start count; a spot with
-    w*d > 12 is the certain claim minus its flipped condition, as in
-    ``_price_core``.
+    The halving rule's offset (``halved_offset``), or ``omega`` if given,
+    the truncation of ``_truncations`` and the line rule's ladder from the
+    phase-resolving start count; a spot with w*d > 12 is the certain claim
+    minus its flipped condition, as in ``_price_core``.
     """
     d = _log_moneyness(p, spot)
     if p.w[0] * d[0] > 12.0:
-        flipped = line_oracle(model, sched, PayoffParameterSet(p.gamma, p.k_log, (-p.w[0],), p.a), spot, tol)
+        flipped = line_oracle(model, sched, PayoffParameterSet(p.gamma, p.k_log, (-p.w[0],), p.a), spot, tol, omega)
         whole = price_digital(model, sched, PayoffParameterSet(p.gamma, (), (), ()), spot)
         return replace(flipped, value=whole.value - flipped.value)
     legs = _Legs(model, sched, p)
-    omegas, peaks = _halved_offsets(legs, p, *_equal_offset_interval(model, p), d[None])
-    b = -p.w[0] * float(omegas[0])
+    if omega is None:
+        omega, peak = halved_offset(model, sched, p, spot)
+    else:
+        peak = _log_peak(legs, p, [omega], d)
+    b = -p.w[0] * omega
     prefactor = _prefactor(model, sched, p, spot)
     raw_tol = tol * 2.0 * math.pi / abs(prefactor)
-    (truncation,) = _truncations(legs, raw_tol, peaks[0])
+    (truncation,) = _truncations(legs, raw_tol, peak)
 
     def integrand(xi):
         return np.exp(1j * d[0] * xi + legs.exponent(range(p.m), (xi,), (0,))) / xi
 
     start = _start_count(truncation, d[0], cq.LINE_NODE_CAP)
     res = cq.integrate_line(integrand, horizontal(b), truncation, raw_tol, start_nodes=start)
-    offs = ContourOffsets((float(omegas[0]),))
+    offs = ContourOffsets((omega,))
     return _scaled_price(res, prefactor, raw_tol, offs, (1, p.m), cq.LINE_NODE_CAP, (truncation,))
 
 
@@ -142,10 +153,15 @@ class TestPsiAggregate:
 
 class TestDefaultOffsets:
     def test_nig_digital_midpoint(self):
-        # interval ]0, -lambda_minus[ = ]0, 10[, midpoint kept
+        # interval ]0, -lambda_minus[ = ]0, 10[: at the money (d = 0, one unit
+        # leg) the cumulant rule's root of kappa_2 omega^2 + kappa_1 omega - 1
+        # lies between the floor 0.25 and the midpoint 5
         sched = MonitoringSchedule(0.0, (1.0,))
         off = default_offsets(NIG, plain_digital(ATM_LOG), sched, SPOT)
-        assert off.omega == (5.0,)
+        k1, k2 = NIG.cumulants
+        root = (math.sqrt(k1 * k1 + 4.0 * k2) - k1) / (2.0 * k2)
+        assert off.omega == (pytest.approx(root, rel=1e-14),)
+        assert 0.25 <= off.omega[0] <= 5.0
 
     def test_gaussian_offsets_above_floor(self):
         sched = MonitoringSchedule(0.0, (1.0,))
@@ -310,7 +326,7 @@ class TestPriceStrip:
             flipped = w * (math.log(spot) - ATM_LOG) > 12.0  # priced as its complement
             flips += flipped
             q = plain_digital(ATM_LOG, -w if flipped else w, gamma)
-            assert res.offsets_used == default_offsets(model, q, self.SCHED, spot)
+            assert res.offsets_used.omega == (halved_offset(model, self.SCHED, q, spot)[0],)
         assert flips > 0
 
     def test_deep_spot_of_a_wide_model_does_not_overflow(self):
@@ -423,7 +439,7 @@ class TestSinhContour:
     def test_sinh_rule_matches_the_line_rule(self, model):
         for label, tol, sched, p in sinh_grid_terms(model):
             res = price_digital(model, sched, p, SPOT, tol=tol)
-            ref = line_oracle(model, sched, p, SPOT, tol)
+            ref = line_oracle(model, sched, p, SPOT, tol, res.offsets_used.omega[0])
             assert abs(res.value - ref.value) <= res.quadrature_error + ref.quadrature_error, label
             assert res.offsets_used == ref.offsets_used, label
 

@@ -22,7 +22,8 @@ from levyexotic import (
     price_contract,
 )
 from levyexotic import digitals, models
-from levyexotic.contracts import to_portfolio
+from levyexotic import quadrature as cq
+from levyexotic.contracts import Digital, to_portfolio
 from levyexotic.digitals import _Legs, _chain_plan, _log_peak, default_offsets
 from levyexotic.errors import StripViolation
 
@@ -184,6 +185,40 @@ def test_one_psi_call_per_exponent_evaluation(monkeypatch):
     price_contract(AsianGeometric(SCHED12, 100.0), MODELS["cgmy05"], SPOT)
     assert counts["exponent"] > 0
     assert counts["psi"] == counts["exponent"] + counts["constant"]
+
+
+@pytest.mark.parametrize("model", MODELS.values(), ids=MODELS)
+def test_two_exponent_calls_per_one_date_term(model, monkeypatch):
+    """A one-date cash digital and a 12-date geometric Asian call at default arguments, one ladder per term.
+
+    Each term makes two exponent calls: the sinh contour's probe, then both
+    levels of a ladder that stops at its second level.  Its offset, the
+    cumulant rule's, makes none.
+    """
+    calls = {"exponent": 0}
+    ladders = []  # per ladder, its integrand calls: the first holds two levels
+    exponent, line = _Legs.exponent, cq.integrate_line
+
+    def counted_exponent(self, *args):
+        calls["exponent"] += 1
+        return exponent(self, *args)
+
+    def counted_line(f, *args, **kwargs):
+        ladders.append(0)
+
+        def sampled(xi):
+            ladders[-1] += 1
+            return f(xi)
+        return line(sampled, *args, **kwargs)
+
+    monkeypatch.setattr(_Legs, "exponent", counted_exponent)
+    monkeypatch.setattr(cq, "integrate_line", counted_line)
+    cash = Digital(MonitoringSchedule(0.0, (1.0,)), PayoffParameterSet((0.0,), (math.log(100.0),), (1,), ((1.0,),)))
+    for contract in (cash, AsianGeometric(SCHED12, 100.0)):
+        calls["exponent"], ladders[:] = 0, []
+        price_contract(contract, model, SPOT)
+        assert ladders == [1] * len(to_portfolio(contract, model).terms)
+        assert calls["exponent"] == 2 * len(ladders)
 
 
 def test_the_psi_point_budget_splits_runs(monkeypatch):

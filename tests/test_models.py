@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from levyexotic import (
     CGMYModel,
     GaussianModel,
+    LevyModel,
     NIGModel,
     esscher_calibrate,
     make_cgmy,
@@ -28,6 +30,40 @@ def all_models():
         make_cgmy(1.0, 5.0, 5.0, 0.5, 0.05),
         make_cgmy(0.5, 6.0, 4.0, 1.5, 0.02),
     ]
+
+
+CUMULANT_MODELS = {
+    # the four benchmark models
+    "gaussian": make_gaussian(0.2, 0.05),
+    "nig": make_nig(8.0, -2.0, 0.3, 0.05),
+    "cgmy05": make_cgmy(1.0, 5.0, 5.0, 0.5, 0.05),
+    "cgmy15": make_cgmy(1.0, 5.0, 5.0, 1.5, 0.05),
+    # other parameter sets: skewed both ways, wide and narrow strips, activity near 0 and 2
+    "gaussian-wide": make_gaussian(0.6, 0.01),
+    "nig-right": make_nig(15.0, 3.0, 0.5, 0.02),
+    "nig-narrow": make_nig(3.0, -1.5, 1.2, 0.0),
+    "cgmy-y02": make_cgmy(2.0, 3.0, 9.0, 0.2, 0.03),
+    "cgmy-y15": make_cgmy(0.5, 6.0, 4.0, 1.5, 0.02),
+    "cgmy-y19": make_cgmy(0.3, 8.0, 2.5, 1.9, 0.05),
+}
+
+
+@pytest.mark.parametrize("model", CUMULANT_MODELS.values(), ids=CUMULANT_MODELS)
+def test_cumulants_are_the_central_differences(model, monkeypatch):
+    # kappa(u) = -Re psi(-iu) at u = -h, 0, h
+    h = 1e-3
+    down, zero, up = (-model.psi(-1j * u).real for u in (-h, 0.0, h))
+    k1, k2 = model.cumulants
+    assert k1 == pytest.approx((up - down) / (2.0 * h), rel=1e-6)
+    assert k2 == pytest.approx((up - 2.0 * zero + down) / h**2, rel=1e-6)
+
+    def refused(self, xi):
+        raise AssertionError("the cumulants call psi")
+
+    monkeypatch.setattr(LevyModel, "psi", refused)
+    for cls in (GaussianModel, NIGModel, CGMYModel):
+        monkeypatch.setattr(cls, "phi", refused)
+    assert replace(model).cumulants == (k1, k2)  # built again, without a psi call
 
 
 class TestGaussianValues:

@@ -14,7 +14,11 @@ A change that is meant to move prices within their claims is checked with
 which counts the lines that are byte-identical, those whose values lie within
 both claims + 1e-12 * (1 + |value|) of each other, those that lie outside,
 and the new stalls (NoConvergence after, none before), names each line of
-the last two kinds, and prints each side's total of evaluations.
+the last two kinds, and prints each side's total of evaluations.  A line is
+classified by its values and claims alone when nothing else in it differs
+but the contour offsets (``ContourOffsets(...)``); such lines are also
+counted as "offsets moved".  Any other difference of the text, an error
+message or a count of results say, makes the line "outside".
 
 Each line is a label and the repr of (value, quadrature_error, evaluations,
 offsets_used) of a PriceResult; a price that raises NoConvergence prints the
@@ -200,6 +204,7 @@ _NUMBER = r"(?:np\.float64\()?([-+]?(?:\d+\.?\d*(?:e[-+]?\d+)?|nan|inf))\)?"
 # (value, error) or (value, error, evaluations, ...): a workload output or a ``described`` PriceResult
 _RESULT = re.compile(rf"\({_NUMBER}, {_NUMBER}(?:, (\d+))?[,)]")
 _LABEL = re.compile(r"^(.*?): (?=[(\[]|\w+ )")
+_OFFSETS = re.compile(r"ContourOffsets\(omega=\([^)]*\)\)")
 
 
 def _keyed(path):
@@ -220,30 +225,38 @@ def _results(text):
 
 
 def _kind(before, after):
-    """'identical', 'new stall', 'within' (both claims + 1e-12 (1 + |value|)) or 'outside'."""
+    """'identical', 'new stall', 'within' (both claims + 1e-12 (1 + |value|)) or 'outside', and whether offsets moved.
+
+    Contour offsets are set aside before the rest of the two texts is
+    compared, so a line whose offsets alone moved is judged by its values.
+    """
     if before == after:
-        return "identical"
+        return "identical", False
+    moved = _OFFSETS.findall(before) != _OFFSETS.findall(after)
     stalled = [text.startswith("NoConvergence ") for text in (before, after)]
     if stalled == [False, True]:
-        return "new stall"
+        return "new stall", moved
     (old, old_rest), (new, new_rest) = _results(before), _results(after)
-    if not old or len(old) != len(new) or (old_rest != new_rest and not all(stalled)):
-        return "outside"
+    if not old or len(old) != len(new) or (_OFFSETS.sub("", old_rest) != _OFFSETS.sub("", new_rest)
+                                           and not all(stalled)):
+        return "outside", moved
     close = all(abs(a - b) <= ea + eb + 1e-12 * (1.0 + abs(a)) for (a, ea, _), (b, eb, _) in zip(old, new))
-    return "within" if close else "outside"
+    return ("within" if close else "outside"), moved
 
 
 def compare(before_path, after_path):
-    """Print the counts of ``_kind`` over the lines both files share, and each side's evaluations."""
+    """Print the counts of ``_kind`` over the lines both files share, the lines whose offsets moved, and each side's evaluations."""
     before, after = _keyed(before_path), _keyed(after_path)
-    kinds = Counter()
+    kinds, moved = Counter(), 0
     for key in before.keys() & after.keys():
-        kind = _kind(before[key], after[key])
+        kind, offsets_moved = _kind(before[key], after[key])
         kinds[kind] += 1
+        moved += offsets_moved
         if kind in ("outside", "new stall"):
             print(f"{kind}: {key[0]}\n  before {before[key]}\n  after  {after[key]}")
     for kind in ("identical", "within", "outside", "new stall"):
         print(f"{kind}: {kinds[kind]}")
+    print(f"offsets moved: {moved}")
     print(f"only before: {len(before.keys() - after.keys())}, only after: {len(after.keys() - before.keys())}")
     for side, lines in (("before", before), ("after", after)):
         total = sum(n for line in lines.values() for _, _, n in _results(line)[0] if n is not None)
